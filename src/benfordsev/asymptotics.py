@@ -9,16 +9,14 @@ they are built once per scheme and cached.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .benford import BenfordProbs, benford_probs
+from .benford import benford_probs
 from .digits import DigitSystem
 
 _TWO_OVER_PI = 2.0 / math.pi
@@ -40,27 +38,9 @@ class MadMoments(NamedTuple):
     sd: float
 
 
-def rho(b: BenfordProbs, i: int, j: int) -> float:
-    """Correlation between the deviations of digit cells i and j (0-based)."""
-    k = len(b.b)
-    if not (0 <= i < k and 0 <= j < k):
-        raise IndexError(f"digit cell index out of range for k={k}: ({i}, {j})")
-    if i == j:
-        return 1.0
-    bi, bj = b.b[i], b.b[j]
-    return -math.sqrt(bi * bj / ((1.0 - bi) * (1.0 - bj)))
-
-
-def r_entry(rho_ij: float) -> float:
-    """Covariance of two folded standard normals with correlation rho_ij."""
-    if abs(rho_ij) > 1.0 + 1e-12:
-        raise ValueError(f"correlation must lie in [-1, 1], got {rho_ij!r}")
-    r = min(max(rho_ij, -1.0), 1.0)
-    return _TWO_OVER_PI * (r * math.asin(r) + math.sqrt(1.0 - r * r)) - _TWO_OVER_PI
-
-
 @lru_cache(maxsize=None)
-def _cached_constants(system: DigitSystem) -> AsymptoticConstants:
+def build_constants(system: DigitSystem) -> AsymptoticConstants:
+    """Constants for `system`, cached after the first construction."""
     b = benford_probs(system).b
     d_vec = np.sqrt(b * (1.0 - b))
 
@@ -75,11 +55,6 @@ def _cached_constants(system: DigitSystem) -> AsymptoticConstants:
     return AsymptoticConstants(system=system, d_vec=d_vec, R=R, sum_d=sum_d, quad_form=quad_form)
 
 
-def build_constants(system: DigitSystem) -> AsymptoticConstants:
-    """Constants for `system`, cached after the first construction."""
-    return _cached_constants(system)
-
-
 def mad_moments(system: DigitSystem, n: int) -> MadMoments:
     """Approximate mean and standard deviation of the MAD under the law."""
     if n < 1:
@@ -89,23 +64,3 @@ def mad_moments(system: DigitSystem, n: int) -> MadMoments:
     mean = math.sqrt(2.0 / (math.pi * n * k * k)) * c.sum_d
     sd = math.sqrt(c.quad_form / (n * k * k))
     return MadMoments(mean=mean, sd=sd)
-
-
-def dump_debug_csv(constants: AsymptoticConstants, directory: str | Path) -> tuple[Path, Path]:
-    """Write D (diagonal) and R to CSV files for inspection; returns the paths."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    d_path = directory / "D.csv"
-    r_path = directory / "R.csv"
-    labels = constants.system.digit_labels
-    with open(d_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["digit", "d"])
-        for label, d in zip(labels, constants.d_vec):
-            writer.writerow([label, repr(float(d))])
-    with open(r_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["digit"] + [str(label) for label in labels])
-        for label, row in zip(labels, constants.R):
-            writer.writerow([label] + [repr(float(v)) for v in row])
-    return d_path, r_path

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,9 +27,15 @@ class Proportions:
     n: int
 
 
+@lru_cache(maxsize=None)
 def benford_probs(system: DigitSystem) -> BenfordProbs:
-    """Digit probabilities log10(1 + 1/d) for every label of `system`."""
+    """Digit probabilities log10(1 + 1/d) for every label of `system`.
+
+    Built once per scheme; the cached array is read-only because every
+    caller shares it.
+    """
     b = np.array([math.log10(1.0 + 1.0 / d) for d in system.digit_labels])
+    b.flags.writeable = False
     return BenfordProbs(system=system, b=b)
 
 

@@ -11,12 +11,14 @@ import argparse
 import json
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
+from typing import Callable
 
 from . import __version__
 from .asymptotics import mad_moments
 from .benford import benford_probs, chi_square_stat, proportions
-from .digits import ColumnError, DigitSystem, ingest
+from .digits import ColumnError, DigitCounts, DigitSystem, ingest
 from .mc import SimulationSpec, simulate
 from .severity import (
     CalibrationConfig,
@@ -58,30 +60,7 @@ class AnalysisReport:
     digit_table: list[tuple[int, float, float]]  # (digit, observed, benford)
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "digits": self.digits,
-            "k": self.k,
-            "n": self.n,
-            "skipped": self.skipped,
-            "skip_reasons": self.skip_reasons,
-            "small_sample": self.small_sample,
-            "n_min": self.n_min,
-            "mad": self.mad,
-            "expected_mad": self.expected_mad,
-            "sd_mad": self.sd_mad,
-            "excess_delta": self.excess_delta,
-            "tilde_delta": self.tilde_delta,
-            "p_value": self.p_value,
-            "delta_star": self.delta_star,
-            "severity_exceeds": self.severity_exceeds,
-            "severity_at_most": self.severity_at_most,
-            "chi_square": self.chi_square,
-            "chi_square_p": self.chi_square_p,
-            "psi_star": self.psi_star,
-            "chi_square_severity": self.chi_square_severity,
-            "digit_table": [list(row) for row in self.digit_table],
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -130,18 +109,47 @@ class AnalysisReport:
             lines.append(f"  {digit:<6d} {observed:<13.8g} {expected:.8g}")
         return "\n".join(lines) + "\n"
 
-    def to_csv(self) -> str:
-        rows = ["field,value"]
-        for key, value in self.to_dict().items():
-            if key in ("digit_table", "skip_reasons"):
-                continue
-            rows.append(f"{key},{_csv_cell(value)}")
-        for reason, count in self.skip_reasons.items():
-            rows.append(f"skip:{reason},{count}")
-        rows.append("digit,observed,benford")
-        for digit, observed, expected in self.digit_table:
-            rows.append(f"{digit},{observed!r},{expected!r}")
-        return "\n".join(rows) + "\n"
+
+DIGIT_TABLE_HEADER = ("digit", "observed", "benford")
+
+
+@dataclass(frozen=True)
+class Report:
+    """What one command prints, in any `--format`.
+
+    `fields` is the JSON object, in key order; `to_json`, when given, is the
+    report object's own rendering of it.  `csv_rows` are the CSV rows,
+    header rows included, and `to_text` renders the text layout.
+    """
+
+    fields: dict
+    csv_rows: list[tuple]
+    to_text: Callable[[], str]
+    to_json: Callable[[], str] | None = None
+
+
+def _emit(report: Report, args) -> None:
+    """Render `report` in `args.format` to `args.output`, or to stdout."""
+    if args.format == "json":
+        payload = report.to_json() if report.to_json else json.dumps(report.fields, indent=2)
+        payload += "\n"
+    elif args.format == "csv":
+        payload = _render_csv(report.csv_rows)
+    else:
+        payload = report.to_text()
+    _write(payload, args.output)
+
+
+def _write(payload: str, output: str | None) -> None:
+    if output:
+        with open(output, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+    else:
+        sys.stdout.write(payload)
+
+
+def _render_csv(rows: list[tuple]) -> str:
+    return "".join(",".join(_csv_cell(value) for value in row) + "\n" for row in rows)
 
 
 def _csv_cell(value) -> str:
@@ -150,6 +158,12 @@ def _csv_cell(value) -> str:
     if value is None:
         return ""
     return str(value)
+
+
+def _field_rows(fields: dict) -> list[tuple]:
+    """The CSV `field,value` block: a row for each field that is not a list or a mapping."""
+    scalars = [(k, v) for k, v in fields.items() if not isinstance(v, (list, tuple, dict))]
+    return [("field", "value"), *scalars]
 
 
 def _format_skips(skip_reasons: dict[str, int]) -> str:
@@ -179,6 +193,31 @@ def _parse_grid(spec: str) -> list[float]:
     return [float(v) for v in spec.split(",") if v.strip()]
 
 
+def _ingest_file(args) -> DigitCounts:
+    """Digit counts of `args.file`; a file with no usable record is an error."""
+    with open(args.file, "r", encoding="utf-8", newline="") as fh:
+        counts = ingest(
+            fh,
+            DigitSystem.from_digits(args.digits),
+            column=_parse_column(args.column),
+            delimiter=args.delimiter,
+            decimal_mark=args.decimal_mark,
+        )
+    if counts.n == 0:
+        raise ValueError(f"no usable numeric records in {args.file!r}")
+    return counts
+
+
+def _digit_table(counts: DigitCounts) -> list[tuple[int, float, float]]:
+    """(digit, observed proportion, Benford probability) for every digit cell."""
+    p = proportions(counts).p
+    b = benford_probs(counts.system).b
+    return [
+        (int(d), float(obs), float(exp))
+        for d, obs, exp in zip(counts.system.digit_labels, p, b)
+    ]
+
+
 def build_report(args, counts) -> AnalysisReport:
     system = counts.system
     b = benford_probs(system)
@@ -194,7 +233,6 @@ def build_report(args, counts) -> AnalysisReport:
         chi2_sev = chi_square_severity(chi2, args.psi_star, system).severity
     moments = mad_moments(system, counts.n)
     floor = n_min_for(system, 5.0)
-    p = proportions(counts)
     return AnalysisReport(
         label=args.label or args.file,
         digits=args.digits,
@@ -217,169 +255,103 @@ def build_report(args, counts) -> AnalysisReport:
         chi_square_p=1.0 - central_chi2_cdf(chi2, system.k - 1),
         psi_star=args.psi_star,
         chi_square_severity=chi2_sev,
-        digit_table=[
-            (int(d), float(obs), float(exp))
-            for d, obs, exp in zip(system.digit_labels, p.p, b.b)
-        ],
+        digit_table=_digit_table(counts),
     )
 
 
-def cmd_analyze(args) -> int:
-    system = DigitSystem.from_digits(args.digits)
-    with open(args.file, "r", encoding="utf-8", newline="") as fh:
-        counts = ingest(
-            fh,
-            system,
-            column=_parse_column(args.column),
-            delimiter=args.delimiter,
-            decimal_mark=args.decimal_mark,
-        )
-    if counts.n == 0:
-        raise ValueError(f"no usable numeric records in {args.file!r}")
-    report = build_report(args, counts)
-    if args.format == "json":
-        payload = report.to_json() + "\n"
-    elif args.format == "csv":
-        payload = report.to_csv()
-    else:
-        payload = report.to_text()
-    _emit(payload, args.output)
-    return 0
+def cmd_analyze(args) -> None:
+    report = build_report(args, _ingest_file(args))
+    fields = report.to_dict()
+    skips = [(f"skip:{reason}", count) for reason, count in report.skip_reasons.items()]
+    csv_rows = [*_field_rows(fields), *skips, DIGIT_TABLE_HEADER, *report.digit_table]
+    _emit(Report(fields, csv_rows, report.to_text, report.to_json), args)
 
 
-def cmd_calibrate(args) -> int:
+def cmd_calibrate(args) -> None:
     system = DigitSystem.from_digits(args.digits)
     n_min = args.nmin if args.nmin is not None else n_min_for(system, 5.0)
-    n_max = args.nmax
-    threshold = args.threshold
-    config = CalibrationConfig(system=system, threshold=threshold, n_min=n_min, n_max=n_max)
-    value = delta_star(config)
+    config = CalibrationConfig(
+        system=system, threshold=args.threshold, n_min=n_min, n_max=args.nmax
+    )
     fields = {
         "digits": args.digits,
         "k": system.k,
-        "threshold": threshold,
+        "threshold": args.threshold,
         "n_min": n_min,
-        "n_max": n_max,
-        "delta_star": value,
+        "n_max": args.nmax,
+        "delta_star": delta_star(config),
     }
-    if args.format == "json":
-        payload = json.dumps(fields, indent=2) + "\n"
-    elif args.format == "csv":
-        payload = "field,value\n" + "\n".join(
-            f"{key},{_csv_cell(val)}" for key, val in fields.items()
-        ) + "\n"
-    else:
-        payload = (
-            f"digit scheme : {args.digits} (k={system.k})\n"
-            f"threshold t  : {threshold:.8g}\n"
-            f"n range      : [{n_min}, {n_max}]\n"
-            f"delta*       : {value:.8g}\n"
-        )
-    _emit(payload, args.output)
-    return 0
+    _emit(Report(fields, _field_rows(fields), partial(_calibration_text, fields)), args)
 
 
-def cmd_simulate(args) -> int:
+def _calibration_text(fields: dict) -> str:
+    return (
+        f"digit scheme : {fields['digits']} (k={fields['k']})\n"
+        f"threshold t  : {fields['threshold']:.8g}\n"
+        f"n range      : [{fields['n_min']}, {fields['n_max']}]\n"
+        f"delta*       : {fields['delta_star']:.8g}\n"
+    )
+
+
+def cmd_simulate(args) -> None:
     system = DigitSystem.from_digits(args.digits)
-    spec = SimulationSpec(system=system, n=args.n, reps=args.reps, seed=args.seed)
-    report = simulate(spec)
-    if args.format == "json":
-        payload = report.to_json() + "\n"
-    elif args.format == "csv":
-        data = report.to_dict()
-        folded = data.pop("digit_folded_means")
-        folded_se = data.pop("folded_mean_se")
-        rows = ["field,value"]
-        rows += [f"{key},{_csv_cell(val)}" for key, val in data.items()]
-        rows.append("digit,folded_mean,folded_mean_se")
-        for label, mean, se in zip(system.digit_labels, folded, folded_se):
-            rows.append(f"{label},{mean!r},{se!r}")
-        payload = "\n".join(rows) + "\n"
-    else:
-        data = report.to_dict()
-        lines = [
-            f"simulation: digits={args.digits} (k={system.k}), "
-            f"n={args.n}, reps={args.reps}, seed={args.seed}",
-            f"  MAD mean   empirical {data['empirical_mad_mean']:.8g}"
-            f"  theoretical {data['theoretical_mad_mean']:.8g}"
-            f"  (mc se {data['mad_mean_se']:.3g})",
-            f"  MAD sd     empirical {data['empirical_mad_sd']:.8g}"
-            f"  theoretical {data['theoretical_mad_sd']:.8g}",
-            f"  tilde delta  mean {data['tilde_delta_mean']:.6g}"
-            f"  sd {data['tilde_delta_sd']:.6g}"
-            f"  (mc se of mean {data['tilde_delta_mean_se']:.3g})",
-            f"  folded deviation means (expected {data['expected_folded_mean']:.8g}):",
-        ]
-        for label, mean in zip(system.digit_labels, data["digit_folded_means"]):
-            lines.append(f"    digit {label:<3d} {mean:.6g}")
-        payload = "\n".join(lines) + "\n"
-    _emit(payload, args.output)
-    return 0
+    report = simulate(SimulationSpec(system=system, n=args.n, reps=args.reps, seed=args.seed))
+    fields = report.to_dict()
+    folded = zip(system.digit_labels, report.digit_folded_means, report.folded_mean_se)
+    csv_rows = [*_field_rows(fields), ("digit", "folded_mean", "folded_mean_se"), *folded]
+    text = partial(_simulation_text, fields, system.digit_labels)
+    _emit(Report(fields, csv_rows, text, report.to_json), args)
 
 
-def cmd_severity_curve(args) -> int:
+def _simulation_text(fields: dict, labels: tuple[int, ...]) -> str:
+    lines = [
+        f"simulation: digits={fields['digits']} (k={fields['k']}), "
+        f"n={fields['n']}, reps={fields['reps']}, seed={fields['seed']}",
+        f"  MAD mean   empirical {fields['empirical_mad_mean']:.8g}"
+        f"  theoretical {fields['theoretical_mad_mean']:.8g}"
+        f"  (mc se {fields['mad_mean_se']:.3g})",
+        f"  MAD sd     empirical {fields['empirical_mad_sd']:.8g}"
+        f"  theoretical {fields['theoretical_mad_sd']:.8g}",
+        f"  tilde delta  mean {fields['tilde_delta_mean']:.6g}"
+        f"  sd {fields['tilde_delta_sd']:.6g}"
+        f"  (mc se of mean {fields['tilde_delta_mean_se']:.3g})",
+        f"  folded deviation means (expected {fields['expected_folded_mean']:.8g}):",
+    ]
+    for label, mean in zip(labels, fields["digit_folded_means"]):
+        lines.append(f"    digit {label:<3d} {mean:.6g}")
+    return "\n".join(lines) + "\n"
+
+
+def cmd_severity_curve(args) -> None:
     system = DigitSystem.from_digits(args.digits)
-    grid = _parse_grid(args.grid)
-    points = []
-    for ds in grid:
-        result = severity_of_rejection(args.tilde_delta, ds, args.n, system)
-        points.append((ds, result.severity))
-    if args.format == "json":
-        payload = json.dumps(
-            {
-                "digits": args.digits,
-                "k": system.k,
-                "n": args.n,
-                "tilde_delta": args.tilde_delta,
-                "claim": "δ > δ*",
-                "points": [{"delta_star": ds, "severity": sev} for ds, sev in points],
-            },
-            indent=2,
-        ) + "\n"
-    elif args.format == "csv":
-        rows = ["delta_star,severity"]
-        rows += [f"{ds!r},{sev!r}" for ds, sev in points]
-        payload = "\n".join(rows) + "\n"
-    else:
-        lines = [
-            f"severity of claim δ > δ* at tilde delta {args.tilde_delta:.8g}"
-            f" (digits={args.digits}, n={args.n})",
-            f"  {'delta*':<14s} severity",
-        ]
-        lines += [f"  {ds:<14.8g} {sev:.8g}" for ds, sev in points]
-        payload = "\n".join(lines) + "\n"
-    _emit(payload, args.output)
-    return 0
+    points = [
+        (ds, severity_of_rejection(args.tilde_delta, ds, args.n, system).severity)
+        for ds in _parse_grid(args.grid)
+    ]
+    fields = {
+        "digits": args.digits,
+        "k": system.k,
+        "n": args.n,
+        "tilde_delta": args.tilde_delta,
+        "claim": "δ > δ*",
+        "points": [{"delta_star": ds, "severity": sev} for ds, sev in points],
+    }
+    csv_rows = [("delta_star", "severity"), *points]
+    _emit(Report(fields, csv_rows, partial(_curve_text, fields)), args)
 
 
-def cmd_plotdata(args) -> int:
-    system = DigitSystem.from_digits(args.digits)
-    with open(args.file, "r", encoding="utf-8", newline="") as fh:
-        counts = ingest(
-            fh,
-            system,
-            column=_parse_column(args.column),
-            delimiter=args.delimiter,
-            decimal_mark=args.decimal_mark,
-        )
-    if counts.n == 0:
-        raise ValueError(f"no usable numeric records in {args.file!r}")
-    p = proportions(counts)
-    b = benford_probs(system)
-    rows = ["digit,observed,benford"]
-    for digit, observed, expected in zip(system.digit_labels, p.p, b.b):
-        rows.append(f"{digit},{float(observed)!r},{float(expected)!r}")
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(rows) + "\n")
-    return 0
+def _curve_text(fields: dict) -> str:
+    lines = [
+        f"severity of claim {fields['claim']} at tilde delta {fields['tilde_delta']:.8g}"
+        f" (digits={fields['digits']}, n={fields['n']})",
+        f"  {'delta*':<14s} severity",
+    ]
+    lines += [f"  {p['delta_star']:<14.8g} {p['severity']:.8g}" for p in fields["points"]]
+    return "\n".join(lines) + "\n"
 
 
-def _emit(payload: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+def cmd_plotdata(args) -> None:
+    _write(_render_csv([DIGIT_TABLE_HEADER, *_digit_table(_ingest_file(args))]), args.out)
 
 
 def _add_input_options(parser) -> None:
@@ -392,6 +364,17 @@ def _add_input_options(parser) -> None:
                         help="decimal mark used in the input (default '.')")
 
 
+def _add_command(sub, name: str, func, help: str, report: bool = True):
+    """A subcommand with the options every command takes; `report` adds --format/--output."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(func=func)
+    p.add_argument("--digits", type=int, choices=(1, 2), default=1)
+    if report:
+        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        p.add_argument("--output", default=None, help="write the report here instead of stdout")
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="benfordsev",
@@ -400,54 +383,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="test one file for conformity and grade severity")
+    p = _add_command(sub, "analyze", cmd_analyze,
+                     "test one file for conformity and grade severity")
     _add_input_options(p)
-    p.add_argument("--digits", type=int, choices=(1, 2), default=1)
     p.add_argument("--delta-star", type=float, default=None,
                    help="substantive discrepancy benchmark (default: shipped value per scheme)")
     p.add_argument("--psi-star", type=float, default=None,
                    help="chi-square noncentrality benchmark (no default)")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--label", default=None, help="dataset label for the report")
-    p.add_argument("--output", default=None, help="write the report here instead of stdout")
-    p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("calibrate", help="calibrate delta* from a MAD threshold")
-    p.add_argument("--digits", type=int, choices=(1, 2), default=1)
+    p = _add_command(sub, "calibrate", cmd_calibrate, "calibrate delta* from a MAD threshold")
     p.add_argument("--threshold", type=float, required=True,
                    help="close-conformity MAD bound t")
     p.add_argument("--nmin", type=int, default=None,
                    help="smallest sample size (default: expected count of 5 per digit)")
     p.add_argument("--nmax", type=int, default=25000)
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("simulate", help="Monte Carlo check of the null distribution")
-    p.add_argument("--digits", type=int, choices=(1, 2), default=1)
+    p = _add_command(sub, "simulate", cmd_simulate, "Monte Carlo check of the null distribution")
     p.add_argument("--n", type=int, required=True, help="sample size per replication")
     p.add_argument("--reps", type=int, required=True, help="number of replications")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("severity-curve", help="severity as a function of delta*")
-    p.add_argument("--digits", type=int, choices=(1, 2), default=1)
+    p = _add_command(sub, "severity-curve", cmd_severity_curve,
+                     "severity as a function of delta*")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--tilde-delta", type=float, required=True,
                    help="observed standardized excess MAD")
     p.add_argument("--grid", required=True,
                    help="delta* grid: comma-separated values or start:stop:count")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_severity_curve)
 
-    p = sub.add_parser("plotdata", help="per-digit observed vs Benford frequencies as CSV")
+    p = _add_command(sub, "plotdata", cmd_plotdata,
+                     "per-digit observed vs Benford frequencies as CSV", report=False)
     _add_input_options(p)
-    p.add_argument("--digits", type=int, choices=(1, 2), default=1)
     p.add_argument("--out", required=True, help="path of the CSV file to write")
-    p.set_defaults(func=cmd_plotdata)
 
     return parser
 
@@ -456,10 +424,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except (OSError, ColumnError, ValueError) as exc:
         print(f"benfordsev: error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

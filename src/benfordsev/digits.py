@@ -135,7 +135,7 @@ def parse_records(
     """
     if isinstance(source, str):
         source = io.StringIO(source)
-    rows = _split_rows(source, delimiter)
+    rows = _split_rows(source, delimiter, decimal_mark)
     skip_reasons: dict[str, int] = {}
     tokens: list[str] = []
 
@@ -166,8 +166,11 @@ def parse_records(
     return tokens, skip_reasons
 
 
-def _split_rows(source: TextIO | Iterable[str], delimiter: str | None):
-    """Yield rows as lists of cells, sniffing comma-delimited input."""
+def _split_rows(source: TextIO | Iterable[str], delimiter: str | None, decimal_mark: str):
+    """Yield rows as lists of cells, sniffing comma-delimited input.
+
+    A comma that is the decimal mark never makes the input comma-delimited.
+    """
     lines = iter(source)
     if delimiter is None:
         buffered = []
@@ -177,7 +180,7 @@ def _split_rows(source: TextIO | Iterable[str], delimiter: str | None):
             if line.strip():
                 probe = line
                 break
-        delimiter = "," if probe is not None and "," in probe else None
+        delimiter = "," if probe is not None and "," in probe and decimal_mark != "," else None
         lines = iter(buffered + list(lines))
     if delimiter is not None:
         for row in csv.reader(lines, delimiter=delimiter):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -51,23 +51,17 @@ class SimulationReport:
     folded_mean_se: tuple[float, ...]
 
     def to_dict(self) -> dict:
+        """The report's fields in JSON order, with the spec flattened in front."""
+        data = asdict(self)
+        del data["spec"]
+        spec = self.spec
         return {
-            "digits": 1 if self.spec.system.k == 9 else 2,
-            "k": self.spec.system.k,
-            "n": self.spec.n,
-            "reps": self.spec.reps,
-            "seed": self.spec.seed,
-            "empirical_mad_mean": self.empirical_mad_mean,
-            "empirical_mad_sd": self.empirical_mad_sd,
-            "theoretical_mad_mean": self.theoretical_mad_mean,
-            "theoretical_mad_sd": self.theoretical_mad_sd,
-            "tilde_delta_mean": self.tilde_delta_mean,
-            "tilde_delta_sd": self.tilde_delta_sd,
-            "digit_folded_means": list(self.digit_folded_means),
-            "expected_folded_mean": self.expected_folded_mean,
-            "mad_mean_se": self.mad_mean_se,
-            "tilde_delta_mean_se": self.tilde_delta_mean_se,
-            "folded_mean_se": list(self.folded_mean_se),
+            "digits": 1 if spec.system.k == 9 else 2,
+            "k": spec.system.k,
+            "n": spec.n,
+            "reps": spec.reps,
+            "seed": spec.seed,
+            **data,
         }
 
     def to_json(self) -> str:
@@ -75,7 +69,7 @@ class SimulationReport:
 
 
 def replication_rng(seed: int, rep: int) -> np.random.Generator:
-    """The generator replication `rep` would receive in a run seeded `seed`."""
+    """The generator of replication `rep` in a run seeded `seed`."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep,)))
 
 
@@ -99,10 +93,8 @@ def simulate(spec: SimulationSpec) -> SimulationReport:
     tildes = np.empty(spec.reps)
     folded = np.empty((spec.reps, system.k))
 
-    children = np.random.SeedSequence(spec.seed).spawn(spec.reps)
-    for r, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        counts = sample_benford_counts(system, spec.n, rng)
+    for r in range(spec.reps):
+        counts = sample_benford_counts(system, spec.n, replication_rng(spec.seed, r))
         p = proportions(counts)
         outcome = run_test_from_proportions(p, system)
         mads[r] = outcome.mad

@@ -16,6 +16,8 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from . import specialfn
 from .asymptotics import build_constants, mad_moments
 from .benford import Proportions, benford_probs, mad, proportions
@@ -92,6 +94,8 @@ DEFAULT_CLOSE_THRESHOLD = {9: 0.006, 90: 0.0012}
 DEFAULT_DELTA_STAR = {9: 0.00321, 90: 0.00037}
 DEFAULT_N_MAX = 25000
 
+_CHUNK = 65536  # sample sizes per numpy block in delta_star
+
 
 def default_delta_star(system: DigitSystem) -> float:
     return DEFAULT_DELTA_STAR[system.k]
@@ -108,14 +112,19 @@ def n_min_for(system: DigitSystem, min_expected: float) -> int:
     return int(n)
 
 
+def _standardized(excess: float, n: int, system: DigitSystem) -> float:
+    """An excess MAD in units of its null standard deviation: k*sqrt(n)*x/sqrt(1'DRD1)."""
+    c = build_constants(system)
+    return system.k * math.sqrt(n) * excess / math.sqrt(c.quad_form)
+
+
 def run_test_from_proportions(p: Proportions, system: DigitSystem) -> TestOutcome:
     """Excess-MAD normal test computed from proportions and sample size."""
     b = benford_probs(system)
-    c = build_constants(system)
     n = p.n
     observed_mad = mad(p, b)
     excess = observed_mad - mad_moments(system, n).mean
-    tilde = system.k * math.sqrt(n) * excess / math.sqrt(c.quad_form)
+    tilde = _standardized(excess, n, system)
     return TestOutcome(
         system=system,
         n=n,
@@ -155,11 +164,6 @@ def generic_normal_severity(z_obs: float, ncp: float) -> float:
     return specialfn.std_normal_cdf(z_obs - ncp)
 
 
-def _noncentrality(delta_star: float, n: int, system: DigitSystem) -> float:
-    c = build_constants(system)
-    return system.k * math.sqrt(n) * delta_star / math.sqrt(c.quad_form)
-
-
 def severity_of_rejection(
     tilde_delta_obs: float, delta_star: float, n: int, system: DigitSystem
 ) -> SeverityResult:
@@ -168,7 +172,7 @@ def severity_of_rejection(
         raise ValueError("delta_star must be nonnegative")
     if n < 1:
         raise ValueError("sample size must be at least 1")
-    ncp = _noncentrality(delta_star, n, system)
+    ncp = _standardized(delta_star, n, system)
     return SeverityResult(
         claim=Claim.DISCREPANCY_EXCEEDS,
         delta_star=delta_star,
@@ -196,16 +200,16 @@ def severity_of_acceptance(
 def delta_star(config: CalibrationConfig) -> float:
     """Average headroom of the close-conformity threshold over the null MAD.
 
-    Computed as the exact discrete mean over integer sample sizes n in
-    [n_min, n_max] of (threshold - E(MAD_n)).  A negative value means the
+    The exact discrete mean over integer sample sizes n in [n_min, n_max]
+    of (threshold - E(MAD_n)).  E(MAD_n) = E(MAD_1)/sqrt(n), so this is
+    threshold - E(MAD_1) * mean(1/sqrt(n)).  A negative value means the
     threshold sits below the average null expectation and is reported with
     a warning rather than an error.
     """
-    system = config.system
-    total = 0.0
-    for n in range(config.n_min, config.n_max + 1):
-        total += config.threshold - mad_moments(system, n).mean
-    value = total / (config.n_max - config.n_min + 1)
+    if config.n_min < 1:
+        raise ValueError(f"sample size must be at least 1, got {config.n_min!r}")
+    mean_inv_sqrt = _sum_inv_sqrt(config.n_min, config.n_max) / (config.n_max - config.n_min + 1)
+    value = config.threshold - mad_moments(config.system, 1).mean * mean_inv_sqrt
     if value < 0.0:
         warnings.warn(
             f"calibrated discrepancy {value:.3g} is negative: threshold "
@@ -214,6 +218,19 @@ def delta_star(config: CalibrationConfig) -> float:
             stacklevel=2,
         )
     return value
+
+
+def _sum_inv_sqrt(n_min: int, n_max: int) -> float:
+    """Sum of 1/sqrt(n) over integer n in [n_min, n_max].
+
+    Summed in fixed-size numpy chunks, so memory stays flat for any range,
+    with the chunk totals combined by math.fsum.
+    """
+    chunk_sums = []
+    for start in range(n_min, n_max + 1, _CHUNK):
+        n = np.arange(start, min(start + _CHUNK, n_max + 1), dtype=float)
+        chunk_sums.append(float(np.sum(1.0 / np.sqrt(n))))
+    return math.fsum(chunk_sums)
 
 
 def chi_square_severity(x_obs: float, psi_star: float, system: DigitSystem) -> SeverityResult:

@@ -2,67 +2,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from benfordsev.asymptotics import (
-    build_constants,
-    dump_debug_csv,
-    mad_moments,
-    r_entry,
-    rho,
-)
-from benfordsev.benford import benford_probs
+from benfordsev.asymptotics import build_constants, mad_moments
 from benfordsev.digits import FIRST_DIGIT, FIRST_TWO_DIGITS
 
 FOLDED_VARIANCE = 1.0 - 2.0 / math.pi  # 0.36338022763241866
 
 # Frozen from independent high-precision evaluation of the defining formulas.
-RHO_1_2 = -0.30339258404620766
+# R_1_2 is the R entry of digits 1 and 2, (2/pi)(rho asin(rho) + sqrt(1 - rho^2) - 1)
+# at their correlation rho = -sqrt(b1 b2 / ((1 - b1)(1 - b2))) = -0.3033925840462077.
+R_1_2 = 0.029530708219830249229
 SUM_D_FIRST = 2.6490350746026733
 SQRT_QUAD_FIRST = 0.58972808602724565
 SUM_D_FIRST_TWO = 8.9501969268236616
 SQRT_QUAD_FIRST_TWO = 0.60171335564068604
 MEAN_FIRST_N10000 = 0.0023484713189452663
-
-
-class TestRho:
-    def test_self_correlation(self):
-        b = benford_probs(FIRST_DIGIT)
-        for i in range(9):
-            assert rho(b, i, i) == 1.0
-
-    def test_digits_one_two(self):
-        b = benford_probs(FIRST_DIGIT)
-        assert rho(b, 0, 1) == pytest.approx(RHO_1_2, abs=1e-12)
-
-    def test_symmetry(self):
-        b = benford_probs(FIRST_DIGIT)
-        for i in range(9):
-            for j in range(9):
-                assert rho(b, i, j) == rho(b, j, i)
-
-    def test_index_out_of_range(self):
-        b = benford_probs(FIRST_DIGIT)
-        with pytest.raises(IndexError):
-            rho(b, 0, 9)
-
-
-class TestREntry:
-    def test_at_zero(self):
-        assert r_entry(0.0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_at_unit_correlation(self):
-        assert r_entry(1.0) == pytest.approx(FOLDED_VARIANCE, abs=1e-15)
-        assert r_entry(-1.0) == pytest.approx(FOLDED_VARIANCE, abs=1e-15)
-
-    @given(st.floats(min_value=0.0, max_value=1.0))
-    def test_even_function(self, value):
-        assert r_entry(value) == pytest.approx(r_entry(-value), abs=1e-15)
-
-    def test_clamps_within_tolerance_only(self):
-        assert r_entry(1.0 + 1e-13) == pytest.approx(FOLDED_VARIANCE, abs=1e-12)
-        with pytest.raises(ValueError):
-            r_entry(1.01)
 
 
 class TestBuildConstants:
@@ -75,6 +29,9 @@ class TestBuildConstants:
         c = build_constants(FIRST_TWO_DIGITS)
         assert c.sum_d == pytest.approx(SUM_D_FIRST_TWO, rel=1e-12)
         assert math.sqrt(c.quad_form) == pytest.approx(SQRT_QUAD_FIRST_TWO, rel=1e-12)
+
+    def test_first_digit_r_entry_one_two(self):
+        assert build_constants(FIRST_DIGIT).R[0, 1] == pytest.approx(R_1_2, rel=1e-12)
 
     @pytest.mark.parametrize("system", [FIRST_DIGIT, FIRST_TWO_DIGITS])
     def test_r_diagonal_is_folded_variance(self, system):
@@ -131,17 +88,3 @@ class TestMadMoments:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             mad_moments(FIRST_DIGIT, 0)
-
-
-class TestDebugDump:
-    def test_writes_parseable_csv(self, tmp_path):
-        d_path, r_path = dump_debug_csv(build_constants(FIRST_DIGIT), tmp_path)
-        d_lines = d_path.read_text().strip().splitlines()
-        r_lines = r_path.read_text().strip().splitlines()
-        assert d_lines[0] == "digit,d"
-        assert len(d_lines) == 10
-        assert len(r_lines) == 10
-        first = d_lines[1].split(",")
-        assert first[0] == "1"
-        c = build_constants(FIRST_DIGIT)
-        assert float(first[1]) == c.d_vec[0]

@@ -137,6 +137,17 @@ class TestAnalyze:
         assert report["psi_star"] == 10.0
         assert 0.0 <= report["chi_square_severity"] <= 1.0
 
+    def test_decimal_comma_input(self, tmp_path, capsys):
+        f = tmp_path / "comma.txt"
+        f.write_text("0,05\n1,5\n2,5\n")
+        code, out, _ = run_cli(
+            capsys, "analyze", str(f), "--digits", "2", "--decimal-mark", ",", "--format", "json"
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["n"] == 3 and report["skipped"] == 0
+        assert [row[0] for row in report["digit_table"] if row[1]] == [15, 25, 50]
+
     def test_output_file_option(self, tmp_path, capsys):
         f = write_benford_like_file(tmp_path / "data.txt")
         dest = tmp_path / "report.json"
@@ -166,6 +177,13 @@ class TestCalibrate:
         data = json.loads(out)
         assert data["n_min"] == 1146
         assert data["delta_star"] == pytest.approx(0.00037, abs=2e-5)
+
+    def test_sample_size_below_one_is_config_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "calibrate", "--threshold", "0.006", "--nmin", "0", "--nmax", "100"
+        )
+        assert code == 2 and out == ""
+        assert err.strip()
 
     def test_inputs_echoed(self, capsys):
         _, out, _ = run_cli(

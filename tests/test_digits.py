@@ -148,6 +148,11 @@ class TestParseRecords:
         tokens, _ = parse_records(io.StringIO("3,14\n2,7\n"), delimiter=";", decimal_mark=",")
         assert tokens == ["3.14", "2.7"]
 
+    def test_decimal_comma_is_never_sniffed_as_delimiter(self):
+        tokens, skips = parse_records(io.StringIO("0,05\n1,5\n2,5\n"), decimal_mark=",")
+        assert tokens == ["0.05", "1.5", "2.5"]
+        assert skips == {}
+
 
 class TestCountDigits:
     def test_zero_skipped_at_extraction(self):
@@ -193,3 +198,9 @@ class TestIngest:
         src = io.StringIO("1\n2\n3\n0\nx\n")
         counts = ingest(src, FIRST_DIGIT)
         assert sum(counts.counts) == counts.n == 3
+
+    def test_decimal_comma_first_two_digits(self):
+        counts = ingest(io.StringIO("0,05\n1,5\n2,5\n"), FIRST_TWO_DIGITS, decimal_mark=",")
+        assert counts.n == 3 and counts.skipped == 0
+        labels = [label for label, c in zip(FIRST_TWO_DIGITS.digit_labels, counts.counts) if c]
+        assert labels == [15, 25, 50]

@@ -208,6 +208,23 @@ class TestDeltaStar:
         with pytest.raises(ValueError):
             CalibrationConfig(system=FIRST_DIGIT, threshold=0.006, n_min=200, n_max=100)
 
+    def test_rejects_sample_sizes_below_one(self):
+        with pytest.raises(ValueError):
+            delta_star(CalibrationConfig(system=FIRST_DIGIT, threshold=0.006, n_min=0, n_max=100))
+
+    @pytest.mark.parametrize("system, threshold, n_min, n_max", [
+        (FIRST_DIGIT, 0.006, 110, 25000),
+        (FIRST_TWO_DIGITS, 0.0012, 1146, 25000),
+        (FIRST_DIGIT, 0.006, 1, 300000),  # several summation chunks
+    ])
+    def test_matches_fsum_of_the_defining_mean(self, system, threshold, n_min, n_max):
+        e1 = mad_moments(system, 1).mean
+        reference = math.fsum(
+            threshold - e1 / math.sqrt(n) for n in range(n_min, n_max + 1)
+        ) / (n_max - n_min + 1)
+        config = CalibrationConfig(system=system, threshold=threshold, n_min=n_min, n_max=n_max)
+        assert delta_star(config) == pytest.approx(reference, rel=1e-12, abs=0)
+
 
 class TestChiSquareSeverity:
     def test_zero_benchmark_is_central_cdf(self):
