@@ -232,7 +232,7 @@ def build_report(args, counts) -> AnalysisReport:
     if args.psi_star is not None:
         chi2_sev = chi_square_severity(chi2, args.psi_star, system).severity
     moments = mad_moments(system, counts.n)
-    floor = n_min_for(system, 5.0)
+    floor = n_min_for(system)
     return AnalysisReport(
         label=args.label or args.file,
         digits=args.digits,
@@ -269,7 +269,7 @@ def cmd_analyze(args) -> None:
 
 def cmd_calibrate(args) -> None:
     system = DigitSystem.from_digits(args.digits)
-    n_min = args.nmin if args.nmin is not None else n_min_for(system, 5.0)
+    n_min = args.nmin if args.nmin is not None else n_min_for(system)
     config = CalibrationConfig(
         system=system, threshold=args.threshold, n_min=n_min, n_max=args.nmax
     )

@@ -11,15 +11,21 @@ from __future__ import annotations
 import csv
 import io
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain, islice
+from operator import methodcaller
 from typing import Iterable, TextIO
 
 SKIP_EMPTY = "empty"
 SKIP_NON_NUMERIC = "non-numeric"
 SKIP_ZERO = "zero-value"
 
-_NUMERIC_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z")
+# The one numeric-token grammar.  Only ASCII digits count: str.isdigit and
+# the regex class \d would also admit other scripts' digits.
+_NUMERIC_RE = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+_CHUNK = 65536  # cells or tokens per batch
 
 
 class ColumnError(ValueError):
@@ -131,101 +137,110 @@ def parse_records(
     automatically when the first row's selected cell is non-empty and
     non-numeric.  Returns the tokens (as decimal strings) and a map of skip
     reason -> count for cells that were empty or non-numeric.  Zeros are not
-    filtered here; they are counted later, at digit extraction.
+    filtered here; they are counted later, at digit extraction.  A delimiter
+    equal to the decimal mark is ambiguous and raises ValueError.
     """
+    if delimiter == decimal_mark:
+        raise ValueError(f"the delimiter and the decimal mark are both {delimiter!r}")
     if isinstance(source, str):
         source = io.StringIO(source)
     rows = _split_rows(source, delimiter, decimal_mark)
     skip_reasons: dict[str, int] = {}
     tokens: list[str] = []
-
-    def norm(cell: str) -> str:
-        cell = cell.strip()
-        return cell.replace(decimal_mark, ".") if decimal_mark != "." else cell
-
-    try:
-        first_row = next(rows)
-    except StopIteration:
+    first_row = next(rows, None)
+    if first_row is None:
         return tokens, skip_reasons
-
-    index, first_row = _resolve_column(column, first_row, norm)
-
-    def handle(row: list[str]) -> None:
-        cell = norm(row[index]) if index < len(row) else ""
-        if not cell:
-            skip_reasons[SKIP_EMPTY] = skip_reasons.get(SKIP_EMPTY, 0) + 1
-        elif _NUMERIC_RE.fullmatch(cell):
-            tokens.append(cell)
-        else:
-            skip_reasons[SKIP_NON_NUMERIC] = skip_reasons.get(SKIP_NON_NUMERIC, 0) + 1
-
-    if first_row is not None:
-        handle(first_row)
-    for row in rows:
-        handle(row)
+    index, is_header = _resolve_column(column, first_row, decimal_mark)
+    if not is_header:
+        rows = chain((first_row,), rows)
+    # Chunks hold cells, never row lists: tens of thousands of live lists
+    # make the cyclic garbage collector's passes slow.
+    cells = map(str.strip, (row[index] if index < len(row) else "" for row in rows))
+    if decimal_mark != ".":
+        cells = map(methodcaller("replace", decimal_mark, "."), cells)
+    while chunk := list(islice(cells, _CHUNK)):
+        valid = list(filter(_NUMERIC_RE.fullmatch, chunk))
+        tokens += valid
+        empty = chunk.count("")
+        non_numeric = len(chunk) - empty - len(valid)
+        # Skip reasons are listed in order of first occurrence.  When both are
+        # new, non-numeric is first if a cell before the first empty one is.
+        if empty and non_numeric and not skip_reasons:
+            if not all(map(_NUMERIC_RE.fullmatch, chunk[:chunk.index("")])):
+                skip_reasons[SKIP_NON_NUMERIC] = 0
+        for reason, count in ((SKIP_EMPTY, empty), (SKIP_NON_NUMERIC, non_numeric)):
+            if count:
+                skip_reasons[reason] = skip_reasons.get(reason, 0) + count
     return tokens, skip_reasons
 
 
 def _split_rows(source: TextIO | Iterable[str], delimiter: str | None, decimal_mark: str):
-    """Yield rows as lists of cells, sniffing comma-delimited input.
+    """Yield the non-blank rows of `source` as lists of cells, sniffing comma-delimited input.
 
     A comma that is the decimal mark never makes the input comma-delimited.
+    Lines are read lazily: only those up to the first non-blank one are read
+    ahead for sniffing.
     """
     lines = iter(source)
     if delimiter is None:
         buffered = []
-        probe = None
         for line in lines:
             buffered.append(line)
             if line.strip():
-                probe = line
+                if "," in line and decimal_mark != ",":
+                    delimiter = ","
                 break
-        delimiter = "," if probe is not None and "," in probe and decimal_mark != "," else None
-        lines = iter(buffered + list(lines))
+        lines = chain(buffered, lines)
     if delimiter is not None:
-        for row in csv.reader(lines, delimiter=delimiter):
-            if row:
-                yield row
+        yield from filter(None, csv.reader(lines, delimiter=delimiter))
     else:
-        for line in lines:
-            if line.strip():
-                yield line.split()
+        yield from filter(None, map(str.split, lines))
 
 
-def _resolve_column(column, first_row, norm):
-    """Return (index, first_row_to_process_or_None), consuming a header row."""
+def _resolve_column(column, first_row, decimal_mark) -> tuple[int, bool]:
+    """Return (index, whether first_row is a header row)."""
     if isinstance(column, str):
         names = [cell.strip() for cell in first_row]
         if column not in names:
             raise ColumnError(f"column {column!r} not found in header {names!r}")
-        return names.index(column), None
+        return names.index(column), True
     index = 0 if column is None else int(column)
     if index < 0:
         raise ColumnError(f"column index must be nonnegative, got {column!r}")
     # Header auto-detection: a non-empty, non-numeric first cell is a header.
-    cell = norm(first_row[index]) if index < len(first_row) else ""
-    if cell and not _NUMERIC_RE.fullmatch(cell):
-        return index, None
-    return index, first_row
+    cell = first_row[index].strip().replace(decimal_mark, ".") if index < len(first_row) else ""
+    return index, bool(cell) and not _NUMERIC_RE.fullmatch(cell)
 
 
-def count_digits(tokens: Iterable[str], system: DigitSystem) -> DigitCounts:
+def count_digits(tokens: Iterable[str | float | int], system: DigitSystem) -> DigitCounts:
     """Tally extracted digits over `tokens` into a DigitCounts.
 
     Zero values and unparseable tokens go to skip_reasons instead of counts.
+    Tokens are tallied by validity and significand head (the text after any
+    sign, leading zeros and point, cut to three characters), which fixes the
+    first two significant digits of a valid token; each distinct head then
+    goes once through the reference extraction.
     """
+    heads: Counter[tuple[bool, str]] = Counter()
+    tokens = iter(tokens)
+    while chunk := list(islice(tokens, _CHUNK)):
+        try:
+            texts = list(map(str.strip, chunk))
+        except TypeError:  # floats and ints are read as repr(float(x))
+            texts = [(t if isinstance(t, str) else repr(float(t))).strip() for t in chunk]
+        checks = map(bool, map(_NUMERIC_RE.fullmatch, texts))
+        heads.update(zip(checks, [text.lstrip("+-0.")[:3] for text in texts]))
     counts = [0] * system.k
     skip_reasons: dict[str, int] = {}
-    for token in tokens:
-        try:
-            label = system.extract(token)
-        except ValueError:
-            skip_reasons[SKIP_NON_NUMERIC] = skip_reasons.get(SKIP_NON_NUMERIC, 0) + 1
-            continue
-        if label is None:
-            skip_reasons[SKIP_ZERO] = skip_reasons.get(SKIP_ZERO, 0) + 1
+    for (valid, head), count in heads.items():
+        # The head's mantissa is a valid token with the same leading digits;
+        # it is empty for a zero value.
+        label = system.extract(re.split("[eE]", head)[0] or "0") if valid else None
+        if label is not None:
+            counts[system.label_index(label)] += count
         else:
-            counts[system.label_index(label)] += 1
+            reason = SKIP_ZERO if valid else SKIP_NON_NUMERIC
+            skip_reasons[reason] = skip_reasons.get(reason, 0) + count
     return DigitCounts(
         system=system,
         counts=tuple(counts),

@@ -68,7 +68,6 @@ class CalibrationConfig:
     threshold: float      # close-conformity MAD bound t
     n_min: int
     n_max: int
-    min_expected: float = 5.0
 
     def __post_init__(self):
         if self.threshold <= 0.0:
@@ -81,7 +80,7 @@ class CalibrationConfig:
         return CalibrationConfig(
             system=system,
             threshold=DEFAULT_CLOSE_THRESHOLD[system.k],
-            n_min=n_min_for(system, 5.0),
+            n_min=n_min_for(system),
             n_max=DEFAULT_N_MAX,
         )
 
@@ -93,6 +92,9 @@ class CalibrationConfig:
 DEFAULT_CLOSE_THRESHOLD = {9: 0.006, 90: 0.0012}
 DEFAULT_DELTA_STAR = {9: 0.00321, 90: 0.00037}
 DEFAULT_N_MAX = 25000
+# Expected count per digit cell below which the normal approximation is
+# treated as unreliable; it sets the smallest recommended sample size.
+MIN_EXPECTED_COUNT = 5.0
 
 _CHUNK = 65536  # sample sizes per numpy block in delta_star
 
@@ -101,7 +103,7 @@ def default_delta_star(system: DigitSystem) -> float:
     return DEFAULT_DELTA_STAR[system.k]
 
 
-def n_min_for(system: DigitSystem, min_expected: float) -> int:
+def n_min_for(system: DigitSystem, min_expected: float = MIN_EXPECTED_COUNT) -> int:
     """Smallest n giving every digit cell an expected count >= min_expected."""
     if min_expected <= 0.0:
         raise ValueError("min_expected must be positive")
@@ -143,7 +145,7 @@ def run_test(counts: DigitCounts) -> TestOutcome:
     """
     if counts.n < 1:
         raise ValueError("cannot test an empty sample")
-    floor = n_min_for(counts.system, 5.0)
+    floor = n_min_for(counts.system)
     if counts.n < floor:
         warnings.warn(
             f"sample size {counts.n} is below the recommended minimum {floor} "
@@ -261,6 +263,7 @@ __all__ = [
     "DEFAULT_CLOSE_THRESHOLD",
     "DEFAULT_DELTA_STAR",
     "DEFAULT_N_MAX",
+    "MIN_EXPECTED_COUNT",
     "SeverityResult",
     "SmallSampleWarning",
     "TestOutcome",

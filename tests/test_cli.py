@@ -148,6 +148,22 @@ class TestAnalyze:
         assert report["n"] == 3 and report["skipped"] == 0
         assert [row[0] for row in report["digit_table"] if row[1]] == [15, 25, 50]
 
+    def test_delimiter_equal_to_decimal_mark_is_config_error(self, tmp_path, capsys):
+        f = tmp_path / "comma.txt"
+        f.write_text("0,05\n1,5\n2,5\n")
+        code, out, err = run_cli(capsys, "analyze", str(f), "--digits", "2",
+                                 "--delimiter", ",", "--decimal-mark", ",")
+        assert code == 2
+        assert out == ""
+        assert "decimal mark" in err
+
+    def test_huge_column_index_on_text_input_is_config_error(self, tmp_path, capsys):
+        f = write_benford_like_file(tmp_path / "data.txt")
+        code, out, err = run_cli(capsys, "analyze", str(f), "--column", "9" * 20)
+        assert code == 2
+        assert out == ""
+        assert "no usable numeric records" in err
+
     def test_output_file_option(self, tmp_path, capsys):
         f = write_benford_like_file(tmp_path / "data.txt")
         dest = tmp_path / "report.json"

@@ -1,19 +1,25 @@
+import csv
 import io
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
+from benfordsev import digits
 from benfordsev.digits import (
     FIRST_DIGIT,
     FIRST_TWO_DIGITS,
     ColumnError,
     DigitSystem,
+    _split_rows,
     count_digits,
     first_digit,
     first_two_digits,
     ingest,
     parse_records,
 )
+
+SCHEMES = [FIRST_DIGIT, FIRST_TWO_DIGITS]
 
 
 class TestDigitSystem:
@@ -60,6 +66,12 @@ class TestFirstDigit:
     def test_parse_errors(self, token):
         with pytest.raises(ValueError):
             first_digit(token)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("token", ["\u0660.\u0665", "\u0665", "1\u0665", "\uff15"])
+    def test_only_ascii_digits_count(self, scheme, token):
+        with pytest.raises(ValueError):
+            scheme.extract(token)
 
 
 class TestFirstTwoDigits:
@@ -153,6 +165,33 @@ class TestParseRecords:
         assert tokens == ["0.05", "1.5", "2.5"]
         assert skips == {}
 
+    @pytest.mark.parametrize("mark", [",", ";"])
+    def test_delimiter_equal_to_decimal_mark_is_refused(self, mark):
+        with pytest.raises(ValueError, match="decimal mark"):
+            parse_records(io.StringIO("0,05\n1,5\n2,5\n"), delimiter=mark, decimal_mark=mark)
+
+    def test_quoted_thousands_separator_is_non_numeric(self):
+        tokens, skips = parse_records(io.StringIO('amt\n"1,234"\n5\n'), column="amt")
+        assert tokens == ["5"]
+        assert skips == {"non-numeric": 1}
+
+    def test_non_ascii_digits_are_non_numeric(self):
+        tokens, skips = parse_records(io.StringIO("7\n\u0660.\u0665\n"))
+        assert tokens == ["7"]
+        assert skips == {"non-numeric": 1}
+
+    def test_skip_reasons_keep_order_of_first_occurrence(self):
+        for text, order in [("x,y\n1,n/a\n2,\n3,\n", ["non-numeric", "empty"]),
+                            ("x,y\n1,\n2,n/a\n", ["empty", "non-numeric"])]:
+            _, skips = parse_records(io.StringIO(text), column="y")
+            assert list(skips) == order
+
+    def test_split_rows_reads_lazily(self):
+        source = iter(["\n", "1,2\n", "3,4\n", "5,6\n"])
+        rows = _split_rows(source, None, ".")
+        assert next(rows) == ["1", "2"]
+        assert next(source) == "3,4\n"
+
 
 class TestCountDigits:
     def test_zero_skipped_at_extraction(self):
@@ -199,8 +238,201 @@ class TestIngest:
         counts = ingest(src, FIRST_DIGIT)
         assert sum(counts.counts) == counts.n == 3
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_non_ascii_digit_cell_is_skipped(self, scheme):
+        counts = ingest(io.StringIO("amount\n\u0660.\u0665\n"), scheme, column="amount")
+        assert counts.n == 0 and sum(counts.counts) == 0
+        assert counts.skip_reasons == {"non-numeric": 1}
+
+    def test_delimiter_equal_to_decimal_mark_is_refused(self):
+        with pytest.raises(ValueError):
+            ingest(io.StringIO("0,05\n1,5\n"), FIRST_TWO_DIGITS, delimiter=",", decimal_mark=",")
+
     def test_decimal_comma_first_two_digits(self):
         counts = ingest(io.StringIO("0,05\n1,5\n2,5\n"), FIRST_TWO_DIGITS, decimal_mark=",")
         assert counts.n == 3 and counts.skipped == 0
         labels = [label for label, c in zip(FIRST_TWO_DIGITS.digit_labels, counts.counts) if c]
         assert labels == [15, 25, 50]
+
+
+# Differential tests: the batched ingestion against a per-token loop over
+# DigitSystem.extract that applies the skip rules one cell at a time.
+
+
+def reference_count(tokens, system):
+    """Per-token tally: (counts, skip reasons in order of first occurrence)."""
+    counts = [0] * system.k
+    skips = {}
+    for token in tokens:
+        try:
+            label = system.extract(token)
+        except ValueError:
+            reason = "non-numeric"
+        else:
+            if label is not None:
+                counts[system.label_index(label)] += 1
+                continue
+            reason = "zero-value"
+        skips[reason] = skips.get(reason, 0) + 1
+    return counts, skips
+
+
+def reference_ingest(text, system, column=None, delimiter=None, decimal_mark="."):
+    """Per-row ingestion of `text` with full row splits and per-cell extraction."""
+    lines = list(io.StringIO(text))
+    nonblank = [line for line in lines if line.strip()]
+    if delimiter is None and nonblank and "," in nonblank[0] and decimal_mark != ",":
+        delimiter = ","
+    if delimiter is None:
+        rows = [line.split() for line in nonblank]
+    else:
+        rows = [row for row in csv.reader(lines, delimiter=delimiter) if row]
+    if not rows:
+        return [0] * system.k, {}
+
+    def cell(row):
+        value = row[index].strip() if index < len(row) else ""
+        return value.replace(decimal_mark, ".")
+
+    if isinstance(column, str):
+        index = [name.strip() for name in rows[0]].index(column)
+        rows = rows[1:]
+    else:
+        index = column or 0
+        try:
+            if cell(rows[0]):
+                system.extract(cell(rows[0]))
+        except ValueError:
+            rows = rows[1:]  # a non-numeric first cell is a header
+    counts = [0] * system.k
+    zeros = 0
+    parse_skips = {}
+    for row in rows:
+        value = cell(row)
+        reason = "empty"
+        if value:
+            try:
+                label = system.extract(value)
+            except ValueError:
+                reason = "non-numeric"
+            else:
+                if label is None:
+                    zeros += 1
+                else:
+                    counts[system.label_index(label)] += 1
+                continue
+        parse_skips[reason] = parse_skips.get(reason, 0) + 1
+    # ingest lists extraction skips (zeros) before the parsing skips.
+    skips = {"zero-value": zeros} if zeros else {}
+    skips.update(parse_skips)
+    return counts, skips
+
+
+@st.composite
+def numeric_texts(draw):
+    """Decimal text with optional sign, leading zeros or dot, and exponent; not always valid."""
+    sign = draw(st.sampled_from(["", "+", "-", "--"]))
+    whole = draw(st.sampled_from(["", "0", "00"])) + draw(st.text("0123456789", max_size=4))
+    point = draw(st.sampled_from(["", ".", "."]))
+    frac = draw(st.text("0123456789", max_size=4))
+    exponent = draw(st.sampled_from(["", "", "e5", "E-3", "e+07", "e0", "e"]))
+    return sign + whole + point + frac + exponent
+
+
+JUNK = ["", "n/a", "abc", "1.2.3", "1e", "inf", "nan", "1_000", "0x10",
+        "\u0665", "\u0660.\u0665", "\u00bd", "1,234", '"q"', "1.e5", "0e5", ".5", "00.05"]
+padding = st.sampled_from(["", " ", "\t", "  "])
+cell_texts = st.tuples(padding, st.one_of(numeric_texts(), st.sampled_from(JUNK)), padding).map(
+    "".join
+)
+
+
+def small_chunks(chunk):
+    """Run the batched code with `chunk` cells or tokens per batch."""
+    return mock.patch.object(digits, "_CHUNK", chunk)
+
+
+class TestBatchedIngestionMatchesPerTokenLoop:
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @given(
+        tokens=st.lists(
+            st.one_of(
+                cell_texts,
+                st.floats(allow_nan=True, allow_infinity=True),
+                st.integers(min_value=-(10**12), max_value=10**12),
+            ),
+            max_size=40,
+        ),
+        chunk=st.integers(min_value=1, max_value=8),
+    )
+    def test_count_digits(self, scheme, tokens, chunk):
+        with small_chunks(chunk):
+            result = count_digits(tokens, scheme)
+        counts, skips = reference_count(tokens, scheme)
+        assert list(result.counts) == counts
+        assert list(result.skip_reasons.items()) == list(skips.items())
+        assert result.n == sum(counts) and result.skipped == sum(skips.values())
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @given(
+        rows=st.lists(st.lists(cell_texts, max_size=4), max_size=30),
+        column=st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
+        header=st.booleans(),
+        chunk=st.integers(min_value=1, max_value=8),
+    )
+    def test_ingest_csv(self, scheme, rows, column, header, chunk):
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        if header:
+            writer.writerow(["amount", "id", "x", "y"])
+        writer.writerows(rows)
+        column = "x" if header and column == 2 else column
+        text = buffer.getvalue()
+        with small_chunks(chunk):
+            result = ingest(io.StringIO(text), scheme, column, delimiter=",")
+        counts, skips = reference_ingest(text, scheme, column, delimiter=",")
+        assert list(result.counts) == counts
+        assert list(result.skip_reasons.items()) == list(skips.items())
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @given(
+        lines=st.lists(st.lists(cell_texts, max_size=4).map(" ".join), max_size=30),
+        column=st.integers(min_value=0, max_value=3),
+        decimal_mark=st.sampled_from([".", ","]),
+        chunk=st.integers(min_value=1, max_value=8),
+    )
+    def test_ingest_sniffed_text(self, scheme, lines, column, decimal_mark, chunk):
+        text = "".join(line + "\n" for line in lines)
+        with small_chunks(chunk):
+            result = ingest(io.StringIO(text), scheme, column, decimal_mark=decimal_mark)
+        counts, skips = reference_ingest(text, scheme, column, decimal_mark=decimal_mark)
+        assert list(result.counts) == counts
+        assert list(result.skip_reasons.items()) == list(skips.items())
+
+    @given(
+        rows=st.lists(
+            st.tuples(st.text("0123456789", min_size=1, max_size=3),
+                      st.text("0123456789", max_size=3), cell_texts),
+            max_size=30,
+        ),
+        chunk=st.integers(min_value=1, max_value=8),
+    )
+    def test_ingest_decimal_comma(self, rows, chunk):
+        text = "".join(f"{whole},{frac};{junk}\n" for whole, frac, junk in rows)
+        for column in (0, 1):
+            with small_chunks(chunk):
+                result = ingest(io.StringIO(text), FIRST_TWO_DIGITS, column,
+                                delimiter=";", decimal_mark=",")
+            counts, skips = reference_ingest(text, FIRST_TWO_DIGITS, column,
+                                             delimiter=";", decimal_mark=",")
+            assert list(result.counts) == counts
+            assert list(result.skip_reasons.items()) == list(skips.items())
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_more_than_one_full_chunk(self, scheme):
+        values = ["0.00456", "-19451", "0", "n/a", "", " 1.e5", "0e5", "7.0", "9E2", "x"]
+        lines = [values[i % len(values)] + "\n" for i in range(2 * digits._CHUNK + 7)]
+        result = ingest(lines, scheme)
+        counts, skips = reference_ingest("".join(lines), scheme)
+        assert list(result.counts) == counts
+        assert list(result.skip_reasons.items()) == list(skips.items())
