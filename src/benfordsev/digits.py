@@ -138,8 +138,12 @@ def parse_records(
     non-numeric.  Returns the tokens (as decimal strings) and a map of skip
     reason -> count for cells that were empty or non-numeric.  Zeros are not
     filtered here; they are counted later, at digit extraction.  A delimiter
-    equal to the decimal mark is ambiguous and raises ValueError.
+    or decimal mark that is not one character, or a delimiter equal to the
+    decimal mark, raises ValueError.
     """
+    for name, mark in (("delimiter", delimiter), ("decimal mark", decimal_mark)):
+        if mark is not None and len(mark) != 1:
+            raise ValueError(f"the {name} must be one character, got {mark!r}")
     if delimiter == decimal_mark:
         raise ValueError(f"the delimiter and the decimal mark are both {delimiter!r}")
     if isinstance(source, str):

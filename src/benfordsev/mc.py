@@ -2,9 +2,9 @@
 
 Samples digit counts from the exact digit law and compares the empirical
 behaviour of the MAD and its standardized form against the theoretical
-moments.  Replications use one independent PCG64 stream per replication
-index (spawned from a single seed), so a run is reproducible bit for bit
-and can be split across workers without changing any replication's draw.
+moments.  Each replication draws from its own PCG64 stream, derived from the
+seed and the replication index, so a run is reproducible bit for bit; the
+statistics are then computed over all replications at once.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .asymptotics import build_constants, mad_moments
-from .benford import benford_probs, mad, proportions
+from .benford import benford_probs
 from .digits import DigitCounts, DigitSystem
-from .severity import run_test_from_proportions
+from .severity import _standardized
 
 
 @dataclass(frozen=True)
@@ -31,8 +31,8 @@ class SimulationSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be at least 1")
-        if self.reps < 1:
-            raise ValueError("reps must be at least 1")
+        if self.reps < 2:
+            raise ValueError("reps must be at least 2: the standard deviations need two samples")
 
 
 @dataclass(frozen=True)
@@ -84,26 +84,25 @@ def sample_benford_counts(system: DigitSystem, n: int, rng: np.random.Generator)
 
 def simulate(spec: SimulationSpec) -> SimulationReport:
     """Run the replications and report empirical vs theoretical moments."""
-    system = spec.system
+    system, n, reps = spec.system, spec.n, spec.reps
     b = benford_probs(system).b
-    c = build_constants(system)
-    sqrt_n = math.sqrt(spec.n)
-
-    mads = np.empty(spec.reps)
-    tildes = np.empty(spec.reps)
-    folded = np.empty((spec.reps, system.k))
-
-    for r in range(spec.reps):
-        counts = sample_benford_counts(system, spec.n, replication_rng(spec.seed, r))
-        p = proportions(counts)
-        outcome = run_test_from_proportions(p, system)
-        mads[r] = outcome.mad
-        tildes[r] = outcome.tilde_delta
-        folded[r] = sqrt_n * np.abs(p.p - b) / c.d_vec
-
-    moments = mad_moments(system, spec.n)
+    # One array is reused in place: counts, then |p - b|, then the folded
+    # deviations sqrt(n)|p - b|/d, in the same operation order as a single test.
+    folded = np.empty((reps, system.k))
+    for r in range(reps):
+        folded[r] = replication_rng(spec.seed, r).multinomial(n, b)
+    folded /= n
+    folded -= b
+    np.abs(folded, out=folded)
+    mads = folded.mean(axis=1)
+    folded *= math.sqrt(n)
+    folded /= build_constants(system).d_vec
     folded_means = folded.mean(axis=0)
-    folded_se = folded.std(axis=0, ddof=1) / math.sqrt(spec.reps)
+    folded_se = folded.std(axis=0, ddof=1) / math.sqrt(reps)
+    # Formed after the std above has freed its (reps, k) temporary, so these
+    # small temporaries do not raise the peak memory.
+    moments = mad_moments(system, n)
+    tildes = _standardized(mads - moments.mean, n, system)
     return SimulationReport(
         spec=spec,
         empirical_mad_mean=float(mads.mean()),
@@ -114,7 +113,7 @@ def simulate(spec: SimulationSpec) -> SimulationReport:
         tilde_delta_sd=float(tildes.std(ddof=1)),
         digit_folded_means=tuple(float(v) for v in folded_means),
         expected_folded_mean=math.sqrt(2.0 / math.pi),
-        mad_mean_se=float(mads.std(ddof=1) / math.sqrt(spec.reps)),
-        tilde_delta_mean_se=float(tildes.std(ddof=1) / math.sqrt(spec.reps)),
+        mad_mean_se=float(mads.std(ddof=1) / math.sqrt(reps)),
+        tilde_delta_mean_se=float(tildes.std(ddof=1) / math.sqrt(reps)),
         folded_mean_se=tuple(float(v) for v in folded_se),
     )

@@ -38,11 +38,6 @@ class Claim(Enum):
     DISCREPANCY_EXCEEDS = "discrepancy exceeds benchmark"
     DISCREPANCY_AT_MOST = "discrepancy at most benchmark"
 
-    def symbol(self) -> str:
-        if self is Claim.DISCREPANCY_EXCEEDS:
-            return "δ > δ*"
-        return "δ ≤ δ*"
-
 
 @dataclass(frozen=True)
 class TestOutcome:
@@ -115,7 +110,7 @@ def n_min_for(system: DigitSystem, min_expected: float = MIN_EXPECTED_COUNT) -> 
 
 
 def _standardized(excess: float, n: int, system: DigitSystem) -> float:
-    """An excess MAD in units of its null standard deviation: k*sqrt(n)*x/sqrt(1'DRD1)."""
+    """Excess MADs (a float or an array) in null standard deviations: k*sqrt(n)*x/sqrt(1'DRD1)."""
     c = build_constants(system)
     return system.k * math.sqrt(n) * excess / math.sqrt(c.quad_form)
 

@@ -164,6 +164,17 @@ class TestAnalyze:
         assert out == ""
         assert "no usable numeric records" in err
 
+    @pytest.mark.parametrize("option, value", [
+        ("--delimiter", ""), ("--delimiter", ";;"),
+        ("--decimal-mark", ""), ("--decimal-mark", ",,"),
+    ])
+    def test_mark_that_is_not_one_character_is_config_error(self, tmp_path, capsys, option, value):
+        f = write_benford_like_file(tmp_path / "data.txt")
+        code, out, err = run_cli(capsys, "analyze", str(f), option, value)
+        assert code == 2
+        assert out == ""
+        assert "must be one character" in err
+
     def test_output_file_option(self, tmp_path, capsys):
         f = write_benford_like_file(tmp_path / "data.txt")
         dest = tmp_path / "report.json"
@@ -231,6 +242,14 @@ class TestSimulate:
         )
         assert code == 0
         assert "MAD mean" in out
+
+    def test_single_replication_is_config_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--digits", "1", "--n", "1000", "--reps", "1", "--format", "json",
+        )
+        assert code == 2
+        assert out == ""
+        assert "reps must be at least 2" in err
 
 
 class TestSeverityCurve:

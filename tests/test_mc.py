@@ -2,15 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from benfordsev.benford import benford_probs
+from benfordsev.asymptotics import build_constants, mad_moments
+from benfordsev.benford import benford_probs, proportions
 from benfordsev.digits import FIRST_DIGIT, FIRST_TWO_DIGITS
 from benfordsev.mc import (
+    SimulationReport,
     SimulationSpec,
     replication_rng,
     sample_benford_counts,
     simulate,
 )
+from benfordsev.severity import run_test_from_proportions
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -110,3 +115,52 @@ class TestSimulate:
             SimulationSpec(system=FIRST_DIGIT, n=0, reps=10, seed=1)
         with pytest.raises(ValueError):
             SimulationSpec(system=FIRST_DIGIT, n=10, reps=0, seed=1)
+        # A standard deviation over replications needs at least two of them.
+        with pytest.raises(ValueError, match="at least 2"):
+            SimulationSpec(system=FIRST_DIGIT, n=10, reps=1, seed=1)
+
+
+def reference_simulate(spec: SimulationSpec) -> SimulationReport:
+    """One replication at a time: draw, form proportions, run the test, fold."""
+    system, n, reps = spec.system, spec.n, spec.reps
+    b = benford_probs(system).b
+    d_vec = build_constants(system).d_vec
+    mads, tildes, folded = [], [], []
+    for r in range(reps):
+        counts = sample_benford_counts(system, n, replication_rng(spec.seed, r))
+        p = proportions(counts)
+        outcome = run_test_from_proportions(p, system)
+        mads.append(outcome.mad)
+        tildes.append(outcome.tilde_delta)
+        folded.append(math.sqrt(n) * np.abs(p.p - b) / d_vec)
+    mads, tildes, folded = np.array(mads), np.array(tildes), np.array(folded)
+    moments = mad_moments(system, n)
+    return SimulationReport(
+        spec=spec,
+        empirical_mad_mean=float(mads.mean()),
+        empirical_mad_sd=float(mads.std(ddof=1)),
+        theoretical_mad_mean=moments.mean,
+        theoretical_mad_sd=moments.sd,
+        tilde_delta_mean=float(tildes.mean()),
+        tilde_delta_sd=float(tildes.std(ddof=1)),
+        digit_folded_means=tuple(float(v) for v in folded.mean(axis=0)),
+        expected_folded_mean=math.sqrt(2.0 / math.pi),
+        mad_mean_se=float(mads.std(ddof=1) / math.sqrt(reps)),
+        tilde_delta_mean_se=float(tildes.std(ddof=1) / math.sqrt(reps)),
+        folded_mean_se=tuple(float(v) for v in folded.std(axis=0, ddof=1) / math.sqrt(reps)),
+    )
+
+
+class TestVectorisedSimulateMatchesPerReplicationLoop:
+    @given(
+        system=st.sampled_from([FIRST_DIGIT, FIRST_TWO_DIGITS]),
+        n=st.integers(1, 10**6),
+        reps=st.integers(2, 40),
+        seed=st.integers(0, 2**128),
+    )
+    @example(system=FIRST_DIGIT, n=1, reps=2, seed=0)
+    @example(system=FIRST_TWO_DIGITS, n=1, reps=40, seed=2**128)
+    @example(system=FIRST_TWO_DIGITS, n=10**6, reps=2, seed=7)
+    def test_report_is_byte_identical(self, system, n, reps, seed):
+        spec = SimulationSpec(system=system, n=n, reps=reps, seed=seed)
+        assert simulate(spec).to_json() == reference_simulate(spec).to_json()
