@@ -9,12 +9,11 @@ severity against a substantive discrepancy benchmark.
 __version__ = "0.1.0"
 
 from .asymptotics import AsymptoticConstants, MadMoments, build_constants, mad_moments
-from .benford import BenfordProbs, Proportions, benford_probs, chi_square_stat, mad, proportions, psi
+from .benford import Proportions, benford_probs, chi_square_stat, mad, proportions, psi
 from .digits import (
     FIRST_DIGIT,
     FIRST_TWO_DIGITS,
     DigitCounts,
-    DigitKind,
     DigitSystem,
     count_digits,
     first_digit,
@@ -44,5 +43,4 @@ from .specialfn import (
     noncentral_chi2_cdf,
     regularized_lower_gamma,
     std_normal_cdf,
-    std_normal_quantile,
 )

@@ -41,7 +41,7 @@ class MadMoments(NamedTuple):
 @lru_cache(maxsize=None)
 def build_constants(system: DigitSystem) -> AsymptoticConstants:
     """Constants for `system`, cached after the first construction."""
-    b = benford_probs(system).b
+    b = benford_probs(system)
     d_vec = np.sqrt(b * (1.0 - b))
 
     # Pairwise correlations; the diagonal is the self-correlation 1, which

@@ -12,14 +12,6 @@ from .digits import DigitCounts, DigitSystem
 
 
 @dataclass(frozen=True)
-class BenfordProbs:
-    """The logarithmic digit law for one digit scheme."""
-
-    system: DigitSystem
-    b: np.ndarray  # length k, log10(1 + 1/d) per label
-
-
-@dataclass(frozen=True)
 class Proportions:
     """Observed digit proportions for a sample of size n."""
 
@@ -28,15 +20,15 @@ class Proportions:
 
 
 @lru_cache(maxsize=None)
-def benford_probs(system: DigitSystem) -> BenfordProbs:
-    """Digit probabilities log10(1 + 1/d) for every label of `system`.
+def benford_probs(system: DigitSystem) -> np.ndarray:
+    """Digit probabilities log10(1 + 1/d) for every label of `system`, length k.
 
     Built once per scheme; the cached array is read-only because every
     caller shares it.
     """
     b = np.array([math.log10(1.0 + 1.0 / d) for d in system.digit_labels])
     b.flags.writeable = False
-    return BenfordProbs(system=system, b=b)
+    return b
 
 
 def proportions(counts: DigitCounts) -> Proportions:
@@ -46,25 +38,25 @@ def proportions(counts: DigitCounts) -> Proportions:
     return Proportions(p=p, n=counts.n)
 
 
-def _check_match(p: Proportions, b: BenfordProbs) -> None:
-    if len(p.p) != len(b.b):
-        raise ValueError(f"dimension mismatch: {len(p.p)} proportions vs {len(b.b)} probabilities")
+def _check_match(p: Proportions, b: np.ndarray) -> None:
+    if len(p.p) != len(b):
+        raise ValueError(f"dimension mismatch: {len(p.p)} proportions vs {len(b)} probabilities")
 
 
-def mad(p: Proportions, b: BenfordProbs) -> float:
+def mad(p: Proportions, b: np.ndarray) -> float:
     """Mean absolute deviation between observed proportions and the law."""
     _check_match(p, b)
-    return float(np.mean(np.abs(p.p - b.b)))
+    return float(np.mean(np.abs(p.p - b)))
 
 
-def psi(p: Proportions, b: BenfordProbs, n: int) -> float:
+def psi(p: Proportions, b: np.ndarray, n: int) -> float:
     """Pearson-form quadratic distance n * sum((p_i - b_i)^2 / b_i)."""
     _check_match(p, b)
     if n < 1:
         raise ValueError("sample size must be at least 1")
-    return float(n * np.sum((p.p - b.b) ** 2 / b.b))
+    return float(n * np.sum((p.p - b) ** 2 / b))
 
 
-def chi_square_stat(counts: DigitCounts, b: BenfordProbs) -> float:
+def chi_square_stat(counts: DigitCounts, b: np.ndarray) -> float:
     """Pearson's goodness-of-fit statistic; identical to psi on the sample."""
     return psi(proportions(counts), b, counts.n)

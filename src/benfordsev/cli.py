@@ -8,7 +8,10 @@ nonzero with a diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
+import math
 import sys
 import warnings
 from dataclasses import asdict, dataclass
@@ -18,7 +21,7 @@ from typing import Callable
 from . import __version__
 from .asymptotics import mad_moments
 from .benford import benford_probs, chi_square_stat, proportions
-from .digits import ColumnError, DigitCounts, DigitSystem, ingest
+from .digits import DigitCounts, DigitSystem, ingest
 from .mc import SimulationSpec, simulate
 from .severity import (
     CalibrationConfig,
@@ -149,15 +152,9 @@ def _write(payload: str, output: str | None) -> None:
 
 
 def _render_csv(rows: list[tuple]) -> str:
-    return "".join(",".join(_csv_cell(value) for value in row) + "\n" for row in rows)
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if value is None:
-        return ""
-    return str(value)
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
 
 
 def _field_rows(fields: dict) -> list[tuple]:
@@ -179,26 +176,40 @@ def _parse_column(value: str | None) -> int | str | None:
         return value
 
 
+def _finite_float(text: str) -> float:
+    """A float argument; NaN and infinities are refused, as JSON cannot hold them."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _parse_grid(spec: str) -> list[float]:
     """Grid spec: either comma-separated values or start:stop:count."""
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ValueError(f"grid must be start:stop:count, got {spec!r}")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop, count = _finite_float(parts[0]), _finite_float(parts[1]), int(parts[2])
         if count < 2:
             raise ValueError("grid count must be at least 2")
         step = (stop - start) / (count - 1)
+        if not math.isfinite(step):
+            raise ValueError(f"grid step is not a finite number: {spec!r}")
         return [start + i * step for i in range(count)]
-    return [float(v) for v in spec.split(",") if v.strip()]
+    return [_finite_float(v) for v in spec.split(",") if v.strip()]
 
 
 def _ingest_file(args) -> DigitCounts:
     """Digit counts of `args.file`; a file with no usable record is an error."""
-    with open(args.file, "r", encoding="utf-8", newline="") as fh:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports often start with.
+    with open(args.file, "r", encoding="utf-8-sig", newline="") as fh:
         counts = ingest(
             fh,
-            DigitSystem.from_digits(args.digits),
+            DigitSystem(args.digits),
             column=_parse_column(args.column),
             delimiter=args.delimiter,
             decimal_mark=args.decimal_mark,
@@ -211,7 +222,7 @@ def _ingest_file(args) -> DigitCounts:
 def _digit_table(counts: DigitCounts) -> list[tuple[int, float, float]]:
     """(digit, observed proportion, Benford probability) for every digit cell."""
     p = proportions(counts).p
-    b = benford_probs(counts.system).b
+    b = benford_probs(counts.system)
     return [
         (int(d), float(obs), float(exp))
         for d, obs, exp in zip(counts.system.digit_labels, p, b)
@@ -220,14 +231,13 @@ def _digit_table(counts: DigitCounts) -> list[tuple[int, float, float]]:
 
 def build_report(args, counts) -> AnalysisReport:
     system = counts.system
-    b = benford_probs(system)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SmallSampleWarning)
         outcome = run_test(counts)
     ds = args.delta_star if args.delta_star is not None else default_delta_star(system)
     rejection = severity_of_rejection(outcome.tilde_delta, ds, counts.n, system)
     acceptance = severity_of_acceptance(outcome.tilde_delta, ds, counts.n, system)
-    chi2 = chi_square_stat(counts, b)
+    chi2 = chi_square_stat(counts, benford_probs(system))
     chi2_sev = None
     if args.psi_star is not None:
         chi2_sev = chi_square_severity(chi2, args.psi_star, system).severity
@@ -235,7 +245,7 @@ def build_report(args, counts) -> AnalysisReport:
     floor = n_min_for(system)
     return AnalysisReport(
         label=args.label or args.file,
-        digits=args.digits,
+        digits=system.digits,
         k=system.k,
         n=counts.n,
         skipped=counts.skipped,
@@ -268,13 +278,13 @@ def cmd_analyze(args) -> None:
 
 
 def cmd_calibrate(args) -> None:
-    system = DigitSystem.from_digits(args.digits)
+    system = DigitSystem(args.digits)
     n_min = args.nmin if args.nmin is not None else n_min_for(system)
     config = CalibrationConfig(
         system=system, threshold=args.threshold, n_min=n_min, n_max=args.nmax
     )
     fields = {
-        "digits": args.digits,
+        "digits": system.digits,
         "k": system.k,
         "threshold": args.threshold,
         "n_min": n_min,
@@ -294,7 +304,7 @@ def _calibration_text(fields: dict) -> str:
 
 
 def cmd_simulate(args) -> None:
-    system = DigitSystem.from_digits(args.digits)
+    system = DigitSystem(args.digits)
     report = simulate(SimulationSpec(system=system, n=args.n, reps=args.reps, seed=args.seed))
     fields = report.to_dict()
     folded = zip(system.digit_labels, report.digit_folded_means, report.folded_mean_se)
@@ -323,13 +333,13 @@ def _simulation_text(fields: dict, labels: tuple[int, ...]) -> str:
 
 
 def cmd_severity_curve(args) -> None:
-    system = DigitSystem.from_digits(args.digits)
+    system = DigitSystem(args.digits)
     points = [
         (ds, severity_of_rejection(args.tilde_delta, ds, args.n, system).severity)
         for ds in _parse_grid(args.grid)
     ]
     fields = {
-        "digits": args.digits,
+        "digits": system.digits,
         "k": system.k,
         "n": args.n,
         "tilde_delta": args.tilde_delta,
@@ -386,14 +396,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_command(sub, "analyze", cmd_analyze,
                      "test one file for conformity and grade severity")
     _add_input_options(p)
-    p.add_argument("--delta-star", type=float, default=None,
+    p.add_argument("--delta-star", type=_finite_float, default=None,
                    help="substantive discrepancy benchmark (default: shipped value per scheme)")
-    p.add_argument("--psi-star", type=float, default=None,
+    p.add_argument("--psi-star", type=_finite_float, default=None,
                    help="chi-square noncentrality benchmark (no default)")
     p.add_argument("--label", default=None, help="dataset label for the report")
 
     p = _add_command(sub, "calibrate", cmd_calibrate, "calibrate delta* from a MAD threshold")
-    p.add_argument("--threshold", type=float, required=True,
+    p.add_argument("--threshold", type=_finite_float, required=True,
                    help="close-conformity MAD bound t")
     p.add_argument("--nmin", type=int, default=None,
                    help="smallest sample size (default: expected count of 5 per digit)")
@@ -407,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_command(sub, "severity-curve", cmd_severity_curve,
                      "severity as a function of delta*")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tilde-delta", type=float, required=True,
+    p.add_argument("--tilde-delta", type=_finite_float, required=True,
                    help="observed standardized excess MAD")
     p.add_argument("--grid", required=True,
                    help="delta* grid: comma-separated values or start:stop:count")
@@ -425,7 +435,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (OSError, ColumnError, ValueError) as exc:
+    except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
         print(f"benfordsev: error: {exc}", file=sys.stderr)
         return 2
     return 0

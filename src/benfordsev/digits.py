@@ -13,7 +13,6 @@ import io
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from enum import Enum
 from itertools import chain, islice
 from operator import methodcaller
 from typing import Iterable, TextIO
@@ -32,47 +31,42 @@ class ColumnError(ValueError):
     """A requested column does not exist in the input."""
 
 
-class DigitKind(Enum):
-    FIRST = "first"
-    FIRST_TWO = "first-two"
-
-
 @dataclass(frozen=True)
 class DigitSystem:
-    """A digit scheme: which leading digits are counted and their labels."""
+    """A digit scheme: how many leading digits are counted (1 or 2)."""
 
-    kind: DigitKind
-    k: int
-    digit_labels: tuple[int, ...]
+    digits: int
 
-    @staticmethod
-    def first_digit() -> "DigitSystem":
-        return DigitSystem(DigitKind.FIRST, 9, tuple(range(1, 10)))
+    def __post_init__(self):
+        if self.digits not in (1, 2):
+            raise ValueError(f"digits must be 1 or 2, got {self.digits!r}")
 
-    @staticmethod
-    def first_two_digits() -> "DigitSystem":
-        return DigitSystem(DigitKind.FIRST_TWO, 90, tuple(range(10, 100)))
+    @property
+    def k(self) -> int:
+        """Number of digit cells: 9 or 90."""
+        return 9 * 10 ** (self.digits - 1)
 
-    @staticmethod
-    def from_digits(digits: int) -> "DigitSystem":
-        """Build the scheme for `digits` leading digits (1 or 2)."""
-        if digits == 1:
-            return DigitSystem.first_digit()
-        if digits == 2:
-            return DigitSystem.first_two_digits()
-        raise ValueError(f"digits must be 1 or 2, got {digits!r}")
+    @property
+    def digit_labels(self) -> tuple[int, ...]:
+        """The labels 1-9 or 10-99."""
+        return tuple(range(10 ** (self.digits - 1), 10 ** self.digits))
 
     def extract(self, token: str | float | int) -> int | None:
-        if self.kind is DigitKind.FIRST:
-            return first_digit(token)
-        return first_two_digits(token)
+        """Leading `digits` significant digits of a number, None for exact zero.
+
+        A significand shorter than `digits` is padded with a zero.
+        """
+        significand = _significand(token)
+        if not significand:
+            return None
+        return int((significand + "0")[:self.digits])
 
     def label_index(self, label: int) -> int:
-        return label - self.digit_labels[0]
+        return label - 10 ** (self.digits - 1)
 
 
-FIRST_DIGIT = DigitSystem.first_digit()
-FIRST_TWO_DIGITS = DigitSystem.first_two_digits()
+FIRST_DIGIT = DigitSystem(1)
+FIRST_TWO_DIGITS = DigitSystem(2)
 
 
 @dataclass
@@ -105,10 +99,7 @@ def _significand(token: str | float | int) -> str:
 
 def first_digit(token: str | float | int) -> int | None:
     """First significant digit (1-9) of a number, None for exact zero."""
-    digits = _significand(token)
-    if not digits:
-        return None
-    return int(digits[0])
+    return FIRST_DIGIT.extract(token)
 
 
 def first_two_digits(token: str | float | int) -> int | None:
@@ -117,10 +108,7 @@ def first_two_digits(token: str | float | int) -> int | None:
     A value with a single significant digit d reads as d0 (significand
     padded with a zero): "5" -> 50.
     """
-    digits = _significand(token)
-    if not digits:
-        return None
-    return int((digits + "0")[:2])
+    return FIRST_TWO_DIGITS.extract(token)
 
 
 def parse_records(

@@ -56,7 +56,7 @@ class SimulationReport:
         del data["spec"]
         spec = self.spec
         return {
-            "digits": 1 if spec.system.k == 9 else 2,
+            "digits": spec.system.digits,
             "k": spec.system.k,
             "n": spec.n,
             "reps": spec.reps,
@@ -77,7 +77,7 @@ def sample_benford_counts(system: DigitSystem, n: int, rng: np.random.Generator)
     """One multinomial draw of n records from the exact digit law."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    b = benford_probs(system).b
+    b = benford_probs(system)
     draw = rng.multinomial(n, b)
     return DigitCounts(system=system, counts=tuple(int(c) for c in draw), n=n)
 
@@ -85,7 +85,7 @@ def sample_benford_counts(system: DigitSystem, n: int, rng: np.random.Generator)
 def simulate(spec: SimulationSpec) -> SimulationReport:
     """Run the replications and report empirical vs theoretical moments."""
     system, n, reps = spec.system, spec.n, spec.reps
-    b = benford_probs(system).b
+    b = benford_probs(system)
     # One array is reused in place: counts, then |p - b|, then the folded
     # deviations sqrt(n)|p - b|/d, in the same operation order as a single test.
     folded = np.empty((reps, system.k))

@@ -98,13 +98,11 @@ def default_delta_star(system: DigitSystem) -> float:
     return DEFAULT_DELTA_STAR[system.k]
 
 
-def n_min_for(system: DigitSystem, min_expected: float = MIN_EXPECTED_COUNT) -> int:
-    """Smallest n giving every digit cell an expected count >= min_expected."""
-    if min_expected <= 0.0:
-        raise ValueError("min_expected must be positive")
-    min_b = min(benford_probs(system).b)
-    n = math.ceil(min_expected / min_b)
-    if (n - 1) * min_b >= min_expected:  # guard against ceil of a near-integer
+def n_min_for(system: DigitSystem) -> int:
+    """Smallest n giving every digit cell an expected count >= MIN_EXPECTED_COUNT."""
+    min_b = min(benford_probs(system))
+    n = math.ceil(MIN_EXPECTED_COUNT / min_b)
+    if (n - 1) * min_b >= MIN_EXPECTED_COUNT:  # guard against ceil of a near-integer
         n -= 1
     return int(n)
 

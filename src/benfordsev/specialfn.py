@@ -9,20 +9,6 @@ from __future__ import annotations
 import math
 
 _SQRT2 = math.sqrt(2.0)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-# Coefficients of Acklam's rational approximation to the normal quantile.
-_ACKLAM_A = (-3.969683028665376e+01, 2.209460984245205e+02,
-             -2.759285104469687e+02, 1.383577518672690e+02,
-             -3.066479806614716e+01, 2.506628277459239e+00)
-_ACKLAM_B = (-5.447609879822406e+01, 1.615858368580409e+02,
-             -1.556989798598866e+02, 6.680131188771972e+01,
-             -1.328068155288572e+01)
-_ACKLAM_C = (-7.784894002430293e-03, -3.223964580411365e-01,
-             -2.400758277161838e+00, -2.549732539343734e+00,
-             4.374664141464968e+00, 2.938163982698783e+00)
-_ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01,
-             2.445134137142996e+00, 3.754408661907416e+00)
 
 
 def std_normal_cdf(x: float) -> float:
@@ -32,45 +18,6 @@ def std_normal_cdf(x: float) -> float:
     saturates to exactly 0.0 / 1.0 far out in the tails.
     """
     return 0.5 * math.erfc(-x / _SQRT2)
-
-
-def std_normal_quantile(p: float) -> float:
-    """Inverse of std_normal_cdf, accurate to well below 1e-9.
-
-    Raises ValueError unless 0 < p < 1.
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"quantile requires 0 < p < 1, got {p!r}")
-
-    # Rational initial estimate (Acklam), then one Halley correction.
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = ((((((_ACKLAM_C[0] * q + _ACKLAM_C[1]) * q + _ACKLAM_C[2]) * q
-                + _ACKLAM_C[3]) * q + _ACKLAM_C[4]) * q + _ACKLAM_C[5])
-             / ((((_ACKLAM_D[0] * q + _ACKLAM_D[1]) * q + _ACKLAM_D[2]) * q
-                 + _ACKLAM_D[3]) * q + 1.0))
-    elif p <= 1.0 - p_low:
-        q = p - 0.5
-        r = q * q
-        x = ((((((_ACKLAM_A[0] * r + _ACKLAM_A[1]) * r + _ACKLAM_A[2]) * r
-                + _ACKLAM_A[3]) * r + _ACKLAM_A[4]) * r + _ACKLAM_A[5]) * q
-             / (((((_ACKLAM_B[0] * r + _ACKLAM_B[1]) * r + _ACKLAM_B[2]) * r
-                  + _ACKLAM_B[3]) * r + _ACKLAM_B[4]) * r + 1.0))
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -((((((_ACKLAM_C[0] * q + _ACKLAM_C[1]) * q + _ACKLAM_C[2]) * q
-                 + _ACKLAM_C[3]) * q + _ACKLAM_C[4]) * q + _ACKLAM_C[5])
-              / ((((_ACKLAM_D[0] * q + _ACKLAM_D[1]) * q + _ACKLAM_D[2]) * q
-                  + _ACKLAM_D[3]) * q + 1.0))
-
-    # Halley step; skipped only where exp(x^2/2) would overflow, far beyond
-    # any probability representable with meaningful precision.
-    if x * x < 1400.0:
-        err = std_normal_cdf(x) - p
-        u = err * _SQRT_2PI * math.exp(0.5 * x * x)
-        x -= u / (1.0 + 0.5 * x * u)
-    return x
 
 
 def regularized_lower_gamma(s: float, x: float) -> float:

@@ -58,8 +58,8 @@ def test_criterion_1_calibration_reproduction(capsys):
 
 
 def test_criterion_2_n_min_reproduction(capsys):
-    n9 = n_min_for(FIRST_DIGIT, 5.0)
-    n90 = n_min_for(FIRST_TWO_DIGITS, 5.0)
+    n9 = n_min_for(FIRST_DIGIT)
+    n90 = n_min_for(FIRST_TWO_DIGITS)
     ok = n9 == 110 and n90 == 1146
     with capsys.disabled():
         report(2, ok, f"n_min = {n9} (first digit), {n90} (first-two)")
@@ -207,7 +207,7 @@ def test_criterion_8_invariant_suites(capsys):
     problems = []
 
     for system in (FIRST_DIGIT, FIRST_TWO_DIGITS):
-        b = benford_probs(system).b
+        b = benford_probs(system)
         if abs(float(b.sum()) - 1.0) > 1e-12:
             problems.append((system.k, "probability sum"))
         c = build_constants(system)

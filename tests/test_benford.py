@@ -26,26 +26,26 @@ def make_counts(values, system=FIRST_DIGIT):
 
 class TestBenfordProbs:
     def test_first_digit_values(self):
-        b = benford_probs(FIRST_DIGIT).b
+        b = benford_probs(FIRST_DIGIT)
         assert b[0] == pytest.approx(0.301030, abs=1e-6)
         assert b[8] == pytest.approx(0.045757, abs=1e-6)
 
     def test_first_two_last_value(self):
-        b = benford_probs(FIRST_TWO_DIGITS).b
+        b = benford_probs(FIRST_TWO_DIGITS)
         assert b[89] == pytest.approx(0.0043648, abs=1e-7)
 
     @pytest.mark.parametrize("system", [FIRST_DIGIT, FIRST_TWO_DIGITS])
     def test_sums_to_one(self, system):
-        assert abs(benford_probs(system).b.sum() - 1.0) <= 1e-12
+        assert abs(benford_probs(system).sum() - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("system", [FIRST_DIGIT, FIRST_TWO_DIGITS])
     def test_strictly_decreasing(self, system):
-        b = benford_probs(system).b
+        b = benford_probs(system)
         assert np.all(np.diff(b) < 0)
 
     def test_first_two_aggregates_to_first(self):
-        b9 = benford_probs(FIRST_DIGIT).b
-        b90 = benford_probs(FIRST_TWO_DIGITS).b
+        b9 = benford_probs(FIRST_DIGIT)
+        b90 = benford_probs(FIRST_TWO_DIGITS)
         for d in range(1, 10):
             block = b90[(10 * d - 10):(10 * d)].sum()
             assert abs(block - b9[d - 1]) <= 1e-12
@@ -59,7 +59,7 @@ class TestProportions:
 
     def test_rounded_benford_counts_recover_probs(self):
         n = 10**6
-        b = benford_probs(FIRST_DIGIT).b
+        b = benford_probs(FIRST_DIGIT)
         counts = make_counts([round(n * bi) for bi in b])
         assert counts.n == n
         assert np.max(np.abs(proportions(counts).p - b)) <= 5e-7
@@ -72,7 +72,7 @@ class TestProportions:
 class TestMad:
     def test_zero_at_exact_law(self):
         b = benford_probs(FIRST_DIGIT)
-        p = Proportions(p=b.b.copy(), n=1000)
+        p = Proportions(p=b.copy(), n=1000)
         assert mad(p, b) == 0.0
 
     def test_uniform_proportions(self):
@@ -88,7 +88,7 @@ class TestMad:
 
     def test_nonnegative_and_bounded(self):
         b = benford_probs(FIRST_DIGIT)
-        bound = (2.0 / 9.0) * (1.0 - b.b.min())
+        bound = (2.0 / 9.0) * (1.0 - b.min())
         rng = np.random.default_rng(7)
         for _ in range(200):
             raw = rng.dirichlet(np.ones(9))
@@ -99,7 +99,7 @@ class TestMad:
 class TestChiSquare:
     def test_zero_at_exact_law(self):
         b = benford_probs(FIRST_DIGIT)
-        p = Proportions(p=b.b.copy(), n=1000)
+        p = Proportions(p=b.copy(), n=1000)
         assert psi(p, b, 1000) == 0.0
 
     def test_single_count_on_digit_one(self):

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import re
@@ -11,7 +13,7 @@ from benfordsev.digits import FIRST_DIGIT
 
 def write_benford_like_file(path, n=2000):
     """A file whose first-digit counts are round(n * b): near-exact law."""
-    b = benford_probs(FIRST_DIGIT).b
+    b = benford_probs(FIRST_DIGIT)
     tokens = []
     for digit, prob in zip(range(1, 10), b):
         tokens += [str(digit)] * round(n * prob)
@@ -175,6 +177,30 @@ class TestAnalyze:
         assert out == ""
         assert "must be one character" in err
 
+    @pytest.mark.parametrize("name, label", [("a,b.txt", None), ("data.txt", 'x "y", z')])
+    def test_csv_report_quotes_cells(self, tmp_path, capsys, name, label):
+        f = write_benford_like_file(tmp_path / name)
+        options = ["--label", label] if label else []
+        code, out, _ = run_cli(capsys, "analyze", str(f), "--format", "csv", *options)
+        assert code == 0
+        rows = {row[0]: row[1:] for row in csv.reader(io.StringIO(out))}
+        assert rows["label"] == [label or str(f)]
+
+    def test_byte_order_mark_is_not_a_header(self, tmp_path, capsys):
+        f = tmp_path / "bom.txt"
+        f.write_text("123\n456\n789\n", encoding="utf-8-sig")
+        code, out, _ = run_cli(capsys, "analyze", str(f), "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["n"] == 3 and report["skipped"] == 0
+
+    def test_byte_order_mark_before_header_name(self, tmp_path, capsys):
+        f = tmp_path / "bom.csv"
+        f.write_text("amount,id\n19.5,1\n0.034,2\n", encoding="utf-8-sig")
+        code, out, _ = run_cli(capsys, "analyze", str(f), "--column", "amount", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["n"] == 2
+
     def test_output_file_option(self, tmp_path, capsys):
         f = write_benford_like_file(tmp_path / "data.txt")
         dest = tmp_path / "report.json"
@@ -309,3 +335,27 @@ class TestPlotdata:
         assert code != 0
         assert not dest.exists()
         assert err.strip()
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "FILE", "--delta-star", "nan"],
+    ["analyze", "FILE", "--delta-star", "inf"],
+    ["analyze", "FILE", "--psi-star", "nan"],
+    ["calibrate", "--threshold", "nan"],
+    ["calibrate", "--threshold", "inf"],
+    ["severity-curve", "--n", "1000", "--tilde-delta", "nan", "--grid", "0,0.01"],
+    ["severity-curve", "--n", "1000", "--tilde-delta", "2", "--grid", "nan,inf"],
+    ["severity-curve", "--n", "1000", "--tilde-delta", "2", "--grid", "0:inf:3"],
+    ["severity-curve", "--n", "1000", "--tilde-delta", "2", "--grid=-1e308:1e308:3"],
+])
+def test_non_finite_number_is_config_error(tmp_path, capsys, argv):
+    f = write_benford_like_file(tmp_path / "data.txt")
+    argv = [str(f) if arg == "FILE" else arg for arg in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses the value itself
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "finite" in captured.err

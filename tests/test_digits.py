@@ -32,10 +32,10 @@ class TestDigitSystem:
         assert FIRST_TWO_DIGITS.digit_labels == tuple(range(10, 100))
 
     def test_from_digits(self):
-        assert DigitSystem.from_digits(1) == FIRST_DIGIT
-        assert DigitSystem.from_digits(2) == FIRST_TWO_DIGITS
+        assert DigitSystem(1) == FIRST_DIGIT
+        assert DigitSystem(2) == FIRST_TWO_DIGITS
         with pytest.raises(ValueError):
-            DigitSystem.from_digits(3)
+            DigitSystem(3)
 
 
 class TestFirstDigit:

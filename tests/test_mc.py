@@ -42,7 +42,7 @@ class TestSampleBenfordCounts:
         # Mean counts over many replications approach n*b within 3 MC
         # standard errors per digit.
         reps, n = 600, 1000
-        b = benford_probs(FIRST_DIGIT).b
+        b = benford_probs(FIRST_DIGIT)
         rng = np.random.default_rng(1234)
         totals = np.zeros(9)
         for _ in range(reps):
@@ -123,7 +123,7 @@ class TestSimulate:
 def reference_simulate(spec: SimulationSpec) -> SimulationReport:
     """One replication at a time: draw, form proportions, run the test, fold."""
     system, n, reps = spec.system, spec.n, spec.reps
-    b = benford_probs(system).b
+    b = benford_probs(system)
     d_vec = build_constants(system).d_vec
     mads, tildes, folded = [], [], []
     for r in range(reps):

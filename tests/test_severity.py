@@ -28,7 +28,7 @@ from benfordsev.specialfn import central_chi2_cdf, std_normal_cdf
 class TestRunTest:
     def test_exact_law_gives_negative_statistic(self):
         b = benford_probs(FIRST_DIGIT)
-        outcome = run_test_from_proportions(Proportions(p=b.b.copy(), n=5000), FIRST_DIGIT)
+        outcome = run_test_from_proportions(Proportions(p=b.copy(), n=5000), FIRST_DIGIT)
         assert outcome.mad == 0.0
         assert outcome.excess_delta == -mad_moments(FIRST_DIGIT, 5000).mean
         assert outcome.tilde_delta < 0.0
@@ -144,20 +144,13 @@ class TestSeverityOfAcceptance:
 
 class TestNMin:
     def test_expected_count_five(self):
-        assert n_min_for(FIRST_DIGIT, 5.0) == 110
-        assert n_min_for(FIRST_TWO_DIGITS, 5.0) == 1146
-
-    def test_expected_count_one(self):
-        assert n_min_for(FIRST_DIGIT, 1.0) == 22
+        assert n_min_for(FIRST_DIGIT) == 110
+        assert n_min_for(FIRST_TWO_DIGITS) == 1146
 
     def test_minimality(self):
-        min_b = benford_probs(FIRST_TWO_DIGITS).b.min()
-        n = n_min_for(FIRST_TWO_DIGITS, 5.0)
+        min_b = benford_probs(FIRST_TWO_DIGITS).min()
+        n = n_min_for(FIRST_TWO_DIGITS)
         assert n * min_b >= 5.0 > (n - 1) * min_b
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            n_min_for(FIRST_DIGIT, 0.0)
 
 
 class TestDeltaStar:

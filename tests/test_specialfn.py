@@ -15,12 +15,10 @@ from benfordsev.specialfn import (
     noncentral_chi2_cdf,
     regularized_lower_gamma,
     std_normal_cdf,
-    std_normal_quantile,
 )
 
 # Frozen oracle values.
 PHI_AT_1 = 0.84134474606854295
-Q_AT_975 = 1.9599639845400542
 P_4_4 = 0.56652987963329107
 P_HALF_2 = 0.95449973610364159
 NC_10_8_5 = 0.34790489126466584
@@ -50,29 +48,6 @@ class TestStdNormalCdf:
     @given(st.floats(min_value=-50.0, max_value=50.0))
     def test_range(self, x):
         assert 0.0 <= std_normal_cdf(x) <= 1.0
-
-
-class TestStdNormalQuantile:
-    def test_median(self):
-        assert std_normal_quantile(0.5) == pytest.approx(0.0, abs=1e-12)
-
-    def test_inverse_of_phi_at_1(self):
-        # 0.841345 is PHI_AT_1 rounded to six decimals, so its quantile sits
-        # just above 1 (frozen from the oracle).
-        assert std_normal_quantile(0.841345) == pytest.approx(1.0000010494, abs=1e-8)
-        assert std_normal_quantile(PHI_AT_1) == pytest.approx(1.0, abs=1e-9)
-
-    def test_upper_975(self):
-        assert std_normal_quantile(0.975) == pytest.approx(Q_AT_975, abs=1e-9)
-
-    @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.3])
-    def test_domain_errors(self, p):
-        with pytest.raises(ValueError):
-            std_normal_quantile(p)
-
-    @given(st.floats(min_value=-6.0, max_value=6.0))
-    def test_round_trip_identity(self, x):
-        assert std_normal_quantile(std_normal_cdf(x)) == pytest.approx(x, abs=1e-8)
 
 
 class TestRegularizedLowerGamma:
