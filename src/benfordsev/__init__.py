@@ -9,7 +9,7 @@ severity against a substantive discrepancy benchmark.
 __version__ = "0.1.0"
 
 from .asymptotics import AsymptoticConstants, MadMoments, build_constants, mad_moments
-from .benford import Proportions, benford_probs, chi_square_stat, mad, proportions, psi
+from .benford import benford_probs, chi_square_stat, mad, proportions, psi
 from .digits import (
     FIRST_DIGIT,
     FIRST_TWO_DIGITS,
@@ -24,9 +24,7 @@ from .digits import (
 from .mc import SimulationReport, SimulationSpec, sample_benford_counts, simulate
 from .severity import (
     CalibrationConfig,
-    Claim,
     DEFAULT_DELTA_STAR,
-    SeverityResult,
     TestOutcome,
     chi_square_severity,
     default_delta_star,

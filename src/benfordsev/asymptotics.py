@@ -26,7 +26,6 @@ _TWO_OVER_PI = 2.0 / math.pi
 class AsymptoticConstants:
     """Scheme-level constants of the MAD's limiting normal distribution."""
 
-    system: DigitSystem
     d_vec: np.ndarray      # sqrt(b_j (1 - b_j)) per digit cell
     R: np.ndarray          # k x k covariance matrix of the folded deviations
     sum_d: float           # plain sum of d_vec
@@ -52,7 +51,7 @@ def build_constants(system: DigitSystem) -> AsymptoticConstants:
 
     sum_d = float(np.sum(d_vec))
     quad_form = float(d_vec @ R @ d_vec)
-    return AsymptoticConstants(system=system, d_vec=d_vec, R=R, sum_d=sum_d, quad_form=quad_form)
+    return AsymptoticConstants(d_vec=d_vec, R=R, sum_d=sum_d, quad_form=quad_form)
 
 
 def mad_moments(system: DigitSystem, n: int) -> MadMoments:

@@ -3,20 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .digits import DigitCounts, DigitSystem
-
-
-@dataclass(frozen=True)
-class Proportions:
-    """Observed digit proportions for a sample of size n."""
-
-    p: np.ndarray
-    n: int
 
 
 @lru_cache(maxsize=None)
@@ -31,30 +22,31 @@ def benford_probs(system: DigitSystem) -> np.ndarray:
     return b
 
 
-def proportions(counts: DigitCounts) -> Proportions:
-    if counts.n < 1:
+def proportions(counts: DigitCounts) -> np.ndarray:
+    """Observed digit proportions counts / n, length k."""
+    n = counts.n
+    if n < 1:
         raise ValueError("cannot form proportions from an empty sample")
-    p = np.asarray(counts.counts, dtype=float) / counts.n
-    return Proportions(p=p, n=counts.n)
+    return np.asarray(counts.counts, dtype=float) / n
 
 
-def _check_match(p: Proportions, b: np.ndarray) -> None:
-    if len(p.p) != len(b):
-        raise ValueError(f"dimension mismatch: {len(p.p)} proportions vs {len(b)} probabilities")
+def _check_match(p: np.ndarray, b: np.ndarray) -> None:
+    if len(p) != len(b):
+        raise ValueError(f"dimension mismatch: {len(p)} proportions vs {len(b)} probabilities")
 
 
-def mad(p: Proportions, b: np.ndarray) -> float:
+def mad(p: np.ndarray, b: np.ndarray) -> float:
     """Mean absolute deviation between observed proportions and the law."""
     _check_match(p, b)
-    return float(np.mean(np.abs(p.p - b)))
+    return float(np.mean(np.abs(p - b)))
 
 
-def psi(p: Proportions, b: np.ndarray, n: int) -> float:
+def psi(p: np.ndarray, b: np.ndarray, n: int) -> float:
     """Pearson-form quadratic distance n * sum((p_i - b_i)^2 / b_i)."""
     _check_match(p, b)
     if n < 1:
         raise ValueError("sample size must be at least 1")
-    return float(n * np.sum((p.p - b) ** 2 / b))
+    return float(n * np.sum((p - b) ** 2 / b))
 
 
 def chi_square_stat(counts: DigitCounts, b: np.ndarray) -> float:

@@ -13,7 +13,6 @@ import io
 import json
 import math
 import sys
-import warnings
 from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Callable
@@ -25,12 +24,12 @@ from .digits import DigitCounts, DigitSystem, ingest
 from .mc import SimulationSpec, simulate
 from .severity import (
     CalibrationConfig,
-    SmallSampleWarning,
+    DEFAULT_N_MAX,
     chi_square_severity,
     default_delta_star,
     delta_star,
     n_min_for,
-    run_test,
+    run_test_from_proportions,
     severity_of_acceptance,
     severity_of_rejection,
 )
@@ -221,7 +220,7 @@ def _ingest_file(args) -> DigitCounts:
 
 def _digit_table(counts: DigitCounts) -> list[tuple[int, float, float]]:
     """(digit, observed proportion, Benford probability) for every digit cell."""
-    p = proportions(counts).p
+    p = proportions(counts)
     b = benford_probs(counts.system)
     return [
         (int(d), float(obs), float(exp))
@@ -231,16 +230,12 @@ def _digit_table(counts: DigitCounts) -> list[tuple[int, float, float]]:
 
 def build_report(args, counts) -> AnalysisReport:
     system = counts.system
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SmallSampleWarning)
-        outcome = run_test(counts)
+    outcome = run_test_from_proportions(proportions(counts), counts.n, system)
     ds = args.delta_star if args.delta_star is not None else default_delta_star(system)
-    rejection = severity_of_rejection(outcome.tilde_delta, ds, counts.n, system)
-    acceptance = severity_of_acceptance(outcome.tilde_delta, ds, counts.n, system)
     chi2 = chi_square_stat(counts, benford_probs(system))
     chi2_sev = None
     if args.psi_star is not None:
-        chi2_sev = chi_square_severity(chi2, args.psi_star, system).severity
+        chi2_sev = chi_square_severity(chi2, args.psi_star, system)
     moments = mad_moments(system, counts.n)
     floor = n_min_for(system)
     return AnalysisReport(
@@ -259,8 +254,8 @@ def build_report(args, counts) -> AnalysisReport:
         tilde_delta=outcome.tilde_delta,
         p_value=outcome.p_value,
         delta_star=ds,
-        severity_exceeds=rejection.severity,
-        severity_at_most=acceptance.severity,
+        severity_exceeds=severity_of_rejection(outcome.tilde_delta, ds, counts.n, system),
+        severity_at_most=severity_of_acceptance(outcome.tilde_delta, ds, counts.n, system),
         chi_square=chi2,
         chi_square_p=1.0 - central_chi2_cdf(chi2, system.k - 1),
         psi_star=args.psi_star,
@@ -335,7 +330,7 @@ def _simulation_text(fields: dict, labels: tuple[int, ...]) -> str:
 def cmd_severity_curve(args) -> None:
     system = DigitSystem(args.digits)
     points = [
-        (ds, severity_of_rejection(args.tilde_delta, ds, args.n, system).severity)
+        (ds, severity_of_rejection(args.tilde_delta, ds, args.n, system))
         for ds in _parse_grid(args.grid)
     ]
     fields = {
@@ -407,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="close-conformity MAD bound t")
     p.add_argument("--nmin", type=int, default=None,
                    help="smallest sample size (default: expected count of 5 per digit)")
-    p.add_argument("--nmax", type=int, default=25000)
+    p.add_argument("--nmax", type=int, default=DEFAULT_N_MAX)
 
     p = _add_command(sub, "simulate", cmd_simulate, "Monte Carlo check of the null distribution")
     p.add_argument("--n", type=int, required=True, help="sample size per replication")

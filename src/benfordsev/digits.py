@@ -75,9 +75,17 @@ class DigitCounts:
 
     system: DigitSystem
     counts: tuple[int, ...]
-    n: int
-    skipped: int = 0
     skip_reasons: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def n(self) -> int:
+        """Records counted: the sum of `counts`."""
+        return sum(self.counts)
+
+    @property
+    def skipped(self) -> int:
+        """Records skipped, over every reason."""
+        return sum(self.skip_reasons.values())
 
 
 def _significand(token: str | float | int) -> str:
@@ -233,13 +241,7 @@ def count_digits(tokens: Iterable[str | float | int], system: DigitSystem) -> Di
         else:
             reason = SKIP_ZERO if valid else SKIP_NON_NUMERIC
             skip_reasons[reason] = skip_reasons.get(reason, 0) + count
-    return DigitCounts(
-        system=system,
-        counts=tuple(counts),
-        n=sum(counts),
-        skipped=sum(skip_reasons.values()),
-        skip_reasons=skip_reasons,
-    )
+    return DigitCounts(system=system, counts=tuple(counts), skip_reasons=skip_reasons)
 
 
 def ingest(
@@ -257,5 +259,4 @@ def ingest(
     result = count_digits(tokens, system)
     for reason, count in parse_skips.items():
         result.skip_reasons[reason] = result.skip_reasons.get(reason, 0) + count
-    result.skipped = sum(result.skip_reasons.values())
     return result

@@ -79,7 +79,7 @@ def sample_benford_counts(system: DigitSystem, n: int, rng: np.random.Generator)
         raise ValueError("n must be at least 1")
     b = benford_probs(system)
     draw = rng.multinomial(n, b)
-    return DigitCounts(system=system, counts=tuple(int(c) for c in draw), n=n)
+    return DigitCounts(system=system, counts=tuple(int(c) for c in draw))
 
 
 def simulate(spec: SimulationSpec) -> SimulationReport:

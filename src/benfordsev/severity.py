@@ -14,13 +14,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from . import specialfn
 from .asymptotics import build_constants, mad_moments
-from .benford import Proportions, benford_probs, mad, proportions
+from .benford import benford_probs, mad, proportions
 from .digits import DigitCounts, DigitSystem
 
 
@@ -32,29 +31,12 @@ class CalibrationWarning(UserWarning):
     """A discrepancy calibration produced a suspicious value."""
 
 
-class Claim(Enum):
-    """Direction of the conformity claim being graded."""
-
-    DISCREPANCY_EXCEEDS = "discrepancy exceeds benchmark"
-    DISCREPANCY_AT_MOST = "discrepancy at most benchmark"
-
-
 @dataclass(frozen=True)
 class TestOutcome:
-    system: DigitSystem
-    n: int
     mad: float
     excess_delta: float   # MAD minus its null expectation
     tilde_delta: float    # standardized excess MAD, ~N(0,1) under the law
     p_value: float
-
-
-@dataclass(frozen=True)
-class SeverityResult:
-    claim: Claim
-    delta_star: float
-    noncentrality: float
-    severity: float
 
 
 @dataclass(frozen=True)
@@ -113,16 +95,12 @@ def _standardized(excess: float, n: int, system: DigitSystem) -> float:
     return system.k * math.sqrt(n) * excess / math.sqrt(c.quad_form)
 
 
-def run_test_from_proportions(p: Proportions, system: DigitSystem) -> TestOutcome:
+def run_test_from_proportions(p: np.ndarray, n: int, system: DigitSystem) -> TestOutcome:
     """Excess-MAD normal test computed from proportions and sample size."""
-    b = benford_probs(system)
-    n = p.n
-    observed_mad = mad(p, b)
+    observed_mad = mad(p, benford_probs(system))
     excess = observed_mad - mad_moments(system, n).mean
     tilde = _standardized(excess, n, system)
     return TestOutcome(
-        system=system,
-        n=n,
         mad=observed_mad,
         excess_delta=excess,
         tilde_delta=tilde,
@@ -146,7 +124,7 @@ def run_test(counts: DigitCounts) -> TestOutcome:
             SmallSampleWarning,
             stacklevel=2,
         )
-    return run_test_from_proportions(proportions(counts), counts.system)
+    return run_test_from_proportions(proportions(counts), counts.n, counts.system)
 
 
 def generic_normal_severity(z_obs: float, ncp: float) -> float:
@@ -161,35 +139,23 @@ def generic_normal_severity(z_obs: float, ncp: float) -> float:
 
 def severity_of_rejection(
     tilde_delta_obs: float, delta_star: float, n: int, system: DigitSystem
-) -> SeverityResult:
-    """Grade the claim "excess MAD exceeds delta_star" after a rejection."""
+) -> float:
+    """Severity of the claim "excess MAD exceeds delta_star" after a rejection."""
     if delta_star < 0.0:
         raise ValueError("delta_star must be nonnegative")
     if n < 1:
         raise ValueError("sample size must be at least 1")
-    ncp = _standardized(delta_star, n, system)
-    return SeverityResult(
-        claim=Claim.DISCREPANCY_EXCEEDS,
-        delta_star=delta_star,
-        noncentrality=ncp,
-        severity=generic_normal_severity(tilde_delta_obs, ncp),
-    )
+    return generic_normal_severity(tilde_delta_obs, _standardized(delta_star, n, system))
 
 
 def severity_of_acceptance(
     tilde_delta_obs: float, delta_star: float, n: int, system: DigitSystem
-) -> SeverityResult:
-    """Grade the mirror claim "excess MAD is at most delta_star".
+) -> float:
+    """Severity of the mirror claim "excess MAD is at most delta_star".
 
     Exact complement of severity_of_rejection at identical arguments.
     """
-    rejection = severity_of_rejection(tilde_delta_obs, delta_star, n, system)
-    return SeverityResult(
-        claim=Claim.DISCREPANCY_AT_MOST,
-        delta_star=delta_star,
-        noncentrality=rejection.noncentrality,
-        severity=1.0 - rejection.severity,
-    )
+    return 1.0 - severity_of_rejection(tilde_delta_obs, delta_star, n, system)
 
 
 def delta_star(config: CalibrationConfig) -> float:
@@ -228,36 +194,29 @@ def _sum_inv_sqrt(n_min: int, n_max: int) -> float:
     return math.fsum(chunk_sums)
 
 
-def chi_square_severity(x_obs: float, psi_star: float, system: DigitSystem) -> SeverityResult:
+def chi_square_severity(x_obs: float, psi_star: float, system: DigitSystem) -> float:
     """Severity of "quadratic discrepancy exceeds psi_star" for Pearson's test.
 
     Under the benchmark alternative the statistic is noncentral chi-square
     with k-1 degrees of freedom and noncentrality psi_star.  There is no
     shipped default for psi_star: many different psi values are consistent
-    with any given MAD, so the benchmark must come from the user.
+    with any given MAD, so the benchmark must come from the user.  A psi_star
+    above specialfn.MAX_NONCENTRALITY raises ValueError.
     """
     if x_obs < 0.0:
         raise ValueError("observed statistic must be nonnegative")
     if psi_star < 0.0:
         raise ValueError("psi_star must be nonnegative")
-    sev = specialfn.noncentral_chi2_cdf(x_obs, system.k - 1, psi_star)
-    return SeverityResult(
-        claim=Claim.DISCREPANCY_EXCEEDS,
-        delta_star=psi_star,
-        noncentrality=psi_star,
-        severity=sev,
-    )
+    return specialfn.noncentral_chi2_cdf(x_obs, system.k - 1, psi_star)
 
 
 __all__ = [
     "CalibrationConfig",
     "CalibrationWarning",
-    "Claim",
     "DEFAULT_CLOSE_THRESHOLD",
     "DEFAULT_DELTA_STAR",
     "DEFAULT_N_MAX",
     "MIN_EXPECTED_COUNT",
-    "SeverityResult",
     "SmallSampleWarning",
     "TestOutcome",
     "chi_square_severity",

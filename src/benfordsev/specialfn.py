@@ -9,6 +9,10 @@ from __future__ import annotations
 import math
 
 _SQRT2 = math.sqrt(2.0)
+# Largest noncentrality noncentral_chi2_cdf accepts.  The Poisson-mixture sum
+# takes about sqrt(lam) steps and the central terms' gamma series runs out
+# of terms a little above this; larger values raise ValueError.
+MAX_NONCENTRALITY = 1e6
 
 
 def std_normal_cdf(x: float) -> float:
@@ -94,11 +98,14 @@ def noncentral_chi2_cdf(x: float, df: int, lam: float) -> float:
 
     The mixture is summed outward from the modal Poisson index floor(lam/2)
     so that no weight underflows for large noncentrality; summation stops
-    once the neglected Poisson mass is below 1e-12.
+    once the neglected Poisson mass is below 1e-12.  A noncentrality above
+    MAX_NONCENTRALITY raises ValueError.
     """
     df = _check_df(df)
     if lam < 0.0:
         raise ValueError(f"noncentrality must be nonnegative, got {lam!r}")
+    if lam > MAX_NONCENTRALITY:
+        raise ValueError(f"noncentrality {lam:g} exceeds the supported maximum {MAX_NONCENTRALITY:g}")
     if x < 0.0:
         raise ValueError(f"argument must be nonnegative, got {x!r}")
     if lam == 0.0:

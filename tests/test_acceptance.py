@@ -94,7 +94,7 @@ def test_criterion_4_severity_reproduction_without_datasets(capsys):
     start = time.perf_counter()
     failures = []
     for tilde, n, system, expected, tol in TABLE1_ROWS:
-        sev = severity_of_rejection(tilde, DELTA_STAR_DEFAULTS[system.k], n, system).severity
+        sev = severity_of_rejection(tilde, DELTA_STAR_DEFAULTS[system.k], n, system)
         if abs(sev - expected) > tol:
             failures.append((system.k, tilde, sev, expected))
     sq9 = math.sqrt(build_constants(FIRST_DIGIT).quad_form)
@@ -225,11 +225,11 @@ def test_criterion_8_invariant_suites(capsys):
             return True
 
         grid = [0.0, 0.0005, 0.001, 0.002, 0.004, 0.008, 0.016]
-        sev_ds = [severity_of_rejection(3.0, ds, 15000, system).severity for ds in grid]
+        sev_ds = [severity_of_rejection(3.0, ds, 15000, system) for ds in grid]
         if not decreasing(sev_ds):
             problems.append((system.k, "monotone in delta*"))
         sizes = [200, 2000, 20000, 200000]
-        sev_n = [severity_of_rejection(3.0, 0.002, n, system).severity for n in sizes]
+        sev_n = [severity_of_rejection(3.0, 0.002, n, system) for n in sizes]
         if not decreasing(sev_n):
             problems.append((system.k, "monotone in n"))
 
@@ -237,8 +237,8 @@ def test_criterion_8_invariant_suites(capsys):
         for tilde in (-4.0, -1.0, 0.0, 1.5, 6.621):
             for ds in (0.0, 0.0005, 0.00321, 0.01):
                 for n in (150, 5000, 100000):
-                    rej = severity_of_rejection(tilde, ds, n, system).severity
-                    acc = severity_of_acceptance(tilde, ds, n, system).severity
+                    rej = severity_of_rejection(tilde, ds, n, system)
+                    acc = severity_of_acceptance(tilde, ds, n, system)
                     if rej + acc != 1.0:
                         problems.append((system.k, "complementarity", tilde, ds, n))
 

@@ -2,7 +2,11 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -138,6 +142,18 @@ class TestAnalyze:
         report = json.loads(out)
         assert report["psi_star"] == 10.0
         assert 0.0 <= report["chi_square_severity"] <= 1.0
+
+    @pytest.mark.parametrize("psi_star", ["1e13", "1e308"])
+    def test_psi_star_above_the_bound_is_config_error(self, tmp_path, psi_star):
+        f = write_skewed_file(tmp_path / "skew.txt")
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-m", "benfordsev.cli", "analyze", str(f), "--psi-star", psi_star],
+            capture_output=True, text=True, timeout=30, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "noncentrality" in result.stderr and "Traceback" not in result.stderr
 
     def test_decimal_comma_input(self, tmp_path, capsys):
         f = tmp_path / "comma.txt"

@@ -10,6 +10,7 @@ from benfordsev.digits import (
     FIRST_DIGIT,
     FIRST_TWO_DIGITS,
     ColumnError,
+    DigitCounts,
     DigitSystem,
     _split_rows,
     count_digits,
@@ -191,6 +192,18 @@ class TestParseRecords:
         rows = _split_rows(source, None, ".")
         assert next(rows) == ["1", "2"]
         assert next(source) == "3,4\n"
+
+
+class TestDigitCounts:
+    def test_n_and_skipped_are_derived(self):
+        counts = DigitCounts(system=FIRST_DIGIT, counts=(3, 0, 1, 0, 0, 0, 0, 0, 2))
+        assert counts.n == sum(counts.counts) == 6
+        assert counts.skipped == 0
+        counts.skip_reasons["empty"] = 4
+        counts.skip_reasons["zero-value"] = 1
+        assert counts.skipped == 5
+        del counts.skip_reasons["empty"]
+        assert counts.skipped == 1
 
 
 class TestCountDigits:

@@ -129,10 +129,10 @@ def reference_simulate(spec: SimulationSpec) -> SimulationReport:
     for r in range(reps):
         counts = sample_benford_counts(system, n, replication_rng(spec.seed, r))
         p = proportions(counts)
-        outcome = run_test_from_proportions(p, system)
+        outcome = run_test_from_proportions(p, n, system)
         mads.append(outcome.mad)
         tildes.append(outcome.tilde_delta)
-        folded.append(math.sqrt(n) * np.abs(p.p - b) / d_vec)
+        folded.append(math.sqrt(n) * np.abs(p - b) / d_vec)
     mads, tildes, folded = np.array(mads), np.array(tildes), np.array(folded)
     moments = mad_moments(system, n)
     return SimulationReport(

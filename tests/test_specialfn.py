@@ -5,12 +5,14 @@ Expected values were frozen from an independent high-precision oracle
 incomplete gamma, and the Poisson-mixture series).
 """
 
+import functools
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
 from benfordsev.specialfn import (
+    MAX_NONCENTRALITY,
     central_chi2_cdf,
     noncentral_chi2_cdf,
     regularized_lower_gamma,
@@ -140,7 +142,41 @@ class TestNoncentralChi2:
             <= noncentral_chi2_cdf(x + step, 8, 5.0) + 1e-12
         )
 
-    @pytest.mark.parametrize("x,df,lam", [(-1.0, 8, 5.0), (1.0, 8, -0.1), (1.0, 0, 5.0)])
+    @pytest.mark.parametrize("x,df,lam", [
+        (-1.0, 8, 5.0), (1.0, 8, -0.1), (1.0, 0, 5.0),
+        # noncentrality above MAX_NONCENTRALITY
+        (1e6 + 8.0, 8, math.nextafter(MAX_NONCENTRALITY, math.inf)), (5e6 + 8.0, 8, 5e6),
+        (1e308, 8, 1e308),
+    ])
     def test_domain_errors(self, x, df, lam):
         with pytest.raises(ValueError):
             noncentral_chi2_cdf(x, df, lam)
+
+
+@functools.lru_cache(maxsize=None)
+def sweep_at_the_bound(df):
+    """(x, CDF) pairs at the largest noncentrality.
+
+    x runs near the mean, over [0, 3*lam] and out to both extremes.
+    """
+    lam = MAX_NONCENTRALITY
+    spread = 20.0 * math.sqrt(lam)
+    near = [lam + df - spread + i * spread / 20.0 for i in range(41)]
+    wide = [i * 3.0 * lam / 40.0 for i in range(41)]
+    xs = sorted(near + wide + [1e-300, 1e300])
+    return [(x, noncentral_chi2_cdf(x, df, lam)) for x in xs]
+
+
+class TestNoncentralityBound:
+    @pytest.mark.parametrize("df", [8, 89])
+    def test_sweep_at_the_bound(self, df):
+        values = [v for _, v in sweep_at_the_bound(df)]
+        assert all(0.0 <= v <= 1.0 for v in values)
+        assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
+        assert values[0] == 0.0 and values[-1] > 1.0 - 1e-9
+
+    @pytest.mark.parametrize("df", [8, 89])
+    def test_sweep_matches_scipy(self, df):
+        ncx2 = pytest.importorskip("scipy.stats").ncx2
+        for x, value in sweep_at_the_bound(df)[1:-1]:
+            assert value == pytest.approx(ncx2.cdf(x, df, MAX_NONCENTRALITY), abs=1e-9)
