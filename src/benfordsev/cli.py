@@ -35,6 +35,9 @@ from .severity import (
 )
 from .specialfn import central_chi2_cdf
 
+# The most delta* values a severity-curve grid may hold.
+MAX_GRID_POINTS = 100_000
+
 
 @dataclass
 class AnalysisReport:
@@ -187,19 +190,25 @@ def _finite_float(text: str) -> float:
 
 
 def _parse_grid(spec: str) -> list[float]:
-    """Grid spec: either comma-separated values or start:stop:count."""
+    """Grid spec: either comma-separated values or start:stop:count.
+
+    An empty grid, or one of more than MAX_GRID_POINTS values, is refused.
+    """
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ValueError(f"grid must be start:stop:count, got {spec!r}")
         start, stop, count = _finite_float(parts[0]), _finite_float(parts[1]), int(parts[2])
-        if count < 2:
-            raise ValueError("grid count must be at least 2")
+        if not 2 <= count <= MAX_GRID_POINTS:
+            raise ValueError(f"grid count must be from 2 to {MAX_GRID_POINTS}, got {count}")
         step = (stop - start) / (count - 1)
         if not math.isfinite(step):
             raise ValueError(f"grid step is not a finite number: {spec!r}")
         return [start + i * step for i in range(count)]
-    return [_finite_float(v) for v in spec.split(",") if v.strip()]
+    values = [v for v in spec.split(",") if v.strip()]
+    if not 1 <= len(values) <= MAX_GRID_POINTS:
+        raise ValueError(f"grid must hold from 1 to {MAX_GRID_POINTS} values, got {len(values)}")
+    return [_finite_float(v) for v in values]
 
 
 def _ingest_file(args) -> DigitCounts:

@@ -24,7 +24,7 @@ SKIP_ZERO = "zero-value"
 # The one numeric-token grammar.  Only ASCII digits count: str.isdigit and
 # the regex class \d would also admit other scripts' digits.
 _NUMERIC_RE = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
-_CHUNK = 65536  # cells or tokens per batch
+_CHUNK = 65536  # cells per batch in parse_records
 
 
 class ColumnError(ValueError):
@@ -54,9 +54,15 @@ class DigitSystem:
     def extract(self, token: str | float | int) -> int | None:
         """Leading `digits` significant digits of a number, None for exact zero.
 
-        A significand shorter than `digits` is padded with a zero.
+        Floats and ints are read as the decimal text repr(float(x)), so there
+        is a single extraction pathway.  A significand shorter than `digits`
+        is padded with a zero.  Raises ValueError for non-numeric input.
         """
-        significand = _significand(token)
+        text = token.strip() if isinstance(token, str) else repr(float(token))
+        if not _NUMERIC_RE.fullmatch(text):
+            raise ValueError(f"not a numeric token: {token!r}")
+        # The mantissa's digits with leading zeros removed: empty for a zero.
+        significand = re.split("[eE]", text)[0].lstrip("+-").replace(".", "").lstrip("0")
         if not significand:
             return None
         return int((significand + "0")[:self.digits])
@@ -86,23 +92,6 @@ class DigitCounts:
     def skipped(self) -> int:
         """Records skipped, over every reason."""
         return sum(self.skip_reasons.values())
-
-
-def _significand(token: str | float | int) -> str:
-    """Significand digit string of a numeric token, leading zeros removed.
-
-    Returns "" for an exact zero.  Raises ValueError for non-numeric input.
-    Non-string values are first rendered to shortest round-trip decimal text
-    so there is a single extraction pathway.
-    """
-    if not isinstance(token, str):
-        token = repr(float(token))
-    text = token.strip()
-    if not _NUMERIC_RE.fullmatch(text):
-        raise ValueError(f"not a numeric token: {token!r}")
-    mantissa = re.split("[eE]", text)[0]
-    digits = mantissa.lstrip("+-").replace(".", "")
-    return digits.lstrip("0")
 
 
 def first_digit(token: str | float | int) -> int | None:
@@ -216,23 +205,23 @@ def count_digits(tokens: Iterable[str | float | int], system: DigitSystem) -> Di
     """Tally extracted digits over `tokens` into a DigitCounts.
 
     Zero values and unparseable tokens go to skip_reasons instead of counts.
-    Tokens are tallied by validity and significand head (the text after any
-    sign, leading zeros and point, cut to three characters), which fixes the
-    first two significant digits of a valid token; each distinct head then
-    goes once through the reference extraction.
+    Floats and ints are read as the decimal text repr(float(x)).
     """
-    heads: Counter[tuple[bool, str]] = Counter()
-    tokens = iter(tokens)
-    while chunk := list(islice(tokens, _CHUNK)):
-        try:
-            texts = list(map(str.strip, chunk))
-        except TypeError:  # floats and ints are read as repr(float(x))
-            texts = [(t if isinstance(t, str) else repr(float(t))).strip() for t in chunk]
-        checks = map(bool, map(_NUMERIC_RE.fullmatch, texts))
-        heads.update(zip(checks, [text.lstrip("+-0.")[:3] for text in texts]))
+    texts = (t.strip() if isinstance(t, str) else repr(float(t)) for t in tokens)
+    return _tally(((bool(_NUMERIC_RE.fullmatch(t)), t.lstrip("+-0.")[:3]) for t in texts), system)
+
+
+def _tally(checked: Iterable[tuple[bool, str]], system: DigitSystem) -> DigitCounts:
+    """Tally (valid, head) pairs, one per token, into a DigitCounts.
+
+    A head is the token's text after any sign, leading zeros and point, cut
+    to three characters.  It fixes the first two significant digits of a
+    valid token, so each distinct head goes once through the reference
+    extraction.  Skip reasons are listed in order of first occurrence.
+    """
     counts = [0] * system.k
     skip_reasons: dict[str, int] = {}
-    for (valid, head), count in heads.items():
+    for (valid, head), count in Counter(checked).items():
         # The head's mantissa is a valid token with the same leading digits;
         # it is empty for a zero value.
         label = system.extract(re.split("[eE]", head)[0] or "0") if valid else None
@@ -256,7 +245,9 @@ def ingest(
     tokens, parse_skips = parse_records(
         source, column, delimiter=delimiter, decimal_mark=decimal_mark
     )
-    result = count_digits(tokens, system)
-    for reason, count in parse_skips.items():
-        result.skip_reasons[reason] = result.skip_reasons.get(reason, 0) + count
+    # Every token has passed parse_records' check and is tallied by its head
+    # without a second one.  The tally adds only zero-value skips, which are
+    # listed before the parse skips.
+    result = _tally(((True, t.lstrip("+-0.")[:3]) for t in tokens), system)
+    result.skip_reasons.update(parse_skips)
     return result

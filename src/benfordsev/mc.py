@@ -29,8 +29,8 @@ class SimulationSpec:
     seed: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
+        if not 1 <= self.n < 2**63:
+            raise ValueError(f"n must be at least 1 and below 2**63, got {self.n}")
         if self.reps < 2:
             raise ValueError("reps must be at least 2: the standard deviations need two samples")
 

@@ -12,6 +12,7 @@ actual one does, were the claim false.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -51,6 +52,8 @@ class CalibrationConfig:
             raise ValueError("threshold must be positive")
         if self.n_min > self.n_max:
             raise ValueError(f"n_min={self.n_min} exceeds n_max={self.n_max}")
+        if self.n_max > sys.float_info.max:
+            raise ValueError("n_max exceeds the largest float, about 1.8e308")
 
     @staticmethod
     def default(system: DigitSystem) -> "CalibrationConfig":
@@ -73,7 +76,12 @@ DEFAULT_N_MAX = 25000
 # treated as unreliable; it sets the smallest recommended sample size.
 MIN_EXPECTED_COUNT = 5.0
 
-_CHUNK = 65536  # sample sizes per numpy block in delta_star
+# _sum_inv_sqrt adds 1/sqrt(n) one term at a time below this n, and uses the
+# Euler-Maclaurin formula from it on.
+_DIRECT_BELOW = 64
+# Euler-Maclaurin weights B_2k/(2k)! * (1/2)(3/2)...(2k - 3/2) for k = 1..4.
+# The next term is below 1e-20 at n = 64.
+_EULER_MACLAURIN = (1 / 24, -1 / 384, 1 / 1024, -143 / 163840)
 
 
 def default_delta_star(system: DigitSystem) -> float:
@@ -182,16 +190,24 @@ def delta_star(config: CalibrationConfig) -> float:
 
 
 def _sum_inv_sqrt(n_min: int, n_max: int) -> float:
-    """Sum of 1/sqrt(n) over integer n in [n_min, n_max].
+    """Sum of 1/sqrt(n) over integer n in [n_min, n_max], in constant time.
 
-    Summed in fixed-size numpy chunks, so memory stays flat for any range,
-    with the chunk totals combined by math.fsum.
+    Terms below _DIRECT_BELOW are summed one by one; the rest, over [a, b],
+    by Euler-Maclaurin: 2(sqrt(b) - sqrt(a)), written as
+    2(b - a)/(sqrt(b) + sqrt(a)) so that nothing cancels, plus the mean of
+    the end terms and the odd-derivative corrections
+    w_k (a^(1/2 - 2k) - b^(1/2 - 2k)).  All parts are combined by math.fsum.
     """
-    chunk_sums = []
-    for start in range(n_min, n_max + 1, _CHUNK):
-        n = np.arange(start, min(start + _CHUNK, n_max + 1), dtype=float)
-        chunk_sums.append(float(np.sum(1.0 / np.sqrt(n))))
-    return math.fsum(chunk_sums)
+    a = min(max(n_min, _DIRECT_BELOW), n_max + 1)
+    terms = [1.0 / math.sqrt(n) for n in range(n_min, a)]
+    if a <= n_max:
+        root_a, root_b = math.sqrt(a), math.sqrt(n_max)
+        terms += [2.0 * (n_max - a) / (root_b + root_a), 0.5 / root_a, 0.5 / root_b]
+        terms += [
+            w * (root_a ** (1 - 4 * k) - root_b ** (1 - 4 * k))
+            for k, w in enumerate(_EULER_MACLAURIN, 1)
+        ]
+    return math.fsum(terms)
 
 
 def chi_square_severity(x_obs: float, psi_star: float, system: DigitSystem) -> float:

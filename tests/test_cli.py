@@ -261,6 +261,23 @@ class TestCalibrate:
         )
         assert "0.006" in out and "110" in out and "25000" in out
 
+    def test_huge_nmax_returns_at_once(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-m", "benfordsev.cli", "calibrate", "--threshold", "0.006",
+             "--nmax", str(10**20), "--format", "json"],
+            capture_output=True, text=True, timeout=30, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 0, result.stderr
+        data = json.loads(result.stdout)
+        assert data["n_max"] == 10**20
+        assert math.isfinite(data["delta_star"]) and 0.0 < data["delta_star"] < 0.006
+
+    def test_nmax_beyond_the_float_range_is_config_error(self, capsys):
+        code, out, err = run_cli(capsys, "calibrate", "--threshold", "0.006", "--nmax", str(10**400))
+        assert code == 2 and out == ""
+        assert "largest float" in err
+
 
 class TestSimulate:
     def test_json_fields_and_determinism(self, capsys):
@@ -292,6 +309,12 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert "reps must be at least 2" in err
+
+    def test_n_beyond_the_multinomial_range_is_config_error(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--n", str(10**20), "--reps", "2")
+        assert code == 2
+        assert out == ""
+        assert "below 2**63" in err and "Traceback" not in err
 
 
 class TestSeverityCurve:
@@ -329,6 +352,15 @@ class TestSeverityCurve:
             "--tilde-delta", "2.0", "--grid", "0:0.01",
         )
         assert code != 0 and err.strip()
+
+    @pytest.mark.parametrize("grid", [",", " , ", "0:1:1000000000000", "0:1:100001"])
+    def test_empty_or_oversized_grid_is_config_error(self, capsys, grid):
+        code, out, err = run_cli(
+            capsys, "severity-curve", "--n", "1000", "--tilde-delta", "2.0", "--grid", grid,
+        )
+        assert code == 2
+        assert out == ""
+        assert "grid" in err
 
 
 class TestPlotdata:

@@ -267,6 +267,22 @@ class TestIngest:
         labels = [label for label, c in zip(FIRST_TWO_DIGITS.digit_labels, counts.counts) if c]
         assert labels == [15, 25, 50]
 
+    def test_each_cell_is_matched_once(self, monkeypatch):
+        calls = []
+
+        class CountingPattern:
+            def fullmatch(self, text):
+                calls.append(text)
+                return pattern.fullmatch(text)
+
+        pattern = digits._NUMERIC_RE
+        monkeypatch.setattr(digits, "_NUMERIC_RE", CountingPattern())
+        cells = ["12.5", " 0.034 "] * 1000
+        counts = ingest(io.StringIO("amount\n" + "\n".join(cells) + "\n"), FIRST_DIGIT)
+        assert counts.n == 2000 and counts.counts[0] == counts.counts[2] == 1000
+        # One match per cell, one for the header check and one per distinct head.
+        assert len(calls) <= len(cells) + 1 + 2
+
 
 # Differential tests: the batched ingestion against a per-token loop over
 # DigitSystem.extract that applies the skip rules one cell at a time.

@@ -113,6 +113,9 @@ class TestSimulate:
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError):
             SimulationSpec(system=FIRST_DIGIT, n=0, reps=10, seed=1)
+        # numpy's multinomial draws take n as a 64-bit signed integer.
+        with pytest.raises(ValueError, match="below 2"):
+            SimulationSpec(system=FIRST_DIGIT, n=2**63, reps=10, seed=1)
         with pytest.raises(ValueError):
             SimulationSpec(system=FIRST_DIGIT, n=10, reps=0, seed=1)
         # A standard deviation over replications needs at least two of them.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from benfordsev import severity
 from benfordsev.asymptotics import build_constants, mad_moments
 from benfordsev.benford import benford_probs
 from benfordsev.digits import DigitCounts, FIRST_DIGIT, FIRST_TWO_DIGITS
@@ -214,6 +215,22 @@ class TestDeltaStar:
         ) / (n_max - n_min + 1)
         config = CalibrationConfig(system=system, threshold=threshold, n_min=n_min, n_max=n_max)
         assert delta_star(config) == pytest.approx(reference, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n_min, n_max", [
+        (1, 1), (1, 2), (1, 63), (1, 64), (63, 64), (64, 64), (64, 65), (1, 1000),
+        (110, 25000), (1146, 25000), (110, 10**6), (12345, 10**12),
+        (2**53 - 5, 2**53 + 7), (10**19, 10**20), (1, 10**20),
+    ])
+    def test_sum_of_inverse_roots_against_hurwitz_zeta(self, n_min, n_max):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            exact = mpmath.zeta(0.5, n_min) - mpmath.zeta(0.5, n_max + 1)
+            got = severity._sum_inv_sqrt(n_min, n_max)
+            assert abs(got - exact) <= 4e-16 * exact
+
+    def test_n_max_beyond_the_float_range_is_refused(self):
+        with pytest.raises(ValueError, match="largest float"):
+            CalibrationConfig(system=FIRST_DIGIT, threshold=0.006, n_min=110, n_max=10**309)
 
 
 class TestChiSquareSeverity:
