@@ -13,9 +13,9 @@ import io
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, islice
-from operator import methodcaller
-from typing import Iterable, TextIO
+from itertools import chain, islice, repeat, tee
+from operator import itemgetter, methodcaller
+from typing import Iterable, Iterator, TextIO
 
 SKIP_EMPTY = "empty"
 SKIP_NON_NUMERIC = "non-numeric"
@@ -23,7 +23,11 @@ SKIP_ZERO = "zero-value"
 
 # The one numeric-token grammar.  Only ASCII digits count: str.isdigit and
 # the regex class \d would also admit other scripts' digits.
-_NUMERIC_RE = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+_NUMERIC = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_NUMERIC_RE = re.compile(_NUMERIC)
+# The numeric first field of each stripped line of a text: the grammar at a
+# line's start, up to whitespace or the line's end.
+_FIRST_FIELDS_RE = re.compile(rf"^{_NUMERIC}(?!\S)", re.MULTILINE)
 _CHUNK = 65536  # cells per batch in parse_records
 
 
@@ -123,35 +127,64 @@ def parse_records(
     non-numeric.  Returns the tokens (as decimal strings) and a map of skip
     reason -> count for cells that were empty or non-numeric.  Zeros are not
     filtered here; they are counted later, at digit extraction.  A delimiter
-    or decimal mark that is not one character, or a delimiter equal to the
-    decimal mark, raises ValueError.
+    or decimal mark that is not one character, a whitespace decimal mark, or
+    a delimiter equal to the decimal mark raises ValueError.
+
+    Whitespace-delimited text read by its first field is not split into
+    rows: one regex search per chunk of stripped lines reads the grammar at
+    each line's start, up to whitespace or the line's end, so a line of one
+    field and a line of several are read alike.
     """
     for name, mark in (("delimiter", delimiter), ("decimal mark", decimal_mark)):
         if mark is not None and len(mark) != 1:
             raise ValueError(f"the {name} must be one character, got {mark!r}")
+    if decimal_mark.isspace():
+        raise ValueError(f"the decimal mark must not be whitespace, got {decimal_mark!r}")
     if delimiter == decimal_mark:
         raise ValueError(f"the delimiter and the decimal mark are both {delimiter!r}")
     if isinstance(source, str):
         source = io.StringIO(source)
-    rows = _split_rows(source, delimiter, decimal_mark)
+    delimiter, lines = _sniff(source, delimiter, decimal_mark)
     skip_reasons: dict[str, int] = {}
     tokens: list[str] = []
-    first_row = next(rows, None)
+    if delimiter is None:
+        lines = filter(None, map(str.strip, lines))
+        first_line = next(lines, None)
+        first_row = first_line.split() if first_line else None
+        rows = map(str.split, lines)
+    else:
+        rows = filter(None, csv.reader(lines, delimiter=delimiter))
+        first_row = next(rows, None)
     if first_row is None:
         return tokens, skip_reasons
     index, is_header = _resolve_column(column, first_row, decimal_mark)
-    if not is_header:
-        rows = chain((first_row,), rows)
-    # Chunks hold cells, never row lists: tens of thousands of live lists
-    # make the cyclic garbage collector's passes slow.
-    cells = map(str.strip, (row[index] if index < len(row) else "" for row in rows))
+    first_fields = delimiter is None and index == 0
+    if first_fields:
+        cells = lines if is_header else chain((first_line,), lines)
+    else:
+        if not is_header:
+            rows = chain((first_row,), rows)
+        # Chunks hold cells, never row lists: tens of thousands of live lists
+        # make the cyclic garbage collector's passes slow.
+        cells = map(str.strip, (row[index] if index < len(row) else "" for row in rows))
     if decimal_mark != ".":
         cells = map(methodcaller("replace", decimal_mark, "."), cells)
     while chunk := list(islice(cells, _CHUNK)):
-        valid = list(filter(_NUMERIC_RE.fullmatch, chunk))
+        size, empty = len(chunk), chunk.count("")
+        if first_fields:
+            # One findall per chunk reads each line's first field; a line that
+            # holds a line break is cut to its first field beforehand.  The
+            # lines are freed before findall copies out the fields, which
+            # keeps the peak memory of a chunk at one copy of it.
+            text = "\n".join(chunk)
+            if text.count("\n") >= size:
+                text = "\n".join(line.split(None, 1)[0] for line in chunk)
+            chunk.clear()
+            valid = _FIRST_FIELDS_RE.findall(text)
+        else:
+            valid = list(filter(_NUMERIC_RE.fullmatch, chunk))
         tokens += valid
-        empty = chunk.count("")
-        non_numeric = len(chunk) - empty - len(valid)
+        non_numeric = size - empty - len(valid)
         # Skip reasons are listed in order of first occurrence.  When both are
         # new, non-numeric is first if a cell before the first empty one is.
         if empty and non_numeric and not skip_reasons:
@@ -163,12 +196,14 @@ def parse_records(
     return tokens, skip_reasons
 
 
-def _split_rows(source: TextIO | Iterable[str], delimiter: str | None, decimal_mark: str):
-    """Yield the non-blank rows of `source` as lists of cells, sniffing comma-delimited input.
+def _sniff(
+    source: TextIO | Iterable[str], delimiter: str | None, decimal_mark: str
+) -> tuple[str | None, Iterator[str]]:
+    """Return (delimiter, lines of `source`), sniffing comma-delimited input.
 
     A comma that is the decimal mark never makes the input comma-delimited.
     Lines are read lazily: only those up to the first non-blank one are read
-    ahead for sniffing.
+    ahead for sniffing.  A None delimiter means whitespace-delimited text.
     """
     lines = iter(source)
     if delimiter is None:
@@ -180,10 +215,7 @@ def _split_rows(source: TextIO | Iterable[str], delimiter: str | None, decimal_m
                     delimiter = ","
                 break
         lines = chain(buffered, lines)
-    if delimiter is not None:
-        yield from filter(None, csv.reader(lines, delimiter=delimiter))
-    else:
-        yield from filter(None, map(str.split, lines))
+    return delimiter, lines
 
 
 def _resolve_column(column, first_row, decimal_mark) -> tuple[int, bool]:
@@ -208,27 +240,37 @@ def count_digits(tokens: Iterable[str | float | int], system: DigitSystem) -> Di
     Floats and ints are read as the decimal text repr(float(x)).
     """
     texts = (t.strip() if isinstance(t, str) else repr(float(t)) for t in tokens)
-    return _tally(((bool(_NUMERIC_RE.fullmatch(t)), t.lstrip("+-0.")[:3]) for t in texts), system)
+    texts, checked = tee(texts)
+    counted = Counter(zip(map(bool, map(_NUMERIC_RE.fullmatch, checked)), _heads(texts, system)))
+    return _tally(((head if valid else None, n) for (valid, head), n in counted.items()), system)
 
 
-def _tally(checked: Iterable[tuple[bool, str]], system: DigitSystem) -> DigitCounts:
-    """Tally (valid, head) pairs, one per token, into a DigitCounts.
+def _heads(texts: Iterable[str], system: DigitSystem) -> Iterator[str]:
+    """Each text's head: its first 2*digits - 1 characters after any sign, leading zeros and point.
 
-    A head is the token's text after any sign, leading zeros and point, cut
-    to three characters.  It fixes the first two significant digits of a
-    valid token, so each distinct head goes once through the reference
-    extraction.  Skip reasons are listed in order of first occurrence.
+    The head of a valid token fixes its leading `digits` significant digits:
+    one character for the first digit, and three ("1.5") for the first two.
+    """
+    width = 2 * system.digits - 1
+    return map(itemgetter(slice(None, width)), map(str.lstrip, texts, repeat("+-0.")))
+
+
+def _tally(head_counts: Iterable[tuple[str | None, int]], system: DigitSystem) -> DigitCounts:
+    """Tally (head, count) pairs into a DigitCounts; a None head counts non-numeric tokens.
+
+    Each distinct head goes once through the reference extraction.  Skip
+    reasons are listed in the order of their first pair.
     """
     counts = [0] * system.k
     skip_reasons: dict[str, int] = {}
-    for (valid, head), count in Counter(checked).items():
+    for head, count in head_counts:
         # The head's mantissa is a valid token with the same leading digits;
         # it is empty for a zero value.
-        label = system.extract(re.split("[eE]", head)[0] or "0") if valid else None
+        label = None if head is None else system.extract(re.split("[eE]", head)[0] or "0")
         if label is not None:
             counts[system.label_index(label)] += count
         else:
-            reason = SKIP_ZERO if valid else SKIP_NON_NUMERIC
+            reason = SKIP_NON_NUMERIC if head is None else SKIP_ZERO
             skip_reasons[reason] = skip_reasons.get(reason, 0) + count
     return DigitCounts(system=system, counts=tuple(counts), skip_reasons=skip_reasons)
 
@@ -241,13 +283,15 @@ def ingest(
     delimiter: str | None = None,
     decimal_mark: str = ".",
 ) -> DigitCounts:
-    """Full ingestion pipeline: parse a stream, count digits, merge skip maps."""
+    """Full ingestion pipeline: parse a stream, count digits, merge skip maps.
+
+    The tokens parse_records returns have passed its check, so they are
+    counted by head in C, with no second check and no Python call per token.
+    """
     tokens, parse_skips = parse_records(
         source, column, delimiter=delimiter, decimal_mark=decimal_mark
     )
-    # Every token has passed parse_records' check and is tallied by its head
-    # without a second one.  The tally adds only zero-value skips, which are
-    # listed before the parse skips.
-    result = _tally(((True, t.lstrip("+-0.")[:3]) for t in tokens), system)
+    # The tally adds only zero-value skips, which are listed before the parse skips.
+    result = _tally(Counter(_heads(tokens, system)).items(), system)
     result.skip_reasons.update(parse_skips)
     return result

@@ -98,7 +98,12 @@ def n_min_for(system: DigitSystem) -> int:
 
 
 def _standardized(excess: float, n: int, system: DigitSystem) -> float:
-    """Excess MADs (a float or an array) in null standard deviations: k*sqrt(n)*x/sqrt(1'DRD1)."""
+    """Excess MADs (a float or an array) in null standard deviations: k*sqrt(n)*x/sqrt(1'DRD1).
+
+    A sample size beyond the float range raises ValueError.
+    """
+    if n > sys.float_info.max:
+        raise ValueError("the sample size exceeds the largest float, about 1.8e308")
     c = build_constants(system)
     return system.k * math.sqrt(n) * excess / math.sqrt(c.quad_form)
 

@@ -193,6 +193,16 @@ class TestAnalyze:
         assert out == ""
         assert "must be one character" in err
 
+    @pytest.mark.parametrize("mark", [" ", "\t"])
+    def test_whitespace_decimal_mark_is_config_error(self, tmp_path, capsys, mark):
+        # Read with a space as the decimal mark, "1 5" would be 1.5 or the field "1".
+        f = tmp_path / "ws.txt"
+        f.write_text(f"1{mark}5\n2{mark}5\n3{mark}5\n")
+        code, out, err = run_cli(capsys, "analyze", str(f), "--decimal-mark", mark, "--digits", "2")
+        assert code == 2
+        assert out == ""
+        assert "whitespace" in err
+
     @pytest.mark.parametrize("name, label", [("a,b.txt", None), ("data.txt", 'x "y", z')])
     def test_csv_report_quotes_cells(self, tmp_path, capsys, name, label):
         f = write_benford_like_file(tmp_path / name)
@@ -361,6 +371,13 @@ class TestSeverityCurve:
         assert code == 2
         assert out == ""
         assert "grid" in err
+
+    def test_n_beyond_the_float_range_is_config_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "severity-curve", "--n", str(10**400), "--tilde-delta", "2", "--grid", "0.001",
+        )
+        assert code == 2 and out == ""
+        assert "largest float" in err
 
 
 class TestPlotdata:

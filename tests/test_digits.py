@@ -12,7 +12,7 @@ from benfordsev.digits import (
     ColumnError,
     DigitCounts,
     DigitSystem,
-    _split_rows,
+    _sniff,
     count_digits,
     first_digit,
     first_two_digits,
@@ -157,6 +157,11 @@ class TestParseRecords:
         tokens, _ = parse_records(io.StringIO("1.5  2.5\n3.5 4.5\n"), column=1)
         assert tokens == ["2.5", "4.5"]
 
+    def test_whitespace_text_reads_the_first_field(self):
+        tokens, skips = parse_records(io.StringIO("1.5 a\n2.5\n\t\nx 3\n  4.5\x0cb\n"))
+        assert tokens == ["1.5", "2.5", "4.5"]
+        assert skips == {"non-numeric": 1}
+
     def test_decimal_mark_option(self):
         tokens, _ = parse_records(io.StringIO("3,14\n2,7\n"), delimiter=";", decimal_mark=",")
         assert tokens == ["3.14", "2.7"]
@@ -187,11 +192,17 @@ class TestParseRecords:
             _, skips = parse_records(io.StringIO(text), column="y")
             assert list(skips) == order
 
-    def test_split_rows_reads_lazily(self):
+    def test_line_holding_a_line_break_is_read_by_its_first_field(self):
+        tokens, skips = parse_records(["1\n2 x\n", "x 3\n", "4,5\n"], decimal_mark=",")
+        assert tokens == ["1", "4.5"] and skips == {"non-numeric": 1}
+
+    def test_sniff_reads_lazily(self):
         source = iter(["\n", "1,2\n", "3,4\n", "5,6\n"])
-        rows = _split_rows(source, None, ".")
-        assert next(rows) == ["1", "2"]
+        delimiter, lines = _sniff(source, None, ".")
+        assert delimiter == ","
+        # Only the lines up to the first non-blank one are read ahead.
         assert next(source) == "3,4\n"
+        assert list(lines) == ["\n", "1,2\n", "5,6\n"]
 
 
 class TestDigitCounts:
@@ -282,6 +293,34 @@ class TestIngest:
         assert counts.n == 2000 and counts.counts[0] == counts.counts[2] == 1000
         # One match per cell, one for the header check and one per distinct head.
         assert len(calls) <= len(cells) + 1 + 2
+
+    def test_each_text_line_is_matched_once(self, monkeypatch):
+        calls = []
+        texts = []
+
+        class CountingPattern:
+            def fullmatch(self, text):
+                calls.append(text)
+                return pattern.fullmatch(text)
+
+        class CountingLinesPattern:
+            def findall(self, text):
+                texts.append(text)
+                return lines_pattern.findall(text)
+
+        pattern, lines_pattern = digits._NUMERIC_RE, digits._FIRST_FIELDS_RE
+        monkeypatch.setattr(digits, "_NUMERIC_RE", CountingPattern())
+        monkeypatch.setattr(digits, "_FIRST_FIELDS_RE", CountingLinesPattern())
+        clean = [f"{i}.5" for i in range(100, 1100)]
+        multi = [f"{i}.25 \tn/a" if i % 2 else f"n/a{i}\x0c7" for i in range(100, 1100)]
+        lines = [line for pair in zip(clean, multi) for line in pair]
+        with small_chunks(64):
+            counts = ingest(io.StringIO("amount id\n" + "\n".join(lines) + "\n"), FIRST_DIGIT)
+        assert counts.n == 1000 + 500 and counts.skip_reasons == {"non-numeric": 500}
+        # One findall per chunk reads each line once, clean or not; the cell
+        # grammar checks only the header and one head per distinct head.
+        assert "\n".join(texts).split("\n") == lines
+        assert len(calls) <= 1 + 9
 
 
 # Differential tests: the batched ingestion against a per-token loop over
@@ -376,6 +415,16 @@ cell_texts = st.tuples(padding, st.one_of(numeric_texts(), st.sampled_from(JUNK)
 )
 
 
+@st.composite
+def whitespace_lines(draw):
+    """A line of cells joined by mixed whitespace, or a line of whitespace only."""
+    separators = st.sampled_from([" ", "\t", "  ", "\x0c", "\x1c"])
+    if draw(st.integers(min_value=0, max_value=5)) == 0:
+        return draw(st.lists(separators, max_size=3).map("".join))
+    cells = draw(st.lists(cell_texts, min_size=1, max_size=4))
+    return cells[0] + "".join(draw(separators) + cell for cell in cells[1:])
+
+
 def small_chunks(chunk):
     """Run the batched code with `chunk` cells or tokens per batch."""
     return mock.patch.object(digits, "_CHUNK", chunk)
@@ -425,12 +474,17 @@ class TestBatchedIngestionMatchesPerTokenLoop:
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     @given(
-        lines=st.lists(st.lists(cell_texts, max_size=4).map(" ".join), max_size=30),
-        column=st.integers(min_value=0, max_value=3),
+        lines=st.lists(whitespace_lines(), max_size=30),
+        header=st.booleans(),
+        column=st.sampled_from([None, 0, 1, 2, 3, "amount"]),
         decimal_mark=st.sampled_from([".", ","]),
         chunk=st.integers(min_value=1, max_value=8),
     )
-    def test_ingest_sniffed_text(self, scheme, lines, column, decimal_mark, chunk):
+    def test_ingest_sniffed_text(self, scheme, lines, header, column, decimal_mark, chunk):
+        if header:
+            lines = ["amount\t id", *lines]
+        elif column == "amount":
+            column = None
         text = "".join(line + "\n" for line in lines)
         with small_chunks(chunk):
             result = ingest(io.StringIO(text), scheme, column, decimal_mark=decimal_mark)
