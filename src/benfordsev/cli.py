@@ -33,7 +33,7 @@ from .severity import (
     severity_of_acceptance,
     severity_of_rejection,
 )
-from .specialfn import central_chi2_cdf
+from .specialfn import central_chi2_sf
 
 # The most delta* values a severity-curve grid may hold.
 MAX_GRID_POINTS = 100_000
@@ -266,7 +266,7 @@ def build_report(args, counts) -> AnalysisReport:
         severity_exceeds=severity_of_rejection(outcome.tilde_delta, ds, counts.n, system),
         severity_at_most=severity_of_acceptance(outcome.tilde_delta, ds, counts.n, system),
         chi_square=chi2,
-        chi_square_p=1.0 - central_chi2_cdf(chi2, system.k - 1),
+        chi_square_p=central_chi2_sf(chi2, system.k - 1),
         psi_star=args.psi_star,
         chi_square_severity=chi2_sev,
         digit_table=_digit_table(counts),

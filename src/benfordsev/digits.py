@@ -28,7 +28,7 @@ _NUMERIC_RE = re.compile(_NUMERIC)
 # The numeric first field of each stripped line of a text: the grammar at a
 # line's start, up to whitespace or the line's end.
 _FIRST_FIELDS_RE = re.compile(rf"^{_NUMERIC}(?!\S)", re.MULTILINE)
-_CHUNK = 65536  # cells per batch in parse_records
+_CHUNK = 65536  # cells per batch read by parse_records and ingest
 
 
 class ColumnError(ValueError):
@@ -135,6 +135,25 @@ def parse_records(
     each line's start, up to whitespace or the line's end, so a line of one
     field and a line of several are read alike.
     """
+    skip_reasons: dict[str, int] = {}
+    chunks = _valid_chunks(source, column, delimiter, decimal_mark, skip_reasons)
+    return list(chain.from_iterable(chunks)), skip_reasons
+
+
+def _valid_chunks(
+    source: TextIO | Iterable[str],
+    column: int | str | None,
+    delimiter: str | None,
+    decimal_mark: str,
+    skip_reasons: dict[str, int],
+) -> Iterator[list[str]]:
+    """Yield parse_records' tokens one chunk of `_CHUNK` cells at a time.
+
+    Each chunk's skip counts are added to `skip_reasons`, whose reasons are
+    listed in order of first occurrence.  Nothing here holds a chunk once the
+    next is read, so a caller that counts each chunk as it comes keeps memory
+    flat however long the input is.
+    """
     for name, mark in (("delimiter", delimiter), ("decimal mark", decimal_mark)):
         if mark is not None and len(mark) != 1:
             raise ValueError(f"the {name} must be one character, got {mark!r}")
@@ -145,8 +164,6 @@ def parse_records(
     if isinstance(source, str):
         source = io.StringIO(source)
     delimiter, lines = _sniff(source, delimiter, decimal_mark)
-    skip_reasons: dict[str, int] = {}
-    tokens: list[str] = []
     if delimiter is None:
         lines = filter(None, map(str.strip, lines))
         first_line = next(lines, None)
@@ -156,7 +173,7 @@ def parse_records(
         rows = filter(None, csv.reader(lines, delimiter=delimiter))
         first_row = next(rows, None)
     if first_row is None:
-        return tokens, skip_reasons
+        return
     index, is_header = _resolve_column(column, first_row, decimal_mark)
     first_fields = delimiter is None and index == 0
     if first_fields:
@@ -183,7 +200,6 @@ def parse_records(
             valid = _FIRST_FIELDS_RE.findall(text)
         else:
             valid = list(filter(_NUMERIC_RE.fullmatch, chunk))
-        tokens += valid
         non_numeric = size - empty - len(valid)
         # Skip reasons are listed in order of first occurrence.  When both are
         # new, non-numeric is first if a cell before the first empty one is.
@@ -193,7 +209,7 @@ def parse_records(
         for reason, count in ((SKIP_EMPTY, empty), (SKIP_NON_NUMERIC, non_numeric)):
             if count:
                 skip_reasons[reason] = skip_reasons.get(reason, 0) + count
-    return tokens, skip_reasons
+        yield valid
 
 
 def _sniff(
@@ -285,13 +301,17 @@ def ingest(
 ) -> DigitCounts:
     """Full ingestion pipeline: parse a stream, count digits, merge skip maps.
 
-    The tokens parse_records returns have passed its check, so they are
-    counted by head in C, with no second check and no Python call per token.
+    The input is read as parse_records reads it, one chunk at a time, and
+    each chunk's heads are counted before the next is read, so memory holds
+    about one chunk of cells however long the input is.  The tokens have
+    passed the parse check, so they are counted by head in C, with no second
+    check and no Python call per token.
     """
-    tokens, parse_skips = parse_records(
-        source, column, delimiter=delimiter, decimal_mark=decimal_mark
-    )
+    heads: Counter[str] = Counter()
+    parse_skips: dict[str, int] = {}
+    for tokens in _valid_chunks(source, column, delimiter, decimal_mark, parse_skips):
+        heads.update(_heads(tokens, system))
     # The tally adds only zero-value skips, which are listed before the parse skips.
-    result = _tally(Counter(_heads(tokens, system)).items(), system)
+    result = _tally(heads.items(), system)
     result.skip_reasons.update(parse_skips)
     return result

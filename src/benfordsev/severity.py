@@ -117,7 +117,7 @@ def run_test_from_proportions(p: np.ndarray, n: int, system: DigitSystem) -> Tes
         mad=observed_mad,
         excess_delta=excess,
         tilde_delta=tilde,
-        p_value=1.0 - specialfn.std_normal_cdf(tilde),
+        p_value=specialfn.std_normal_cdf(-tilde),
     )
 
 
@@ -154,11 +154,7 @@ def severity_of_rejection(
     tilde_delta_obs: float, delta_star: float, n: int, system: DigitSystem
 ) -> float:
     """Severity of the claim "excess MAD exceeds delta_star" after a rejection."""
-    if delta_star < 0.0:
-        raise ValueError("delta_star must be nonnegative")
-    if n < 1:
-        raise ValueError("sample size must be at least 1")
-    return generic_normal_severity(tilde_delta_obs, _standardized(delta_star, n, system))
+    return generic_normal_severity(tilde_delta_obs, _noncentrality(delta_star, n, system))
 
 
 def severity_of_acceptance(
@@ -166,9 +162,19 @@ def severity_of_acceptance(
 ) -> float:
     """Severity of the mirror claim "excess MAD is at most delta_star".
 
-    Exact complement of severity_of_rejection at identical arguments.
+    The complement of severity_of_rejection, computed as its own normal tail
+    Phi(ncp - tilde) so that it keeps its accuracy where it is near 0.
     """
-    return 1.0 - severity_of_rejection(tilde_delta_obs, delta_star, n, system)
+    return specialfn.std_normal_cdf(_noncentrality(delta_star, n, system) - tilde_delta_obs)
+
+
+def _noncentrality(delta_star: float, n: int, system: DigitSystem) -> float:
+    """The benchmark delta_star in null standard deviations: the test's mean under it."""
+    if delta_star < 0.0:
+        raise ValueError("delta_star must be nonnegative")
+    if n < 1:
+        raise ValueError("sample size must be at least 1")
+    return _standardized(delta_star, n, system)
 
 
 def delta_star(config: CalibrationConfig) -> float:

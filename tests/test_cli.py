@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -11,8 +12,8 @@ from pathlib import Path
 import pytest
 
 from benfordsev.benford import benford_probs
-from benfordsev.cli import main
-from benfordsev.digits import FIRST_DIGIT
+from benfordsev.cli import build_report, main
+from benfordsev.digits import FIRST_DIGIT, DigitCounts
 
 
 def write_benford_like_file(path, n=2000):
@@ -60,6 +61,28 @@ class TestAnalyze:
         report = json.loads(out)
         assert report["p_value"] < 1e-6
         assert report["severity_exceeds"] > 0.99
+
+    def test_large_sample_tails_match_mpmath(self):
+        # n = 10^6 with digit 1 up and digit 2 down by 0.004: tilde delta ~ 9.98,
+        # so both p-values lie far out in the upper tail.
+        mpmath = pytest.importorskip("mpmath")
+        n = 10**6
+        counts = [round(n * b) for b in benford_probs(FIRST_DIGIT)]
+        counts[0] += 4000
+        counts[1] -= 4000
+        counts[8] += n - sum(counts)
+        args = argparse.Namespace(delta_star=None, psi_star=None, label=None, file="sample")
+        report = build_report(args, DigitCounts(FIRST_DIGIT, tuple(counts)))
+        assert report.n == n and report.tilde_delta == pytest.approx(9.98, abs=0.01)
+        normal_p = mpmath.ncdf(-mpmath.mpf(report.tilde_delta))
+        chi_square_p = mpmath.gammainc(4, report.chi_square / 2, mpmath.inf, regularized=True)
+        # 8.9e-24 and 3.4e-27
+        assert report.p_value == pytest.approx(float(normal_p), rel=1e-12, abs=0.0)
+        assert report.chi_square_p == pytest.approx(float(chi_square_p), rel=1e-12, abs=0.0)
+        # At delta* = 0, "excess MAD is at most 0" is graded by the p-value itself.
+        args.delta_star = 0.0
+        at_zero = build_report(args, DigitCounts(FIRST_DIGIT, tuple(counts)))
+        assert at_zero.severity_at_most == report.p_value
 
     def test_json_round_trips_bit_exactly(self, tmp_path, capsys):
         f = write_benford_like_file(tmp_path / "data.txt")

@@ -1,5 +1,6 @@
 import csv
 import io
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -321,6 +322,25 @@ class TestIngest:
         # grammar checks only the header and one head per distinct head.
         assert "\n".join(texts).split("\n") == lines
         assert len(calls) <= 1 + 9
+
+    @pytest.mark.parametrize("column", [None, 1], ids=["text-first-field", "csv-column"])
+    def test_peak_memory_does_not_grow_with_the_input(self, column):
+        def peak(chunks):
+            # Distinct values, made one line at a time as they are read.
+            values = (f"{i % 97 + 1}.{i:06d}" for i in range(chunks * 1000))
+            lines = (f"{i},{v}\n" if column else f"{v}\n" for i, v in enumerate(values))
+            tracemalloc.start()
+            try:
+                with small_chunks(1000):
+                    counts = ingest(lines, FIRST_TWO_DIGITS, column)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert counts.n == chunks * 1000
+            return peak
+
+        # Held tokens would make 50 chunks cost ~20 times what 2 do.
+        assert peak(50) <= 1.5 * peak(2)
 
 
 # Differential tests: the batched ingestion against a per-token loop over

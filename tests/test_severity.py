@@ -40,7 +40,7 @@ class TestRunTest:
         c = build_constants(FIRST_DIGIT)
         expected = 9.0 * math.sqrt(1000) * outcome.excess_delta / math.sqrt(c.quad_form)
         assert abs(outcome.tilde_delta - expected) <= 1e-12
-        assert outcome.p_value == 1.0 - std_normal_cdf(outcome.tilde_delta)
+        assert outcome.p_value == std_normal_cdf(-outcome.tilde_delta)
 
     def test_counts_and_proportions_routes_agree(self):
         counts = DigitCounts(system=FIRST_DIGIT, counts=(300, 170, 130, 99, 81, 70, 60, 50, 40))
@@ -126,10 +126,11 @@ class TestSeverityOfAcceptance:
         st.integers(min_value=1, max_value=10**6),
     )
     @settings(max_examples=60)
-    def test_complementarity_exact(self, tilde, ds, n):
+    def test_complementarity(self, tilde, ds, n):
+        # Each is its own normal tail, so their sum is 1 up to its rounding.
         rejection = severity_of_rejection(tilde, ds, n, FIRST_DIGIT)
         acceptance = severity_of_acceptance(tilde, ds, n, FIRST_DIGIT)
-        assert rejection + acceptance == 1.0
+        assert abs(rejection + acceptance - 1.0) <= 2.0**-53
 
     def test_nonrejection_row_accepts_with_high_severity(self):
         result = severity_of_acceptance(1.018, 0.00037, 19509, FIRST_TWO_DIGITS)
@@ -138,6 +139,16 @@ class TestSeverityOfAcceptance:
     def test_large_n_at_zero_statistic(self):
         result = severity_of_acceptance(0.0, 0.00321, 10**7, FIRST_DIGIT)
         assert result == pytest.approx(1.0, abs=1e-12)
+
+    def test_far_tail_matches_mpmath(self):
+        # At delta* = 0 the acceptance severity is Phi(-tilde), the p-value;
+        # it stays accurate out to tilde ~ 37, where it is ~1e-300.
+        mpmath = pytest.importorskip("mpmath")
+        for i in range(0, 149):
+            tilde = i / 4
+            result = severity_of_acceptance(tilde, 0.0, 10**6, FIRST_DIGIT)
+            assert result == pytest.approx(float(mpmath.ncdf(-tilde)), rel=1e-12, abs=0.0)
+            assert result > 0.0
 
 
 class TestNMin:

@@ -14,6 +14,7 @@ from hypothesis import given, strategies as st
 from benfordsev.specialfn import (
     MAX_NONCENTRALITY,
     central_chi2_cdf,
+    central_chi2_sf,
     noncentral_chi2_cdf,
     regularized_lower_gamma,
     std_normal_cdf,
@@ -104,6 +105,29 @@ class TestCentralChi2:
             central_chi2_cdf(1.0, df)
 
 
+class TestCentralChi2Sf:
+    @pytest.mark.parametrize("df", [1, 8, 89])
+    def test_complements_the_cdf(self, df):
+        # Across the switch from 1 - P to the continued fraction at x = df + 2.
+        for i in range(0, 81):
+            x = (df + 2.0) * i / 40.0
+            assert central_chi2_sf(x, df) == pytest.approx(1.0 - central_chi2_cdf(x, df), abs=1e-14)
+
+    @pytest.mark.parametrize("df", [1, 8, 89])
+    def test_far_tail_matches_mpmath(self, df):
+        # Out to where the tail underflows, ~1e-300.
+        mpmath = pytest.importorskip("mpmath")
+        x = float(df)
+        while (expected := mpmath.gammainc(df / 2, x / 2, mpmath.inf, regularized=True)) > 1e-300:
+            assert central_chi2_sf(x, df) == pytest.approx(float(expected), rel=1e-12, abs=0.0)
+            x *= 1.1
+
+    @pytest.mark.parametrize("df", [0, -3, 2.5])
+    def test_bad_df(self, df):
+        with pytest.raises(ValueError):
+            central_chi2_sf(1.0, df)
+
+
 class TestNoncentralChi2:
     def test_zero_noncentrality_degenerates(self):
         for x in (0.5, 3.0, 10.0, 30.0):
@@ -117,6 +141,19 @@ class TestNoncentralChi2:
     def test_frozen_oracle_values(self):
         assert noncentral_chi2_cdf(10.0, 8, 5.0) == pytest.approx(NC_10_8_5, abs=1e-9)
         assert noncentral_chi2_cdf(30.0, 8, 10.0) == pytest.approx(NC_30_8_10, abs=1e-9)
+
+    def test_keeps_its_mass_at_large_noncentrality(self):
+        assert noncentral_chi2_cdf(1e300, 8, MAX_NONCENTRALITY) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("lam", [1e4, 1e5, 1e6])
+    @pytest.mark.parametrize("df", [8, 89])
+    def test_large_noncentrality_matches_scipy(self, df, lam):
+        ncx2 = pytest.importorskip("scipy.stats").ncx2
+        spread = 20.0 * math.sqrt(lam)
+        near = [lam + df - spread + i * spread / 20.0 for i in range(41)]
+        wide = [i * 3.0 * lam / 40.0 for i in range(1, 41)]
+        for x in near + wide:
+            assert noncentral_chi2_cdf(x, df, lam) == pytest.approx(ncx2.cdf(x, df, lam), abs=1e-11)
 
     def test_large_noncentrality_stays_stable(self):
         # Mixture must start at the modal Poisson index or these underflow.
