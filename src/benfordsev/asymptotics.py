@@ -14,9 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-import numpy as np
-
-from .benford import benford_probs
+from .benford import benford_probs, pairwise_sum
 from .digits import DigitSystem
 
 _TWO_OVER_PI = 2.0 / math.pi
@@ -26,10 +24,10 @@ _TWO_OVER_PI = 2.0 / math.pi
 class AsymptoticConstants:
     """Scheme-level constants of the MAD's limiting normal distribution."""
 
-    d_vec: np.ndarray      # sqrt(b_j (1 - b_j)) per digit cell
-    R: np.ndarray          # k x k covariance matrix of the folded deviations
-    sum_d: float           # plain sum of d_vec
-    quad_form: float       # d_vec . R . d_vec
+    d_vec: tuple[float, ...]            # sqrt(b_j (1 - b_j)) per digit cell
+    R: tuple[tuple[float, ...], ...]    # k x k covariance matrix of the folded deviations
+    sum_d: float                        # plain sum of d_vec
+    quad_form: float                    # d_vec . R . d_vec
 
 
 class MadMoments(NamedTuple):
@@ -37,20 +35,29 @@ class MadMoments(NamedTuple):
     sd: float
 
 
+def _folded_cov(rho: float) -> float:
+    """Covariance of |X| and |Y| for standard normals X and Y of correlation rho."""
+    return _TWO_OVER_PI * (rho * math.asin(rho) + math.sqrt(1.0 - rho * rho)) - _TWO_OVER_PI
+
+
 @lru_cache(maxsize=None)
 def build_constants(system: DigitSystem) -> AsymptoticConstants:
     """Constants for `system`, cached after the first construction."""
     b = benford_probs(system)
-    d_vec = np.sqrt(b * (1.0 - b))
-
+    d_vec = tuple(math.sqrt(bi * (1.0 - bi)) for bi in b)
     # Pairwise correlations; the diagonal is the self-correlation 1, which
     # makes the diagonal of R the folded-normal variance 1 - 2/pi.
-    rho_mat = -np.sqrt(np.outer(b, b) / np.outer(1.0 - b, 1.0 - b))
-    np.fill_diagonal(rho_mat, 1.0)
-    R = _TWO_OVER_PI * (rho_mat * np.arcsin(rho_mat) + np.sqrt(1.0 - rho_mat**2)) - _TWO_OVER_PI
-
-    sum_d = float(np.sum(d_vec))
-    quad_form = float(d_vec @ R @ d_vec)
+    R = tuple(
+        tuple(
+            _folded_cov(1.0 if i == j else -math.sqrt(bi * bj / ((1.0 - bi) * (1.0 - bj))))
+            for j, bj in enumerate(b)
+        )
+        for i, bi in enumerate(b)
+    )
+    sum_d = pairwise_sum(d_vec)
+    # Every product summed exactly and rounded once, so no BLAS kernel's
+    # order of additions shows in the result.
+    quad_form = math.fsum(di * rij * dj for di, row in zip(d_vec, R) for rij, dj in zip(row, d_vec))
     return AsymptoticConstants(d_vec=d_vec, R=R, sum_d=sum_d, quad_form=quad_form)
 
 

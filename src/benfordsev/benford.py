@@ -3,52 +3,67 @@
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-
-import numpy as np
+from functools import lru_cache, reduce
+from operator import add
+from typing import Sequence
 
 from .digits import DigitCounts, DigitSystem
 
 
 @lru_cache(maxsize=None)
-def benford_probs(system: DigitSystem) -> np.ndarray:
+def benford_probs(system: DigitSystem) -> tuple[float, ...]:
     """Digit probabilities log10(1 + 1/d) for every label of `system`, length k.
 
-    Built once per scheme; the cached array is read-only because every
-    caller shares it.
+    Built once per scheme and shared by every caller.
     """
-    b = np.array([math.log10(1.0 + 1.0 / d) for d in system.digit_labels])
-    b.flags.writeable = False
-    return b
+    return tuple(math.log10(1.0 + 1.0 / d) for d in system.digit_labels)
 
 
-def proportions(counts: DigitCounts) -> np.ndarray:
+def proportions(counts: DigitCounts) -> tuple[float, ...]:
     """Observed digit proportions counts / n, length k."""
     n = counts.n
     if n < 1:
         raise ValueError("cannot form proportions from an empty sample")
-    return np.asarray(counts.counts, dtype=float) / n
+    return tuple(float(c) / n for c in counts.counts)
 
 
-def _check_match(p: np.ndarray, b: np.ndarray) -> None:
+def pairwise_sum(xs: Sequence[float]) -> float:
+    """Sum of `xs` added in numpy's pairwise order, so it equals np.sum bit for bit.
+
+    Below 8 terms it adds left to right; up to 128 it keeps 8 strided partial
+    sums; longer runs are halved at a multiple of 8.  Builtin sum() would not
+    do: from Python 3.12 it compensates, so it rounds differently.
+    """
+    n = len(xs)
+    if n < 8:
+        return reduce(add, xs, 0.0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return pairwise_sum(xs[:half]) + pairwise_sum(xs[half:])
+    stop = n - n % 8
+    r = [reduce(add, xs[j:stop:8], 0.0) for j in range(8)]
+    return reduce(add, xs[stop:], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+
+
+def _check_match(p: Sequence[float], b: Sequence[float]) -> None:
     if len(p) != len(b):
         raise ValueError(f"dimension mismatch: {len(p)} proportions vs {len(b)} probabilities")
 
 
-def mad(p: np.ndarray, b: np.ndarray) -> float:
+def mad(p: Sequence[float], b: Sequence[float]) -> float:
     """Mean absolute deviation between observed proportions and the law."""
     _check_match(p, b)
-    return float(np.mean(np.abs(p - b)))
+    return float(pairwise_sum([abs(pi - bi) for pi, bi in zip(p, b)]) / len(b))
 
 
-def psi(p: np.ndarray, b: np.ndarray, n: int) -> float:
+def psi(p: Sequence[float], b: Sequence[float], n: int) -> float:
     """Pearson-form quadratic distance n * sum((p_i - b_i)^2 / b_i)."""
     _check_match(p, b)
     if n < 1:
         raise ValueError("sample size must be at least 1")
-    return float(n * np.sum((p - b) ** 2 / b))
+    return float(n * pairwise_sum([(pi - bi) * (pi - bi) / bi for pi, bi in zip(p, b)]))
 
 
-def chi_square_stat(counts: DigitCounts, b: np.ndarray) -> float:
+def chi_square_stat(counts: DigitCounts, b: Sequence[float]) -> float:
     """Pearson's goodness-of-fit statistic; identical to psi on the sample."""
     return psi(proportions(counts), b, counts.n)

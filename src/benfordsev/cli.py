@@ -439,7 +439,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
+    except (OSError, ValueError, MemoryError, argparse.ArgumentTypeError) as exc:
         print(f"benfordsev: error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -4,7 +4,8 @@ Samples digit counts from the exact digit law and compares the empirical
 behaviour of the MAD and its standardized form against the theoretical
 moments.  Each replication draws from its own PCG64 stream, derived from the
 seed and the replication index, so a run is reproducible bit for bit; the
-statistics are then computed over all replications at once.
+statistics are then computed over all replications at once.  numpy is
+imported inside the functions that use it, so no other command loads it.
 """
 
 from __future__ import annotations
@@ -12,13 +13,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .asymptotics import build_constants, mad_moments
 from .benford import benford_probs
 from .digits import DigitCounts, DigitSystem
 from .severity import _standardized
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -70,6 +73,8 @@ class SimulationReport:
 
 def replication_rng(seed: int, rep: int) -> np.random.Generator:
     """The generator of replication `rep` in a run seeded `seed`."""
+    import numpy as np
+
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep,)))
 
 
@@ -84,8 +89,10 @@ def sample_benford_counts(system: DigitSystem, n: int, rng: np.random.Generator)
 
 def simulate(spec: SimulationSpec) -> SimulationReport:
     """Run the replications and report empirical vs theoretical moments."""
+    import numpy as np
+
     system, n, reps = spec.system, spec.n, spec.reps
-    b = benford_probs(system)
+    b = np.asarray(benford_probs(system))
     # One array is reused in place: counts, then |p - b|, then the folded
     # deviations sqrt(n)|p - b|/d, in the same operation order as a single test.
     folded = np.empty((reps, system.k))

@@ -15,8 +15,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Sequence
 
 from . import specialfn
 from .asymptotics import build_constants, mad_moments
@@ -108,7 +107,7 @@ def _standardized(excess: float, n: int, system: DigitSystem) -> float:
     return system.k * math.sqrt(n) * excess / math.sqrt(c.quad_form)
 
 
-def run_test_from_proportions(p: np.ndarray, n: int, system: DigitSystem) -> TestOutcome:
+def run_test_from_proportions(p: Sequence[float], n: int, system: DigitSystem) -> TestOutcome:
     """Excess-MAD normal test computed from proportions and sample size."""
     observed_mad = mad(p, benford_probs(system))
     excess = observed_mad - mad_moments(system, n).mean

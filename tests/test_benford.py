@@ -35,25 +35,25 @@ class TestBenfordProbs:
 
     @pytest.mark.parametrize("system", [FIRST_DIGIT, FIRST_TWO_DIGITS])
     def test_sums_to_one(self, system):
-        assert abs(benford_probs(system).sum() - 1.0) <= 1e-12
+        assert abs(math.fsum(benford_probs(system)) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("system", [FIRST_DIGIT, FIRST_TWO_DIGITS])
     def test_strictly_decreasing(self, system):
         b = benford_probs(system)
-        assert np.all(np.diff(b) < 0)
+        assert all(later < earlier for earlier, later in zip(b, b[1:]))
 
     def test_first_two_aggregates_to_first(self):
         b9 = benford_probs(FIRST_DIGIT)
         b90 = benford_probs(FIRST_TWO_DIGITS)
         for d in range(1, 10):
-            block = b90[(10 * d - 10):(10 * d)].sum()
+            block = math.fsum(b90[(10 * d - 10):(10 * d)])
             assert abs(block - b9[d - 1]) <= 1e-12
 
 
 class TestProportions:
     def test_uniform_counts(self):
         counts = make_counts([1] * 9)
-        assert np.allclose(proportions(counts), 1.0 / 9.0, atol=0, rtol=0)
+        assert all(p == 1.0 / 9.0 for p in proportions(counts))
         assert counts.n == 9
 
     def test_rounded_benford_counts_recover_probs(self):
@@ -61,7 +61,7 @@ class TestProportions:
         b = benford_probs(FIRST_DIGIT)
         counts = make_counts([round(n * bi) for bi in b])
         assert counts.n == n
-        assert np.max(np.abs(proportions(counts) - b)) <= 5e-7
+        assert max(abs(p - bi) for p, bi in zip(proportions(counts), b)) <= 5e-7
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
@@ -71,7 +71,7 @@ class TestProportions:
 class TestMad:
     def test_zero_at_exact_law(self):
         b = benford_probs(FIRST_DIGIT)
-        p = b.copy()
+        p = list(b)
         assert mad(p, b) == 0.0
 
     def test_uniform_proportions(self):
@@ -87,7 +87,7 @@ class TestMad:
 
     def test_nonnegative_and_bounded(self):
         b = benford_probs(FIRST_DIGIT)
-        bound = (2.0 / 9.0) * (1.0 - b.min())
+        bound = (2.0 / 9.0) * (1.0 - min(b))
         rng = np.random.default_rng(7)
         for _ in range(200):
             raw = rng.dirichlet(np.ones(9))
@@ -98,7 +98,7 @@ class TestMad:
 class TestChiSquare:
     def test_zero_at_exact_law(self):
         b = benford_probs(FIRST_DIGIT)
-        p = b.copy()
+        p = list(b)
         assert psi(p, b, 1000) == 0.0
 
     def test_single_count_on_digit_one(self):

@@ -349,6 +349,16 @@ class TestSimulate:
         assert out == ""
         assert "below 2**63" in err and "Traceback" not in err
 
+    def test_reps_beyond_any_memory_is_config_error(self, capsys):
+        # 10^12 replications of 90 cells need 655 TiB, more than a 47-bit
+        # address space holds, so the allocation fails at once.
+        code, out, err = run_cli(
+            capsys, "simulate", "--digits", "2", "--n", "10", "--reps", str(10**12)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("benfordsev: error:") and "allocate" in err
+
 
 class TestSeverityCurve:
     def test_curve_monotone_and_anchored(self, capsys):
@@ -447,3 +457,42 @@ def test_non_finite_number_is_config_error(tmp_path, capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert "finite" in captured.err
+
+
+NUMPY_FREE_SCRIPT = """
+import json, sys
+from benfordsev.cli import main
+
+for argv in json.loads(sys.argv[1]):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --version
+        code = exc.code
+    assert code == 0, argv
+assert "numpy" not in sys.modules, "numpy was imported"
+assert main(["simulate", "--n", "100", "--reps", "3", "--format", "json"]) == 0
+"""
+
+
+def test_only_simulate_imports_numpy(tmp_path):
+    golden = Path(__file__).parent / "golden"
+    values, ledger = str(golden / "values.txt"), str(golden / "ledger.csv")
+    commands = [
+        ["analyze", values],
+        ["analyze", values, "--digits", "2", "--format", "json"],
+        ["analyze", values, "--psi-star", "10", "--format", "csv"],
+        ["analyze", ledger, "--column", "amount", "--digits", "2"],
+        ["analyze", ledger, "--column", "amount", "--psi-star", "10", "--format", "json"],
+        ["plotdata", values, "--digits", "2", "--out", str(tmp_path / "plot.csv")],
+        ["calibrate", "--threshold", "0.006"],
+        ["calibrate", "--digits", "2", "--threshold", "0.0012", "--format", "json"],
+        ["severity-curve", "--n", "19451", "--tilde-delta", "6.621", "--grid", "0:0.008:5"],
+        ["--version"],
+    ]
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_SCRIPT, json.dumps(commands)],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert '"empirical_mad_mean"' in result.stdout

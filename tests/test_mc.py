@@ -42,7 +42,7 @@ class TestSampleBenfordCounts:
         # Mean counts over many replications approach n*b within 3 MC
         # standard errors per digit.
         reps, n = 600, 1000
-        b = benford_probs(FIRST_DIGIT)
+        b = np.asarray(benford_probs(FIRST_DIGIT))
         rng = np.random.default_rng(1234)
         totals = np.zeros(9)
         for _ in range(reps):
@@ -126,8 +126,8 @@ class TestSimulate:
 def reference_simulate(spec: SimulationSpec) -> SimulationReport:
     """One replication at a time: draw, form proportions, run the test, fold."""
     system, n, reps = spec.system, spec.n, spec.reps
-    b = benford_probs(system)
-    d_vec = build_constants(system).d_vec
+    b = np.asarray(benford_probs(system))
+    d_vec = np.asarray(build_constants(system).d_vec)
     mads, tildes, folded = [], [], []
     for r in range(reps):
         counts = sample_benford_counts(system, n, replication_rng(spec.seed, r))
@@ -135,7 +135,7 @@ def reference_simulate(spec: SimulationSpec) -> SimulationReport:
         outcome = run_test_from_proportions(p, n, system)
         mads.append(outcome.mad)
         tildes.append(outcome.tilde_delta)
-        folded.append(math.sqrt(n) * np.abs(p - b) / d_vec)
+        folded.append(math.sqrt(n) * np.abs(np.asarray(p) - b) / d_vec)
     mads, tildes, folded = np.array(mads), np.array(tildes), np.array(folded)
     moments = mad_moments(system, n)
     return SimulationReport(
