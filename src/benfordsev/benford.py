@@ -28,19 +28,13 @@ def proportions(counts: DigitCounts) -> tuple[float, ...]:
 
 
 def pairwise_sum(xs: Sequence[float]) -> float:
-    """Sum of `xs` added in numpy's pairwise order, so it equals np.sum bit for bit.
+    """Sum of `xs` added in numpy's pairwise order, so up to 128 terms it equals np.sum bit for bit.
 
-    Below 8 terms it adds left to right; up to 128 it keeps 8 strided partial
-    sums; longer runs are halved at a multiple of 8.  Builtin sum() would not
-    do: from Python 3.12 it compensates, so it rounds differently.
+    It keeps 8 strided partial sums and adds the last len(xs) % 8 terms to
+    their total; below 8 terms that is the left-to-right sum.  Builtin sum()
+    would not do: from Python 3.12 it compensates, so it rounds differently.
     """
-    n = len(xs)
-    if n < 8:
-        return reduce(add, xs, 0.0)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return pairwise_sum(xs[:half]) + pairwise_sum(xs[half:])
-    stop = n - n % 8
+    stop = len(xs) - len(xs) % 8
     r = [reduce(add, xs[j:stop:8], 0.0) for j in range(8)]
     return reduce(add, xs[stop:], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
 

@@ -40,7 +40,11 @@ class SimulationSpec:
 
 @dataclass(frozen=True)
 class SimulationReport:
-    spec: SimulationSpec
+    digits: int
+    k: int
+    n: int
+    reps: int
+    seed: int
     empirical_mad_mean: float
     empirical_mad_sd: float
     theoretical_mad_mean: float
@@ -53,22 +57,8 @@ class SimulationReport:
     tilde_delta_mean_se: float
     folded_mean_se: tuple[float, ...]
 
-    def to_dict(self) -> dict:
-        """The report's fields in JSON order, with the spec flattened in front."""
-        data = asdict(self)
-        del data["spec"]
-        spec = self.spec
-        return {
-            "digits": spec.system.digits,
-            "k": spec.system.k,
-            "n": spec.n,
-            "reps": spec.reps,
-            "seed": spec.seed,
-            **data,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps(asdict(self), indent=2)
 
 
 def replication_rng(seed: int, rep: int) -> np.random.Generator:
@@ -111,7 +101,11 @@ def simulate(spec: SimulationSpec) -> SimulationReport:
     moments = mad_moments(system, n)
     tildes = _standardized(mads - moments.mean, n, system)
     return SimulationReport(
-        spec=spec,
+        digits=system.digits,
+        k=system.k,
+        n=n,
+        reps=reps,
+        seed=spec.seed,
         empirical_mad_mean=float(mads.mean()),
         empirical_mad_sd=float(mads.std(ddof=1)),
         theoretical_mad_mean=moments.mean,

@@ -54,21 +54,11 @@ class CalibrationConfig:
         if self.n_max > sys.float_info.max:
             raise ValueError("n_max exceeds the largest float, about 1.8e308")
 
-    @staticmethod
-    def default(system: DigitSystem) -> "CalibrationConfig":
-        return CalibrationConfig(
-            system=system,
-            threshold=DEFAULT_CLOSE_THRESHOLD[system.k],
-            n_min=n_min_for(system),
-            n_max=DEFAULT_N_MAX,
-        )
 
-
-# Shipped defaults: close-conformity MAD thresholds and the substantive
-# discrepancy benchmarks they calibrate to over n in [n_min, 25000].
-# Every analysis accepts an override; the benchmark should really come from
-# knowledge of the phenomenon under scrutiny.
-DEFAULT_CLOSE_THRESHOLD = {9: 0.006, 90: 0.0012}
+# Shipped defaults: the substantive discrepancy benchmarks that the
+# close-conformity MAD thresholds 0.006 (k = 9) and 0.0012 (k = 90) calibrate
+# to over n in [n_min, 25000].  Every analysis accepts an override; the
+# benchmark should really come from knowledge of the phenomenon under scrutiny.
 DEFAULT_DELTA_STAR = {9: 0.00321, 90: 0.00037}
 DEFAULT_N_MAX = 25000
 # Expected count per digit cell below which the normal approximation is
@@ -239,7 +229,6 @@ def chi_square_severity(x_obs: float, psi_star: float, system: DigitSystem) -> f
 __all__ = [
     "CalibrationConfig",
     "CalibrationWarning",
-    "DEFAULT_CLOSE_THRESHOLD",
     "DEFAULT_DELTA_STAR",
     "DEFAULT_N_MAX",
     "MIN_EXPECTED_COUNT",

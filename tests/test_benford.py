@@ -7,6 +7,7 @@ from benfordsev.benford import (
     benford_probs,
     chi_square_stat,
     mad,
+    pairwise_sum,
     proportions,
     psi,
 )
@@ -128,3 +129,12 @@ class TestChiSquare:
         b = benford_probs(FIRST_DIGIT)
         with pytest.raises(ValueError):
             chi_square_stat(make_counts([0] * 9), b)
+
+
+def test_pairwise_sum_equals_numpy_sum_bit_for_bit():
+    # Terms of mixed sign and magnitude, so the order of the additions shows in the rounding.
+    rng = np.random.default_rng(2202)
+    for length in range(129):
+        for _ in range(50):
+            xs = rng.standard_normal(length) * 10.0 ** rng.integers(-8, 9, length)
+            assert pairwise_sum(xs.tolist()) == np.sum(xs), length

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from benfordsev.benford import benford_probs
-from benfordsev.cli import build_report, main
+from benfordsev.cli import Report, build_report, main
 from benfordsev.digits import FIRST_DIGIT, DigitCounts
 
 
@@ -72,17 +72,17 @@ class TestAnalyze:
         counts[1] -= 4000
         counts[8] += n - sum(counts)
         args = argparse.Namespace(delta_star=None, psi_star=None, label=None, file="sample")
-        report = build_report(args, DigitCounts(FIRST_DIGIT, tuple(counts)))
-        assert report.n == n and report.tilde_delta == pytest.approx(9.98, abs=0.01)
-        normal_p = mpmath.ncdf(-mpmath.mpf(report.tilde_delta))
-        chi_square_p = mpmath.gammainc(4, report.chi_square / 2, mpmath.inf, regularized=True)
+        report = build_report(args, DigitCounts(FIRST_DIGIT, tuple(counts))).fields
+        assert report["n"] == n and report["tilde_delta"] == pytest.approx(9.98, abs=0.01)
+        normal_p = mpmath.ncdf(-mpmath.mpf(report["tilde_delta"]))
+        chi_square_p = mpmath.gammainc(4, report["chi_square"] / 2, mpmath.inf, regularized=True)
         # 8.9e-24 and 3.4e-27
-        assert report.p_value == pytest.approx(float(normal_p), rel=1e-12, abs=0.0)
-        assert report.chi_square_p == pytest.approx(float(chi_square_p), rel=1e-12, abs=0.0)
+        assert report["p_value"] == pytest.approx(float(normal_p), rel=1e-12, abs=0.0)
+        assert report["chi_square_p"] == pytest.approx(float(chi_square_p), rel=1e-12, abs=0.0)
         # At delta* = 0, "excess MAD is at most 0" is graded by the p-value itself.
         args.delta_star = 0.0
-        at_zero = build_report(args, DigitCounts(FIRST_DIGIT, tuple(counts)))
-        assert at_zero.severity_at_most == report.p_value
+        at_zero = build_report(args, DigitCounts(FIRST_DIGIT, tuple(counts))).fields
+        assert at_zero["severity_at_most"] == report["p_value"]
 
     def test_json_round_trips_bit_exactly(self, tmp_path, capsys):
         f = write_benford_like_file(tmp_path / "data.txt")
@@ -496,3 +496,34 @@ def test_only_simulate_imports_numpy(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert '"empirical_mad_mean"' in result.stdout
+
+
+@pytest.mark.parametrize("argv, method", [
+    (["analyze", "FILE", "--format", "json"], "to_json"),
+    (["analyze", "FILE"], "to_text"),
+    (["calibrate", "--threshold", "0.006", "--format", "json"], "to_json"),
+    (["calibrate", "--threshold", "0.006"], "to_text"),
+    (["simulate", "--n", "100", "--reps", "3", "--format", "json"], "to_json"),
+    (["simulate", "--n", "100", "--reps", "3"], "to_text"),
+    (["severity-curve", "--n", "1000", "--tilde-delta", "2", "--grid", "0,0.01"], "to_text"),
+])
+def test_every_report_renders_through_report_methods(tmp_path, capsys, monkeypatch, argv, method):
+    # The benchmark times these two methods as its render span; output that
+    # bypassed them would leave that span reading 0.
+    calls = []
+
+    def recording(name):
+        original = getattr(Report, name)
+
+        def render(self):
+            calls.append(name)
+            return original(self)
+
+        return render
+
+    for name in ("to_json", "to_text"):
+        monkeypatch.setattr(Report, name, recording(name))
+    f = write_benford_like_file(tmp_path / "data.txt")
+    code, out, _ = run_cli(capsys, *[str(f) if arg == "FILE" else arg for arg in argv])
+    assert code == 0 and out
+    assert calls == [method]

@@ -139,7 +139,11 @@ def reference_simulate(spec: SimulationSpec) -> SimulationReport:
     mads, tildes, folded = np.array(mads), np.array(tildes), np.array(folded)
     moments = mad_moments(system, n)
     return SimulationReport(
-        spec=spec,
+        digits=system.digits,
+        k=system.k,
+        n=n,
+        reps=reps,
+        seed=spec.seed,
         empirical_mad_mean=float(mads.mean()),
         empirical_mad_sd=float(mads.std(ddof=1)),
         theoretical_mad_mean=moments.mean,

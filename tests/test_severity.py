@@ -201,11 +201,6 @@ class TestDeltaStar:
             value = delta_star(config)
         assert value < 0.0
 
-    def test_default_config(self):
-        config = CalibrationConfig.default(FIRST_DIGIT)
-        assert (config.threshold, config.n_min, config.n_max) == (0.006, 110, 25000)
-        assert delta_star(config) == pytest.approx(default_delta_star(FIRST_DIGIT), abs=5e-5)
-
     def test_invalid_range_rejected(self):
         with pytest.raises(ValueError):
             CalibrationConfig(system=FIRST_DIGIT, threshold=0.006, n_min=200, n_max=100)
