@@ -6,6 +6,13 @@ moments.  Each replication draws from its own PCG64 stream, derived from the
 seed and the replication index, so a run is reproducible bit for bit; the
 statistics are then computed over all replications at once.  numpy is
 imported inside the functions that use it, so no other command loads it.
+
+The streams are numpy's `SeedSequence(seed, spawn_key=(r,))` -> `PCG64`
+(O'Neill 2014), but building those objects per replication costs more than
+the draw itself.  `replication_states` instead computes each stream's PCG64
+state directly, a block of replications at a time, following numpy's
+SeedSequence mixing and PCG64 seeding; `replication_rng` stays the reference
+it is tested against bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .asymptotics import build_constants, mad_moments
 from .benford import benford_probs
@@ -22,6 +29,18 @@ from .severity import _standardized
 
 if TYPE_CHECKING:
     import numpy as np
+
+# numpy's SeedSequence hash and mix constants, and PCG64's 128-bit LCG multiplier.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# Replications whose states are derived together.  512 divides 2**32, so a
+# block's indices share every spawn-key word above the lowest; larger blocks
+# only raise peak memory.
+_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -36,6 +55,8 @@ class SimulationSpec:
             raise ValueError(f"n must be at least 1 and below 2**63, got {self.n}")
         if self.reps < 2:
             raise ValueError("reps must be at least 2: the standard deviations need two samples")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -68,6 +89,57 @@ def replication_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep,)))
 
 
+def replication_states(seed: int, start: int, stop: int) -> Iterator[tuple[int, int]]:
+    """The PCG64 `(state, inc)` of `replication_rng(seed, r)` for r in [start, stop).
+
+    Every replication shares the entropy pool of `SeedSequence(seed)`; only the
+    32-bit words of r are mixed into it, across a block at once in uint32
+    arithmetic.  The pool's hash constant has by then been stepped once per
+    pool word, once per ordered pair of pool words, and four times per seed
+    word beyond the pool's four.
+    """
+    import numpy as np
+
+    if start < 0:
+        raise ValueError(f"replication indices are nonnegative, got {start}")
+    pool = np.random.SeedSequence(seed).pool.tolist()
+    seed_words = max(1, -(-seed.bit_length() // 32))
+    steps = 4 + 12 + 4 * max(seed_words - 4, 0)
+    key_hash_const = _INIT_A * pow(_MULT_A, steps, 1 << 32) & _MASK32
+    while start < stop:
+        end = min(start - start % _BLOCK + _BLOCK, stop)
+        size = end - start
+        key = [np.arange(size, dtype=np.uint32) + (start & _MASK32)]
+        high = start >> 32
+        while high:
+            key.append(np.full(size, high & _MASK32, dtype=np.uint32))
+            high >>= 32
+        mixer = [np.full(size, word, dtype=np.uint32) for word in pool]
+        hash_const = key_hash_const
+        for word in key:
+            for i in range(len(mixer)):
+                value = word ^ hash_const
+                hash_const = hash_const * _MULT_A & _MASK32
+                value *= hash_const
+                value ^= value >> 16
+                mixed = _MIX_MULT_L * mixer[i] - _MIX_MULT_R * value
+                mixer[i] = mixed ^ (mixed >> 16)
+        # generate_state(4, uint64): eight uint32 outputs, low word first.
+        out = []
+        hash_const = _INIT_B
+        for i in range(8):
+            value = mixer[i % 4] ^ hash_const
+            hash_const = hash_const * _MULT_B & _MASK32
+            value *= hash_const
+            value ^= value >> 16
+            out.append(value.astype(np.uint64))
+        words = [(out[2 * j + 1] << np.uint64(32) | out[2 * j]).tolist() for j in range(4)]
+        for s_hi, s_lo, q_hi, q_lo in zip(*words):
+            inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+            yield (((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) & _MASK128, inc
+        start = end
+
+
 def sample_benford_counts(system: DigitSystem, n: int, rng: np.random.Generator) -> DigitCounts:
     """One multinomial draw of n records from the exact digit law."""
     if n < 1:
@@ -86,8 +158,17 @@ def simulate(spec: SimulationSpec) -> SimulationReport:
     # One array is reused in place: counts, then |p - b|, then the folded
     # deviations sqrt(n)|p - b|/d, in the same operation order as a single test.
     folded = np.empty((reps, system.k))
-    for r in range(reps):
-        folded[r] = replication_rng(spec.seed, r).multinomial(n, b)
+    # One generator, reset to each replication's state before its draw.
+    bit_generator = np.random.PCG64()
+    rng = np.random.Generator(bit_generator)
+    for r, (state, inc) in enumerate(replication_states(spec.seed, 0, reps)):
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        folded[r] = rng.multinomial(n, b)
     folded /= n
     folded -= b
     np.abs(folded, out=folded)

@@ -349,6 +349,12 @@ class TestSimulate:
         assert out == ""
         assert "below 2**63" in err and "Traceback" not in err
 
+    def test_negative_seed_is_config_error(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--n", "100", "--reps", "2", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert "seed" in err and "Traceback" not in err
+
     def test_reps_beyond_any_memory_is_config_error(self, capsys):
         # 10^12 replications of 90 cells need 655 TiB, more than a 47-bit
         # address space holds, so the allocation fails at once.

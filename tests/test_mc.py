@@ -12,6 +12,7 @@ from benfordsev.mc import (
     SimulationReport,
     SimulationSpec,
     replication_rng,
+    replication_states,
     sample_benford_counts,
     simulate,
 )
@@ -122,6 +123,27 @@ class TestSimulate:
         with pytest.raises(ValueError, match="at least 2"):
             SimulationSpec(system=FIRST_DIGIT, n=10, reps=1, seed=1)
 
+    def test_negative_seed_rejected(self):
+        # numpy refuses it too, but without naming the seed.
+        with pytest.raises(ValueError, match=r"^seed must be a nonnegative integer, got -1$"):
+            SimulationSpec(system=FIRST_DIGIT, n=10, reps=2, seed=-1)
+
+
+class TestReplicationStates:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128, 2**200 + 3])
+    def test_equal_to_numpy_construction(self, seed):
+        # The second range crosses from one-word to two-word spawn keys.
+        for start, stop in ((0, 600), (2**32 - 3, 2**32 + 3)):
+            expected = []
+            for r in range(start, stop):
+                state = replication_rng(seed, r).bit_generator.state["state"]
+                expected.append((state["state"], state["inc"]))
+            assert list(replication_states(seed, start, stop)) == expected
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            list(replication_states(0, -1, 2))
+
 
 def reference_simulate(spec: SimulationSpec) -> SimulationReport:
     """One replication at a time: draw, form proportions, run the test, fold."""
@@ -168,6 +190,9 @@ class TestVectorisedSimulateMatchesPerReplicationLoop:
     @example(system=FIRST_DIGIT, n=1, reps=2, seed=0)
     @example(system=FIRST_TWO_DIGITS, n=1, reps=40, seed=2**128)
     @example(system=FIRST_TWO_DIGITS, n=10**6, reps=2, seed=7)
+    # More replications than one block of derived states.
+    @example(system=FIRST_TWO_DIGITS, n=50, reps=1100, seed=2**128)
+    @example(system=FIRST_DIGIT, n=50, reps=1100, seed=2**128)
     def test_report_is_byte_identical(self, system, n, reps, seed):
         spec = SimulationSpec(system=system, n=n, reps=reps, seed=seed)
         assert simulate(spec).to_json() == reference_simulate(spec).to_json()
