@@ -10,7 +10,6 @@ they are built once per scheme and cached.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -20,8 +19,7 @@ from .digits import DigitSystem
 _TWO_OVER_PI = 2.0 / math.pi
 
 
-@dataclass(frozen=True)
-class AsymptoticConstants:
+class AsymptoticConstants(NamedTuple):
     """Scheme-level constants of the MAD's limiting normal distribution."""
 
     d_vec: tuple[float, ...]            # sqrt(b_j (1 - b_j)) per digit cell

@@ -13,8 +13,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .asymptotics import mad_moments
@@ -41,8 +40,7 @@ MAX_GRID_POINTS = 100_000
 DIGIT_TABLE_HEADER = ("digit", "observed", "benford")
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """What one command prints, in any `--format`.
 
     `fields` is the JSON object, in key order; `csv_rows` are the CSV rows,
@@ -282,7 +280,7 @@ def _calibration_text(fields: dict) -> str:
 def cmd_simulate(args) -> None:
     system = DigitSystem(args.digits)
     report = simulate(SimulationSpec(system=system, n=args.n, reps=args.reps, seed=args.seed))
-    fields = asdict(report)
+    fields = report._asdict()
     folded = zip(system.digit_labels, report.digit_folded_means, report.folded_mean_se)
     csv_rows = [*_field_rows(fields), ("digit", "folded_mean", "folded_mean_se"), *folded]
     _emit(Report(fields, csv_rows, _simulation_text), args)

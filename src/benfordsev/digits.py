@@ -11,10 +11,9 @@ from __future__ import annotations
 import csv
 import io
 import re
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from itertools import chain, islice, repeat, tee
-from operator import itemgetter, methodcaller
+from operator import index as as_integer, itemgetter, methodcaller
 from typing import Iterable, Iterator, TextIO
 
 SKIP_EMPTY = "empty"
@@ -22,8 +21,9 @@ SKIP_NON_NUMERIC = "non-numeric"
 SKIP_ZERO = "zero-value"
 
 # The one numeric-token grammar.  Only ASCII digits count: str.isdigit and
-# the regex class \d would also admit other scripts' digits.
-_NUMERIC = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+# the regex class \d would also admit other scripts' digits.  No two
+# repeats can share a run of digits, so a failed match takes linear time.
+_NUMERIC = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 _NUMERIC_RE = re.compile(_NUMERIC)
 # The numeric first field of each stripped line of a text: the grammar at a
 # line's start, up to whitespace or the line's end.
@@ -35,15 +35,20 @@ class ColumnError(ValueError):
     """A requested column does not exist in the input."""
 
 
-@dataclass(frozen=True)
-class DigitSystem:
+class DigitSystem(namedtuple("DigitSystem", "digits")):
     """A digit scheme: how many leading digits are counted (1 or 2)."""
 
-    digits: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.digits not in (1, 2):
-            raise ValueError(f"digits must be 1 or 2, got {self.digits!r}")
+    def __new__(cls, digits: int):
+        if digits not in (1, 2):
+            raise ValueError(f"digits must be 1 or 2, got {digits!r}")
+        return super().__new__(cls, digits)
+
+    @classmethod
+    def _make(cls, fields):
+        # _replace builds through _make: validate there too.
+        return cls(*fields)
 
     @property
     def k(self) -> int:
@@ -58,11 +63,11 @@ class DigitSystem:
     def extract(self, token: str | float | int) -> int | None:
         """Leading `digits` significant digits of a number, None for exact zero.
 
-        Floats and ints are read as the decimal text repr(float(x)), so there
+        Numbers are read as their decimal text (see `_number_text`), so there
         is a single extraction pathway.  A significand shorter than `digits`
         is padded with a zero.  Raises ValueError for non-numeric input.
         """
-        text = token.strip() if isinstance(token, str) else repr(float(token))
+        text = token.strip() if isinstance(token, str) else _number_text(token)
         if not _NUMERIC_RE.fullmatch(text):
             raise ValueError(f"not a numeric token: {token!r}")
         # The mantissa's digits with leading zeros removed: empty for a zero.
@@ -79,13 +84,18 @@ FIRST_DIGIT = DigitSystem(1)
 FIRST_TWO_DIGITS = DigitSystem(2)
 
 
-@dataclass
-class DigitCounts:
-    """Observed digit frequencies plus ingestion diagnostics."""
+class DigitCounts(namedtuple("DigitCounts", "system counts skip_reasons")):
+    """Observed digit frequencies plus ingestion diagnostics.
 
-    system: DigitSystem
-    counts: tuple[int, ...]
-    skip_reasons: dict[str, int] = field(default_factory=dict)
+    `counts` is a tuple of k ints, and `skip_reasons` maps each skip reason
+    to its count; a DigitCounts built without it gets a fresh empty dict.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, system: DigitSystem, counts: tuple[int, ...],
+                skip_reasons: dict[str, int] | None = None):
+        return super().__new__(cls, system, counts, {} if skip_reasons is None else skip_reasons)
 
     @property
     def n(self) -> int:
@@ -96,6 +106,18 @@ class DigitCounts:
     def skipped(self) -> int:
         """Records skipped, over every reason."""
         return sum(self.skip_reasons.values())
+
+
+def _number_text(number: float | int) -> str:
+    """The decimal text of a number: exact for an integer, repr(float(x)) otherwise.
+
+    Anything with `__index__` (int, bool, numpy integers) is an integer, so
+    an int too long for a float keeps all its digits.
+    """
+    try:
+        return str(as_integer(number))
+    except TypeError:
+        return repr(float(number))
 
 
 def first_digit(token: str | float | int) -> int | None:
@@ -253,9 +275,9 @@ def count_digits(tokens: Iterable[str | float | int], system: DigitSystem) -> Di
     """Tally extracted digits over `tokens` into a DigitCounts.
 
     Zero values and unparseable tokens go to skip_reasons instead of counts.
-    Floats and ints are read as the decimal text repr(float(x)).
+    Numbers are read as their decimal text, as DigitSystem.extract reads them.
     """
-    texts = (t.strip() if isinstance(t, str) else repr(float(t)) for t in tokens)
+    texts = (t.strip() if isinstance(t, str) else _number_text(t) for t in tokens)
     texts, checked = tee(texts)
     counted = Counter(zip(map(bool, map(_NUMERIC_RE.fullmatch, checked)), _heads(texts, system)))
     return _tally(((head if valid else None, n) for (valid, head), n in counted.items()), system)

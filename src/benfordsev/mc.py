@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Iterator
+from collections import namedtuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .asymptotics import build_constants, mad_moments
 from .benford import benford_probs
@@ -43,24 +43,27 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _BLOCK = 512
 
 
-@dataclass(frozen=True)
-class SimulationSpec:
-    system: DigitSystem
-    n: int
-    reps: int
-    seed: int
+class SimulationSpec(namedtuple("SimulationSpec", "system n reps seed")):
+    """A digit scheme, the sample size n per replication, the replications and the seed."""
 
-    def __post_init__(self):
-        if not 1 <= self.n < 2**63:
-            raise ValueError(f"n must be at least 1 and below 2**63, got {self.n}")
-        if self.reps < 2:
+    __slots__ = ()
+
+    def __new__(cls, system: DigitSystem, n: int, reps: int, seed: int):
+        if not 1 <= n < 2**63:
+            raise ValueError(f"n must be at least 1 and below 2**63, got {n}")
+        if reps < 2:
             raise ValueError("reps must be at least 2: the standard deviations need two samples")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
+        if seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+        return super().__new__(cls, system, n, reps, seed)
+
+    @classmethod
+    def _make(cls, fields):
+        # _replace builds through _make: validate there too.
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(NamedTuple):
     digits: int
     k: int
     n: int
@@ -79,7 +82,7 @@ class SimulationReport:
     folded_mean_se: tuple[float, ...]
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
+        return json.dumps(self._asdict(), indent=2)
 
 
 def replication_rng(seed: int, rep: int) -> np.random.Generator:

@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
-from typing import Sequence
+from collections import namedtuple
+from typing import NamedTuple, Sequence
 
 from . import specialfn
 from .asymptotics import build_constants, mad_moments
@@ -31,28 +31,31 @@ class CalibrationWarning(UserWarning):
     """A discrepancy calibration produced a suspicious value."""
 
 
-@dataclass(frozen=True)
-class TestOutcome:
+class TestOutcome(NamedTuple):
     mad: float
     excess_delta: float   # MAD minus its null expectation
     tilde_delta: float    # standardized excess MAD, ~N(0,1) under the law
     p_value: float
 
 
-@dataclass(frozen=True)
-class CalibrationConfig:
-    system: DigitSystem
-    threshold: float      # close-conformity MAD bound t
-    n_min: int
-    n_max: int
+class CalibrationConfig(namedtuple("CalibrationConfig", "system threshold n_min n_max")):
+    """A digit scheme, its close-conformity MAD bound t, and the range [n_min, n_max] of n."""
 
-    def __post_init__(self):
-        if self.threshold <= 0.0:
+    __slots__ = ()
+
+    def __new__(cls, system: DigitSystem, threshold: float, n_min: int, n_max: int):
+        if threshold <= 0.0:
             raise ValueError("threshold must be positive")
-        if self.n_min > self.n_max:
-            raise ValueError(f"n_min={self.n_min} exceeds n_max={self.n_max}")
-        if self.n_max > sys.float_info.max:
+        if n_min > n_max:
+            raise ValueError(f"n_min={n_min} exceeds n_max={n_max}")
+        if n_max > sys.float_info.max:
             raise ValueError("n_max exceeds the largest float, about 1.8e308")
+        return super().__new__(cls, system, threshold, n_min, n_max)
+
+    @classmethod
+    def _make(cls, fields):
+        # _replace builds through _make: validate there too.
+        return cls(*fields)
 
 
 # Shipped defaults: the substantive discrepancy benchmarks that the

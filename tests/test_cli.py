@@ -465,22 +465,31 @@ def test_non_finite_number_is_config_error(tmp_path, capsys, argv):
     assert "finite" in captured.err
 
 
-NUMPY_FREE_SCRIPT = """
+IMPORT_GUARD_SCRIPT = """
 import json, sys
 from benfordsev.cli import main
 
-for argv in json.loads(sys.argv[1]):
+commands, before_simulate, never = map(json.loads, sys.argv[1:])
+for argv in commands:
     try:
         code = main(argv)
     except SystemExit as exc:  # --version
         code = exc.code
     assert code == 0, argv
-assert "numpy" not in sys.modules, "numpy was imported"
+for name in before_simulate + never:
+    assert name not in sys.modules, f"{name} was imported"
 assert main(["simulate", "--n", "100", "--reps", "3", "--format", "json"]) == 0
+for name in never:
+    assert name not in sys.modules, f"{name} was imported"
 """
 
 
-def test_only_simulate_imports_numpy(tmp_path):
+def check_imports(tmp_path, before_simulate, never):
+    """Run every command in one fresh interpreter, simulate last, and check what it imported.
+
+    No module in `before_simulate` may be imported before simulate runs, and
+    no module in `never` at all.
+    """
     golden = Path(__file__).parent / "golden"
     values, ledger = str(golden / "values.txt"), str(golden / "ledger.csv")
     commands = [
@@ -496,12 +505,23 @@ def test_only_simulate_imports_numpy(tmp_path):
         ["--version"],
     ]
     src = Path(__file__).resolve().parents[1] / "src"
+    arguments = map(json.dumps, (commands, before_simulate, never))
     result = subprocess.run(
-        [sys.executable, "-c", NUMPY_FREE_SCRIPT, json.dumps(commands)],
+        [sys.executable, "-c", IMPORT_GUARD_SCRIPT, *arguments],
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert result.returncode == 0, result.stderr
     assert '"empirical_mad_mean"' in result.stdout
+
+
+def test_only_simulate_imports_numpy(tmp_path):
+    check_imports(tmp_path, before_simulate=["numpy"], never=[])
+
+
+def test_no_command_imports_dataclasses(tmp_path):
+    # dataclasses pulls in inspect, ast, dis and tokenize: ~20 ms of start-up.
+    # numpy imports inspect itself, so inspect is checked before simulate only.
+    check_imports(tmp_path, before_simulate=["inspect"], never=["dataclasses"])
 
 
 @pytest.mark.parametrize("argv, method", [

@@ -1,6 +1,12 @@
 import csv
 import io
+import json
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -64,6 +70,23 @@ class TestFirstDigit:
         assert first_digit(-0.00456) == 4
         assert first_digit(12345) == 1
 
+    @pytest.mark.parametrize("token, first, first_two", [
+        (199999999999999999, 1, 19),  # float(x) rounds it up to 2e17
+        (-199999999999999999, 1, 19),
+        (10**400, 1, 10),  # beyond the float range
+        (True, 1, 10),
+        (0, None, None),
+    ], ids=["2e17-1", "-(2e17-1)", "10**400", "True", "0"])
+    def test_integers_are_read_exactly(self, token, first, first_two):
+        assert first_digit(token) == first
+        assert first_two_digits(token) == first_two
+
+    def test_numpy_integers_are_read_exactly(self):
+        np = pytest.importorskip("numpy")
+        assert first_digit(np.int64(1999999999999999999)) == 1
+        assert first_two_digits(np.int64(1999999999999999999)) == 19
+        assert first_two_digits(np.uint64(2**64 - 1)) == 18
+
     @pytest.mark.parametrize("token", ["abc", "", "1.2.3", "nan", "inf", "1e", "--5"])
     def test_parse_errors(self, token):
         with pytest.raises(ValueError):
@@ -114,6 +137,41 @@ class TestExtractionProperties:
     def test_first_two_consistent_with_first(self, pair):
         token, _ = pair
         assert first_two_digits(token) // 10 == first_digit(token)
+
+
+# The grammar before it was made linear: `[0-9]+` and `[0-9]*` can split one
+# run of digits, so a failed match backtracks in quadratic time.
+OLD_NUMERIC = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+grammar_texts = st.text(alphabet="0123456789.+-eEx \t", max_size=16)
+
+
+class TestNumericGrammar:
+    @given(grammar_texts)
+    def test_matches_the_old_grammar(self, text):
+        assert bool(digits._NUMERIC_RE.fullmatch(text)) == bool(re.fullmatch(OLD_NUMERIC, text))
+
+    @given(st.lists(grammar_texts, max_size=8))
+    def test_first_fields_match_the_old_grammar(self, lines):
+        text = "\n".join(lines)
+        old = re.compile(rf"^{OLD_NUMERIC}(?!\S)", re.MULTILINE)
+        assert digits._FIRST_FIELDS_RE.findall(text) == old.findall(text)
+
+    @pytest.mark.parametrize("text", [
+        "5\n" + "9" * 30_000 + "x\n",
+        "amount,id\n5,1\n" + "9" * 30_000 + "x,2\n",
+    ], ids=["text", "csv"])
+    def test_long_digit_run_is_skipped_in_linear_time(self, tmp_path, text):
+        # The old grammar took tens of seconds on such a cell: the timeout fails it.
+        f = tmp_path / "junk.txt"
+        f.write_text(text)
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-m", "benfordsev.cli", "analyze", str(f), "--format", "json"],
+            capture_output=True, text=True, timeout=10, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout)
+        assert report["n"] == 1 and report["skip_reasons"] == {"non-numeric": 1}
 
 
 class TestParseRecords:
@@ -240,6 +298,12 @@ class TestCountDigits:
         counts = count_digits(["7", "bogus"], FIRST_DIGIT)
         assert counts.n == 1
         assert counts.skip_reasons == {"non-numeric": 1}
+
+    def test_integers_are_read_exactly(self):
+        counts = count_digits([199999999999999999, 10**400, 0], FIRST_TWO_DIGITS)
+        assert counts.counts[FIRST_TWO_DIGITS.label_index(19)] == 1
+        assert counts.counts[FIRST_TWO_DIGITS.label_index(10)] == 1
+        assert counts.n == 2 and counts.skip_reasons == {"zero-value": 1}
 
     @given(st.permutations(["1", "22", "0.3", "47", "5", "0", "61", "7.7", "88", "9"]))
     def test_permutation_invariance(self, tokens):

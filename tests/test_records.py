@@ -1,0 +1,97 @@
+"""The package's records are tuples: checked when built, read-only, equal and hashed by value."""
+
+import dataclasses
+import json
+
+import pytest
+
+from benfordsev.asymptotics import build_constants
+from benfordsev.cli import Report
+from benfordsev.digits import FIRST_DIGIT, FIRST_TWO_DIGITS, DigitCounts, DigitSystem
+from benfordsev.mc import SimulationReport, SimulationSpec, simulate
+from benfordsev.severity import CalibrationConfig, run_test_from_proportions
+
+RECORDS = {
+    "DigitSystem": lambda: DigitSystem(2),
+    "DigitCounts": lambda: DigitCounts(FIRST_DIGIT, (1,) * 9),
+    "AsymptoticConstants": lambda: build_constants(FIRST_DIGIT),
+    "TestOutcome": lambda: run_test_from_proportions((1 / 9,) * 9, 100, FIRST_DIGIT),
+    "CalibrationConfig": lambda: CalibrationConfig(FIRST_DIGIT, 0.006, 110, 25000),
+    "SimulationSpec": lambda: SimulationSpec(FIRST_DIGIT, 100, 3, 0),
+    "SimulationReport": lambda: simulate(SimulationSpec(FIRST_DIGIT, 100, 3, 0)),
+    "Report": lambda: Report({}, [], str),
+}
+
+# The specs of tests/test_mc.py.
+SIMULATION_SPECS = [
+    SimulationSpec(system=FIRST_DIGIT, n=2000, reps=100, seed=77),
+    SimulationSpec(system=FIRST_DIGIT, n=20000, reps=400, seed=28),
+    SimulationSpec(system=FIRST_TWO_DIGITS, n=20000, reps=300, seed=28),
+    SimulationSpec(system=FIRST_DIGIT, n=1000, reps=200, seed=3),
+    SimulationSpec(system=FIRST_DIGIT, n=500, reps=50, seed=11),
+]
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_attributes_cannot_be_set(name):
+    record = RECORDS[name]()
+    assert type(record).__name__ == name
+    for field in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        record.extra = None
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: DigitSystem(3), "digits must be 1 or 2, got 3"),
+    (lambda: DigitSystem(digits=0), "digits must be 1 or 2, got 0"),
+    (lambda: SimulationSpec(FIRST_DIGIT, 10, 1, 1),
+     "reps must be at least 2: the standard deviations need two samples"),
+    (lambda: SimulationSpec(system=FIRST_DIGIT, n=0, reps=10, seed=1),
+     "n must be at least 1 and below 2**63, got 0"),
+    (lambda: CalibrationConfig(FIRST_DIGIT, 0.0, 110, 25000), "threshold must be positive"),
+    (lambda: CalibrationConfig(system=FIRST_DIGIT, threshold=0.006, n_min=200, n_max=100),
+     "n_min=200 exceeds n_max=100"),
+    (lambda: FIRST_DIGIT._replace(digits=3), "digits must be 1 or 2, got 3"),
+    (lambda: SimulationSpec(FIRST_DIGIT, 10, 2, 0)._replace(seed=-1),
+     "seed must be a nonnegative integer, got -1"),
+    (lambda: CalibrationConfig(FIRST_DIGIT, 0.006, 110, 25000)._replace(n_min=30000),
+     "n_min=30000 exceeds n_max=25000"),
+])
+def test_invalid_records_are_refused_when_built(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_counts_built_without_skip_reasons_do_not_share_a_dict():
+    a = DigitCounts(FIRST_DIGIT, (1,) * 9)
+    b = DigitCounts(system=FIRST_DIGIT, counts=(1,) * 9)
+    a.skip_reasons["empty"] = 1
+    assert a.skip_reasons is not b.skip_reasons
+    assert b.skip_reasons == {}
+
+
+def test_equal_systems_hash_equal_and_share_cached_constants():
+    assert DigitSystem(2) == FIRST_TWO_DIGITS and DigitSystem(2) is not FIRST_TWO_DIGITS
+    assert hash(DigitSystem(2)) == hash(FIRST_TWO_DIGITS)
+    assert DigitSystem(1) != FIRST_TWO_DIGITS
+    build_constants(FIRST_TWO_DIGITS)
+    hits = build_constants.cache_info().hits
+    assert build_constants(DigitSystem(2)) is build_constants(FIRST_TWO_DIGITS)
+    assert build_constants.cache_info().hits == hits + 2
+
+
+def test_records_equal_plain_tuples_of_their_fields():
+    assert FIRST_DIGIT == (1,)
+    assert CalibrationConfig(FIRST_DIGIT, 0.006, 110, 25000) == ((1,), 0.006, 110, 25000)
+
+
+@pytest.mark.parametrize("spec", SIMULATION_SPECS, ids=lambda s: f"k{s.system.k}-n{s.n}-{s.seed}")
+def test_simulation_json_equals_the_dataclass_rendering(spec):
+    # SimulationReport was a frozen dataclass rendered by json.dumps(asdict(report), indent=2).
+    fields = [(name, SimulationReport.__annotations__[name]) for name in SimulationReport._fields]
+    old = dataclasses.make_dataclass("SimulationReport", fields, frozen=True)
+    report = simulate(spec)
+    assert report.to_json() == json.dumps(dataclasses.asdict(old(*report)), indent=2)
