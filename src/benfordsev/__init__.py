@@ -21,9 +21,8 @@ from .digits import (
     ingest,
     parse_records,
 )
-from .mc import SimulationReport, SimulationSpec, sample_benford_counts, simulate
+from .mc import SimulationReport, sample_benford_counts, simulate
 from .severity import (
-    CalibrationConfig,
     DEFAULT_DELTA_STAR,
     TestOutcome,
     chi_square_severity,

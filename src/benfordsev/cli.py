@@ -19,9 +19,8 @@ from . import __version__
 from .asymptotics import mad_moments
 from .benford import benford_probs, chi_square_stat, proportions
 from .digits import DigitCounts, DigitSystem, ingest
-from .mc import SimulationSpec, simulate
+from .mc import simulate
 from .severity import (
-    CalibrationConfig,
     DEFAULT_N_MAX,
     chi_square_severity,
     default_delta_star,
@@ -140,13 +139,16 @@ def _ingest_file(args) -> DigitCounts:
     """Digit counts of `args.file`; a file with no usable record is an error."""
     # utf-8-sig drops the byte-order mark that spreadsheet exports often start with.
     with open(args.file, "r", encoding="utf-8-sig", newline="") as fh:
-        counts = ingest(
-            fh,
-            DigitSystem(args.digits),
-            column=_parse_column(args.column),
-            delimiter=args.delimiter,
-            decimal_mark=args.decimal_mark,
-        )
+        try:
+            counts = ingest(
+                fh,
+                DigitSystem(args.digits),
+                column=_parse_column(args.column),
+                delimiter=args.delimiter,
+                decimal_mark=args.decimal_mark,
+            )
+        except csv.Error as exc:
+            raise ValueError(f"malformed CSV in {args.file!r}: {exc}") from exc
     if counts.n == 0:
         raise ValueError(f"no usable numeric records in {args.file!r}")
     return counts
@@ -254,16 +256,13 @@ def cmd_analyze(args) -> None:
 def cmd_calibrate(args) -> None:
     system = DigitSystem(args.digits)
     n_min = args.nmin if args.nmin is not None else n_min_for(system)
-    config = CalibrationConfig(
-        system=system, threshold=args.threshold, n_min=n_min, n_max=args.nmax
-    )
     fields = {
         "digits": system.digits,
         "k": system.k,
         "threshold": args.threshold,
         "n_min": n_min,
         "n_max": args.nmax,
-        "delta_star": delta_star(config),
+        "delta_star": delta_star(system, args.threshold, n_min, args.nmax),
     }
     _emit(Report(fields, _field_rows(fields), _calibration_text), args)
 
@@ -279,7 +278,7 @@ def _calibration_text(fields: dict) -> str:
 
 def cmd_simulate(args) -> None:
     system = DigitSystem(args.digits)
-    report = simulate(SimulationSpec(system=system, n=args.n, reps=args.reps, seed=args.seed))
+    report = simulate(system, args.n, args.reps, args.seed)
     fields = report._asdict()
     folded = zip(system.digit_labels, report.digit_folded_means, report.folded_mean_se)
     csv_rows = [*_field_rows(fields), ("digit", "folded_mean", "folded_mean_se"), *folded]

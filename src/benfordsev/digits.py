@@ -112,12 +112,17 @@ def _number_text(number: float | int) -> str:
     """The decimal text of a number: exact for an integer, repr(float(x)) otherwise.
 
     Anything with `__index__` (int, bool, numpy integers) is an integer, so
-    an int too long for a float keeps all its digits.
+    an int too long for a float keeps its leading digits exactly.
     """
     try:
-        return str(as_integer(number))
+        value = as_integer(number)
     except TypeError:
         return repr(float(number))
+    # str() refuses ints of more than 4300 digits.  Dividing by a power of ten
+    # at least 19 digits below the leading one drops only trailing digits.
+    shift = max(value.bit_length() * 30103 // 100000 - 20, 0)
+    text = str(abs(value) // 10**shift)
+    return "-" + text if value < 0 else text
 
 
 def first_digit(token: str | float | int) -> int | None:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import namedtuple
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .asymptotics import build_constants, mad_moments
@@ -41,26 +40,6 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # block's indices share every spawn-key word above the lowest; larger blocks
 # only raise peak memory.
 _BLOCK = 512
-
-
-class SimulationSpec(namedtuple("SimulationSpec", "system n reps seed")):
-    """A digit scheme, the sample size n per replication, the replications and the seed."""
-
-    __slots__ = ()
-
-    def __new__(cls, system: DigitSystem, n: int, reps: int, seed: int):
-        if not 1 <= n < 2**63:
-            raise ValueError(f"n must be at least 1 and below 2**63, got {n}")
-        if reps < 2:
-            raise ValueError("reps must be at least 2: the standard deviations need two samples")
-        if seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {seed}")
-        return super().__new__(cls, system, n, reps, seed)
-
-    @classmethod
-    def _make(cls, fields):
-        # _replace builds through _make: validate there too.
-        return cls(*fields)
 
 
 class SimulationReport(NamedTuple):
@@ -152,11 +131,16 @@ def sample_benford_counts(system: DigitSystem, n: int, rng: np.random.Generator)
     return DigitCounts(system=system, counts=tuple(int(c) for c in draw))
 
 
-def simulate(spec: SimulationSpec) -> SimulationReport:
+def simulate(system: DigitSystem, n: int, reps: int, seed: int) -> SimulationReport:
     """Run the replications and report empirical vs theoretical moments."""
+    if not 1 <= n < 2**63:
+        raise ValueError(f"n must be at least 1 and below 2**63, got {n}")
+    if reps < 2:
+        raise ValueError("reps must be at least 2: the standard deviations need two samples")
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     import numpy as np
 
-    system, n, reps = spec.system, spec.n, spec.reps
     b = np.asarray(benford_probs(system))
     # One array is reused in place: counts, then |p - b|, then the folded
     # deviations sqrt(n)|p - b|/d, in the same operation order as a single test.
@@ -164,7 +148,7 @@ def simulate(spec: SimulationSpec) -> SimulationReport:
     # One generator, reset to each replication's state before its draw.
     bit_generator = np.random.PCG64()
     rng = np.random.Generator(bit_generator)
-    for r, (state, inc) in enumerate(replication_states(spec.seed, 0, reps)):
+    for r, (state, inc) in enumerate(replication_states(seed, 0, reps)):
         bit_generator.state = {
             "bit_generator": "PCG64",
             "state": {"state": state, "inc": inc},
@@ -189,7 +173,7 @@ def simulate(spec: SimulationSpec) -> SimulationReport:
         k=system.k,
         n=n,
         reps=reps,
-        seed=spec.seed,
+        seed=seed,
         empirical_mad_mean=float(mads.mean()),
         empirical_mad_sd=float(mads.std(ddof=1)),
         theoretical_mad_mean=moments.mean,

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from collections import namedtuple
 from typing import NamedTuple, Sequence
 
 from . import specialfn
@@ -36,26 +35,6 @@ class TestOutcome(NamedTuple):
     excess_delta: float   # MAD minus its null expectation
     tilde_delta: float    # standardized excess MAD, ~N(0,1) under the law
     p_value: float
-
-
-class CalibrationConfig(namedtuple("CalibrationConfig", "system threshold n_min n_max")):
-    """A digit scheme, its close-conformity MAD bound t, and the range [n_min, n_max] of n."""
-
-    __slots__ = ()
-
-    def __new__(cls, system: DigitSystem, threshold: float, n_min: int, n_max: int):
-        if threshold <= 0.0:
-            raise ValueError("threshold must be positive")
-        if n_min > n_max:
-            raise ValueError(f"n_min={n_min} exceeds n_max={n_max}")
-        if n_max > sys.float_info.max:
-            raise ValueError("n_max exceeds the largest float, about 1.8e308")
-        return super().__new__(cls, system, threshold, n_min, n_max)
-
-    @classmethod
-    def _make(cls, fields):
-        # _replace builds through _make: validate there too.
-        return cls(*fields)
 
 
 # Shipped defaults: the substantive discrepancy benchmarks that the
@@ -169,7 +148,7 @@ def _noncentrality(delta_star: float, n: int, system: DigitSystem) -> float:
     return _standardized(delta_star, n, system)
 
 
-def delta_star(config: CalibrationConfig) -> float:
+def delta_star(system: DigitSystem, threshold: float, n_min: int, n_max: int) -> float:
     """Average headroom of the close-conformity threshold over the null MAD.
 
     The exact discrete mean over integer sample sizes n in [n_min, n_max]
@@ -178,14 +157,20 @@ def delta_star(config: CalibrationConfig) -> float:
     threshold sits below the average null expectation and is reported with
     a warning rather than an error.
     """
-    if config.n_min < 1:
-        raise ValueError(f"sample size must be at least 1, got {config.n_min!r}")
-    mean_inv_sqrt = _sum_inv_sqrt(config.n_min, config.n_max) / (config.n_max - config.n_min + 1)
-    value = config.threshold - mad_moments(config.system, 1).mean * mean_inv_sqrt
+    if threshold <= 0.0:
+        raise ValueError("threshold must be positive")
+    if n_min > n_max:
+        raise ValueError(f"n_min={n_min} exceeds n_max={n_max}")
+    if n_max > sys.float_info.max:
+        raise ValueError("n_max exceeds the largest float, about 1.8e308")
+    if n_min < 1:
+        raise ValueError(f"sample size must be at least 1, got {n_min!r}")
+    mean_inv_sqrt = _sum_inv_sqrt(n_min, n_max) / (n_max - n_min + 1)
+    value = threshold - mad_moments(system, 1).mean * mean_inv_sqrt
     if value < 0.0:
         warnings.warn(
             f"calibrated discrepancy {value:.3g} is negative: threshold "
-            f"{config.threshold} lies below the average null expectation",
+            f"{threshold} lies below the average null expectation",
             CalibrationWarning,
             stacklevel=2,
         )
@@ -230,7 +215,6 @@ def chi_square_severity(x_obs: float, psi_star: float, system: DigitSystem) -> f
 
 
 __all__ = [
-    "CalibrationConfig",
     "CalibrationWarning",
     "DEFAULT_DELTA_STAR",
     "DEFAULT_N_MAX",

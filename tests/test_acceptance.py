@@ -18,7 +18,7 @@ from benfordsev.asymptotics import build_constants
 from benfordsev.benford import benford_probs
 from benfordsev.cli import main
 from benfordsev.digits import DigitSystem, FIRST_DIGIT, FIRST_TWO_DIGITS, ingest
-from benfordsev.mc import SimulationSpec, simulate
+from benfordsev.mc import simulate
 from benfordsev.severity import (
     generic_normal_severity,
     n_min_for,
@@ -113,7 +113,7 @@ def test_criterion_4_severity_reproduction_without_datasets(capsys):
 
 def test_criterion_5_monte_carlo_asymptotics(capsys):
     start = time.perf_counter()
-    rep = simulate(SimulationSpec(system=FIRST_DIGIT, n=20000, reps=2000, seed=28))
+    rep = simulate(system=FIRST_DIGIT, n=20000, reps=2000, seed=28)
     elapsed = time.perf_counter() - start
 
     mean_ratio = rep.empirical_mad_mean / rep.theoretical_mad_mean - 1.0

@@ -150,6 +150,16 @@ class TestAnalyze:
         assert code != 0
         assert err.strip()
 
+    def test_malformed_csv_is_config_error(self, tmp_path, capsys):
+        # csv.reader refuses a field longer than csv.field_size_limit(), 131072 by default.
+        f = tmp_path / "long_cell.csv"
+        f.write_text('id,amount\n1,"' + "9" * 200_000 + '"\n2,3.5\n')
+        code, out, err = run_cli(capsys, "analyze", str(f), "--column", "amount")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("benfordsev: error:") and str(f) in err
+        assert "Traceback" not in err
+
     def test_delta_star_override(self, tmp_path, capsys):
         f = write_benford_like_file(tmp_path / "data.txt")
         _, out, _ = run_cli(
@@ -512,6 +522,27 @@ def check_imports(tmp_path, before_simulate, never):
     )
     assert result.returncode == 0, result.stderr
     assert '"empirical_mad_mean"' in result.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "0", "--reps", "10"],
+    ["--n", "10", "--reps", "1"],
+    ["--n", "10", "--reps", "10", "--seed", "-1"],
+])
+def test_invalid_simulate_arguments_fail_before_numpy_loads(argv):
+    script = (
+        "import json, sys\n"
+        "from benfordsev.cli import main\n"
+        "assert main(['simulate', *json.loads(sys.argv[1])]) == 2\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argv)],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.startswith("benfordsev: error:")
 
 
 def test_only_simulate_imports_numpy(tmp_path):

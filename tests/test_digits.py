@@ -74,12 +74,19 @@ class TestFirstDigit:
         (199999999999999999, 1, 19),  # float(x) rounds it up to 2e17
         (-199999999999999999, 1, 19),
         (10**400, 1, 10),  # beyond the float range
+        (10**5000, 1, 10),  # beyond str()'s default limit of 4300 digits
+        (-(19 * 10**5000 + 7), 1, 19),
         (True, 1, 10),
         (0, None, None),
-    ], ids=["2e17-1", "-(2e17-1)", "10**400", "True", "0"])
+    ], ids=["2e17-1", "-(2e17-1)", "10**400", "10**5000", "-(19e5000+7)", "True", "0"])
     def test_integers_are_read_exactly(self, token, first, first_two):
         assert first_digit(token) == first
         assert first_two_digits(token) == first_two
+
+    @given(st.integers(-(10**4000), 10**4000))
+    def test_integers_read_as_their_decimal_text(self, value):
+        for scheme in SCHEMES:
+            assert scheme.extract(value) == scheme.extract(str(value))
 
     def test_numpy_integers_are_read_exactly(self):
         np = pytest.importorskip("numpy")
@@ -303,6 +310,11 @@ class TestCountDigits:
         counts = count_digits([199999999999999999, 10**400, 0], FIRST_TWO_DIGITS)
         assert counts.counts[FIRST_TWO_DIGITS.label_index(19)] == 1
         assert counts.counts[FIRST_TWO_DIGITS.label_index(10)] == 1
+        assert counts.n == 2 and counts.skip_reasons == {"zero-value": 1}
+
+    def test_integers_beyond_the_str_limit_are_counted(self):
+        counts = count_digits([10**5000, "1", 0], FIRST_DIGIT)
+        assert counts.counts[0] == 2
         assert counts.n == 2 and counts.skip_reasons == {"zero-value": 1}
 
     @given(st.permutations(["1", "22", "0.3", "47", "5", "0", "61", "7.7", "88", "9"]))

@@ -10,7 +10,6 @@ from benfordsev.benford import benford_probs, proportions
 from benfordsev.digits import FIRST_DIGIT, FIRST_TWO_DIGITS
 from benfordsev.mc import (
     SimulationReport,
-    SimulationSpec,
     replication_rng,
     replication_states,
     sample_benford_counts,
@@ -55,9 +54,8 @@ class TestSampleBenfordCounts:
 
 class TestSimulate:
     def test_determinism(self):
-        spec = SimulationSpec(system=FIRST_DIGIT, n=2000, reps=100, seed=77)
-        a = simulate(spec)
-        b = simulate(spec)
+        a = simulate(system=FIRST_DIGIT, n=2000, reps=100, seed=77)
+        b = simulate(system=FIRST_DIGIT, n=2000, reps=100, seed=77)
         assert a == b
 
     def test_parallel_split_equivalence(self):
@@ -71,22 +69,20 @@ class TestSimulate:
             assert serial.counts == split.counts
 
     def test_moments_against_theory_first_digit(self):
-        spec = SimulationSpec(system=FIRST_DIGIT, n=20000, reps=400, seed=28)
-        report = simulate(spec)
+        report = simulate(system=FIRST_DIGIT, n=20000, reps=400, seed=28)
         assert abs(report.empirical_mad_mean / report.theoretical_mad_mean - 1) < 0.03
         assert abs(report.empirical_mad_sd / report.theoretical_mad_sd - 1) < 0.12
         assert abs(report.tilde_delta_mean) < 0.15
         assert abs(report.tilde_delta_sd - 1.0) < 0.15
 
     def test_folded_means_first_two_digits(self):
-        spec = SimulationSpec(system=FIRST_TWO_DIGITS, n=20000, reps=300, seed=28)
-        report = simulate(spec)
+        report = simulate(system=FIRST_TWO_DIGITS, n=20000, reps=300, seed=28)
         folded = np.asarray(report.digit_folded_means)
         se = np.asarray(report.folded_mean_se)
         assert np.all(np.abs(folded - SQRT_2_OVER_PI) <= 4.0 * se)
 
     def test_mc_standard_errors_reported(self):
-        report = simulate(SimulationSpec(system=FIRST_DIGIT, n=1000, reps=200, seed=3))
+        report = simulate(system=FIRST_DIGIT, n=1000, reps=200, seed=3)
         assert report.mad_mean_se > 0
         assert report.tilde_delta_mean_se > 0
         assert len(report.folded_mean_se) == 9
@@ -97,14 +93,14 @@ class TestSimulate:
         # through n = 500, 5000, 50000.
         devs = []
         for n in (500, 5000, 50000):
-            report = simulate(SimulationSpec(system=FIRST_DIGIT, n=n, reps=2000, seed=0))
+            report = simulate(system=FIRST_DIGIT, n=n, reps=2000, seed=0)
             devs.append(abs(report.empirical_mad_mean / report.theoretical_mad_mean - 1.0))
         assert devs[0] > devs[1] > devs[2]
 
     def test_json_round_trip(self):
         import json
 
-        report = simulate(SimulationSpec(system=FIRST_DIGIT, n=500, reps=50, seed=11))
+        report = simulate(system=FIRST_DIGIT, n=500, reps=50, seed=11)
         payload = report.to_json()
         assert json.dumps(json.loads(payload), indent=2) == payload
         data = json.loads(payload)
@@ -113,20 +109,20 @@ class TestSimulate:
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError):
-            SimulationSpec(system=FIRST_DIGIT, n=0, reps=10, seed=1)
+            simulate(system=FIRST_DIGIT, n=0, reps=10, seed=1)
         # numpy's multinomial draws take n as a 64-bit signed integer.
         with pytest.raises(ValueError, match="below 2"):
-            SimulationSpec(system=FIRST_DIGIT, n=2**63, reps=10, seed=1)
+            simulate(system=FIRST_DIGIT, n=2**63, reps=10, seed=1)
         with pytest.raises(ValueError):
-            SimulationSpec(system=FIRST_DIGIT, n=10, reps=0, seed=1)
+            simulate(system=FIRST_DIGIT, n=10, reps=0, seed=1)
         # A standard deviation over replications needs at least two of them.
         with pytest.raises(ValueError, match="at least 2"):
-            SimulationSpec(system=FIRST_DIGIT, n=10, reps=1, seed=1)
+            simulate(system=FIRST_DIGIT, n=10, reps=1, seed=1)
 
     def test_negative_seed_rejected(self):
         # numpy refuses it too, but without naming the seed.
         with pytest.raises(ValueError, match=r"^seed must be a nonnegative integer, got -1$"):
-            SimulationSpec(system=FIRST_DIGIT, n=10, reps=2, seed=-1)
+            simulate(system=FIRST_DIGIT, n=10, reps=2, seed=-1)
 
 
 class TestReplicationStates:
@@ -145,14 +141,13 @@ class TestReplicationStates:
             list(replication_states(0, -1, 2))
 
 
-def reference_simulate(spec: SimulationSpec) -> SimulationReport:
+def reference_simulate(system, n: int, reps: int, seed: int) -> SimulationReport:
     """One replication at a time: draw, form proportions, run the test, fold."""
-    system, n, reps = spec.system, spec.n, spec.reps
     b = np.asarray(benford_probs(system))
     d_vec = np.asarray(build_constants(system).d_vec)
     mads, tildes, folded = [], [], []
     for r in range(reps):
-        counts = sample_benford_counts(system, n, replication_rng(spec.seed, r))
+        counts = sample_benford_counts(system, n, replication_rng(seed, r))
         p = proportions(counts)
         outcome = run_test_from_proportions(p, n, system)
         mads.append(outcome.mad)
@@ -165,7 +160,7 @@ def reference_simulate(spec: SimulationSpec) -> SimulationReport:
         k=system.k,
         n=n,
         reps=reps,
-        seed=spec.seed,
+        seed=seed,
         empirical_mad_mean=float(mads.mean()),
         empirical_mad_sd=float(mads.std(ddof=1)),
         theoretical_mad_mean=moments.mean,
@@ -194,5 +189,5 @@ class TestVectorisedSimulateMatchesPerReplicationLoop:
     @example(system=FIRST_TWO_DIGITS, n=50, reps=1100, seed=2**128)
     @example(system=FIRST_DIGIT, n=50, reps=1100, seed=2**128)
     def test_report_is_byte_identical(self, system, n, reps, seed):
-        spec = SimulationSpec(system=system, n=n, reps=reps, seed=seed)
-        assert simulate(spec).to_json() == reference_simulate(spec).to_json()
+        args = (system, n, reps, seed)
+        assert simulate(*args).to_json() == reference_simulate(*args).to_json()

@@ -8,27 +8,25 @@ import pytest
 from benfordsev.asymptotics import build_constants
 from benfordsev.cli import Report
 from benfordsev.digits import FIRST_DIGIT, FIRST_TWO_DIGITS, DigitCounts, DigitSystem
-from benfordsev.mc import SimulationReport, SimulationSpec, simulate
-from benfordsev.severity import CalibrationConfig, run_test_from_proportions
+from benfordsev.mc import SimulationReport, simulate
+from benfordsev.severity import delta_star, run_test_from_proportions
 
 RECORDS = {
     "DigitSystem": lambda: DigitSystem(2),
     "DigitCounts": lambda: DigitCounts(FIRST_DIGIT, (1,) * 9),
     "AsymptoticConstants": lambda: build_constants(FIRST_DIGIT),
     "TestOutcome": lambda: run_test_from_proportions((1 / 9,) * 9, 100, FIRST_DIGIT),
-    "CalibrationConfig": lambda: CalibrationConfig(FIRST_DIGIT, 0.006, 110, 25000),
-    "SimulationSpec": lambda: SimulationSpec(FIRST_DIGIT, 100, 3, 0),
-    "SimulationReport": lambda: simulate(SimulationSpec(FIRST_DIGIT, 100, 3, 0)),
+    "SimulationReport": lambda: simulate(FIRST_DIGIT, 100, 3, 0),
     "Report": lambda: Report({}, [], str),
 }
 
-# The specs of tests/test_mc.py.
-SIMULATION_SPECS = [
-    SimulationSpec(system=FIRST_DIGIT, n=2000, reps=100, seed=77),
-    SimulationSpec(system=FIRST_DIGIT, n=20000, reps=400, seed=28),
-    SimulationSpec(system=FIRST_TWO_DIGITS, n=20000, reps=300, seed=28),
-    SimulationSpec(system=FIRST_DIGIT, n=1000, reps=200, seed=3),
-    SimulationSpec(system=FIRST_DIGIT, n=500, reps=50, seed=11),
+# The (system, n, reps, seed) arguments of simulate in tests/test_mc.py.
+SIMULATION_ARGS = [
+    (FIRST_DIGIT, 2000, 100, 77),
+    (FIRST_DIGIT, 20000, 400, 28),
+    (FIRST_TWO_DIGITS, 20000, 300, 28),
+    (FIRST_DIGIT, 1000, 200, 3),
+    (FIRST_DIGIT, 500, 50, 11),
 ]
 
 
@@ -46,18 +44,15 @@ def test_attributes_cannot_be_set(name):
 @pytest.mark.parametrize("build, message", [
     (lambda: DigitSystem(3), "digits must be 1 or 2, got 3"),
     (lambda: DigitSystem(digits=0), "digits must be 1 or 2, got 0"),
-    (lambda: SimulationSpec(FIRST_DIGIT, 10, 1, 1),
+    # simulate and delta_star check the same fields as arguments.
+    (lambda: simulate(FIRST_DIGIT, 10, 1, 1),
      "reps must be at least 2: the standard deviations need two samples"),
-    (lambda: SimulationSpec(system=FIRST_DIGIT, n=0, reps=10, seed=1),
+    (lambda: simulate(system=FIRST_DIGIT, n=0, reps=10, seed=1),
      "n must be at least 1 and below 2**63, got 0"),
-    (lambda: CalibrationConfig(FIRST_DIGIT, 0.0, 110, 25000), "threshold must be positive"),
-    (lambda: CalibrationConfig(system=FIRST_DIGIT, threshold=0.006, n_min=200, n_max=100),
+    (lambda: delta_star(FIRST_DIGIT, 0.0, 110, 25000), "threshold must be positive"),
+    (lambda: delta_star(system=FIRST_DIGIT, threshold=0.006, n_min=200, n_max=100),
      "n_min=200 exceeds n_max=100"),
     (lambda: FIRST_DIGIT._replace(digits=3), "digits must be 1 or 2, got 3"),
-    (lambda: SimulationSpec(FIRST_DIGIT, 10, 2, 0)._replace(seed=-1),
-     "seed must be a nonnegative integer, got -1"),
-    (lambda: CalibrationConfig(FIRST_DIGIT, 0.006, 110, 25000)._replace(n_min=30000),
-     "n_min=30000 exceeds n_max=25000"),
 ])
 def test_invalid_records_are_refused_when_built(build, message):
     with pytest.raises(ValueError) as info:
@@ -85,13 +80,12 @@ def test_equal_systems_hash_equal_and_share_cached_constants():
 
 def test_records_equal_plain_tuples_of_their_fields():
     assert FIRST_DIGIT == (1,)
-    assert CalibrationConfig(FIRST_DIGIT, 0.006, 110, 25000) == ((1,), 0.006, 110, 25000)
 
 
-@pytest.mark.parametrize("spec", SIMULATION_SPECS, ids=lambda s: f"k{s.system.k}-n{s.n}-{s.seed}")
-def test_simulation_json_equals_the_dataclass_rendering(spec):
+@pytest.mark.parametrize("args", SIMULATION_ARGS, ids=lambda a: f"k{a[0].k}-n{a[1]}-{a[3]}")
+def test_simulation_json_equals_the_dataclass_rendering(args):
     # SimulationReport was a frozen dataclass rendered by json.dumps(asdict(report), indent=2).
     fields = [(name, SimulationReport.__annotations__[name]) for name in SimulationReport._fields]
     old = dataclasses.make_dataclass("SimulationReport", fields, frozen=True)
-    report = simulate(spec)
+    report = simulate(*args)
     assert report.to_json() == json.dumps(dataclasses.asdict(old(*report)), indent=2)

@@ -9,7 +9,6 @@ from benfordsev.asymptotics import build_constants, mad_moments
 from benfordsev.benford import benford_probs
 from benfordsev.digits import DigitCounts, FIRST_DIGIT, FIRST_TWO_DIGITS
 from benfordsev.severity import (
-    CalibrationConfig,
     CalibrationWarning,
     SmallSampleWarning,
     chi_square_severity,
@@ -164,50 +163,47 @@ class TestNMin:
 
 class TestDeltaStar:
     def test_first_digit_calibration(self):
-        config = CalibrationConfig(system=FIRST_DIGIT, threshold=0.006, n_min=110, n_max=25000)
-        assert delta_star(config) == pytest.approx(0.00321, abs=5e-5)
+        assert delta_star(FIRST_DIGIT, 0.006, 110, 25000) == pytest.approx(0.00321, abs=5e-5)
 
     def test_first_two_calibration(self):
-        config = CalibrationConfig(
-            system=FIRST_TWO_DIGITS, threshold=0.0012, n_min=1146, n_max=25000
-        )
-        assert delta_star(config) == pytest.approx(0.00037, abs=2e-5)
+        assert delta_star(FIRST_TWO_DIGITS, 0.0012, 1146, 25000) == pytest.approx(0.00037, abs=2e-5)
 
     def test_threshold_at_average_mean_gives_zero(self):
         import warnings
 
         means = [mad_moments(FIRST_DIGIT, n).mean for n in range(110, 25001)]
-        config = CalibrationConfig(
-            system=FIRST_DIGIT, threshold=sum(means) / len(means), n_min=110, n_max=25000
-        )
+        threshold = sum(means) / len(means)
         with warnings.catch_warnings():
             # the result may land a few ulps below zero and warn
             warnings.simplefilter("ignore", CalibrationWarning)
-            assert delta_star(config) == pytest.approx(0.0, abs=1e-12)
+            assert delta_star(FIRST_DIGIT, threshold, 110, 25000) == pytest.approx(0.0, abs=1e-12)
 
     def test_monotone_in_threshold(self):
-        lo = delta_star(CalibrationConfig(FIRST_DIGIT, 0.004, 110, 25000))
-        hi = delta_star(CalibrationConfig(FIRST_DIGIT, 0.008, 110, 25000))
+        lo = delta_star(FIRST_DIGIT, 0.004, 110, 25000)
+        hi = delta_star(FIRST_DIGIT, 0.008, 110, 25000)
         assert lo < hi
 
     def test_decreasing_in_n_min(self):
-        early = delta_star(CalibrationConfig(FIRST_DIGIT, 0.006, 110, 25000))
-        late = delta_star(CalibrationConfig(FIRST_DIGIT, 0.006, 5000, 25000))
+        early = delta_star(FIRST_DIGIT, 0.006, 110, 25000)
+        late = delta_star(FIRST_DIGIT, 0.006, 5000, 25000)
         assert late > early  # dropping the small-n (large E(MAD)) part raises the average
 
     def test_negative_value_warns(self):
-        config = CalibrationConfig(system=FIRST_DIGIT, threshold=0.0001, n_min=110, n_max=200)
         with pytest.warns(CalibrationWarning):
-            value = delta_star(config)
+            value = delta_star(FIRST_DIGIT, 0.0001, 110, 200)
         assert value < 0.0
 
     def test_invalid_range_rejected(self):
         with pytest.raises(ValueError):
-            CalibrationConfig(system=FIRST_DIGIT, threshold=0.006, n_min=200, n_max=100)
+            delta_star(system=FIRST_DIGIT, threshold=0.006, n_min=200, n_max=100)
 
     def test_rejects_sample_sizes_below_one(self):
         with pytest.raises(ValueError):
-            delta_star(CalibrationConfig(system=FIRST_DIGIT, threshold=0.006, n_min=0, n_max=100))
+            delta_star(system=FIRST_DIGIT, threshold=0.006, n_min=0, n_max=100)
+
+    def test_threshold_is_checked_before_the_range(self):
+        with pytest.raises(ValueError, match="^threshold must be positive$"):
+            delta_star(FIRST_DIGIT, 0.0, 0, 100)
 
     @pytest.mark.parametrize("system, threshold, n_min, n_max", [
         (FIRST_DIGIT, 0.006, 110, 25000),
@@ -219,8 +215,7 @@ class TestDeltaStar:
         reference = math.fsum(
             threshold - e1 / math.sqrt(n) for n in range(n_min, n_max + 1)
         ) / (n_max - n_min + 1)
-        config = CalibrationConfig(system=system, threshold=threshold, n_min=n_min, n_max=n_max)
-        assert delta_star(config) == pytest.approx(reference, rel=1e-12, abs=0)
+        assert delta_star(system, threshold, n_min, n_max) == pytest.approx(reference, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("n_min, n_max", [
         (1, 1), (1, 2), (1, 63), (1, 64), (63, 64), (64, 64), (64, 65), (1, 1000),
@@ -236,7 +231,7 @@ class TestDeltaStar:
 
     def test_n_max_beyond_the_float_range_is_refused(self):
         with pytest.raises(ValueError, match="largest float"):
-            CalibrationConfig(system=FIRST_DIGIT, threshold=0.006, n_min=110, n_max=10**309)
+            delta_star(FIRST_DIGIT, 0.006, 110, 10**309)
 
 
 class TestChiSquareSeverity:
