@@ -10,6 +10,7 @@ they are built once per scheme and cached.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -61,10 +62,25 @@ def build_constants(system: DigitSystem) -> AsymptoticConstants:
 
 def mad_moments(system: DigitSystem, n: int) -> MadMoments:
     """Approximate mean and standard deviation of the MAD under the law."""
-    if n < 1:
-        raise ValueError(f"sample size must be at least 1, got {n!r}")
+    _check_sample_size(n)
     c = build_constants(system)
     k = system.k
     mean = math.sqrt(2.0 / (math.pi * n * k * k)) * c.sum_d
     sd = math.sqrt(c.quad_form / (n * k * k))
     return MadMoments(mean=mean, sd=sd)
+
+
+def standardized(excess: float, n: int, system: DigitSystem) -> float:
+    """Excess MADs (a float or an array) in null standard deviations: k*sqrt(n)*x/sqrt(1'DRD1).
+
+    A sample size below 1 or beyond the float range raises ValueError.
+    """
+    _check_sample_size(n)
+    if n > sys.float_info.max:
+        raise ValueError("the sample size exceeds the largest float, about 1.8e308")
+    return system.k * math.sqrt(n) * excess / math.sqrt(build_constants(system).quad_form)
+
+
+def _check_sample_size(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"sample size must be at least 1, got {n!r}")

@@ -156,12 +156,7 @@ def _ingest_file(args) -> DigitCounts:
 
 def _digit_table(counts: DigitCounts) -> list[tuple[int, float, float]]:
     """(digit, observed proportion, Benford probability) for every digit cell."""
-    p = proportions(counts)
-    b = benford_probs(counts.system)
-    return [
-        (int(d), float(obs), float(exp))
-        for d, obs, exp in zip(counts.system.digit_labels, p, b)
-    ]
+    return list(zip(counts.system.digit_labels, proportions(counts), benford_probs(counts.system)))
 
 
 def build_report(args, counts) -> Report:

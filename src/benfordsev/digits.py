@@ -63,11 +63,11 @@ class DigitSystem(namedtuple("DigitSystem", "digits")):
     def extract(self, token: str | float | int) -> int | None:
         """Leading `digits` significant digits of a number, None for exact zero.
 
-        Numbers are read as their decimal text (see `_number_text`), so there
-        is a single extraction pathway.  A significand shorter than `digits`
-        is padded with a zero.  Raises ValueError for non-numeric input.
+        Values are read as their decimal text (see `_text`), so there is a
+        single extraction pathway.  A significand shorter than `digits` is
+        padded with a zero.  Raises ValueError for non-numeric input.
         """
-        text = token.strip() if isinstance(token, str) else _number_text(token)
+        text = _text(token)
         if not _NUMERIC_RE.fullmatch(text):
             raise ValueError(f"not a numeric token: {token!r}")
         # The mantissa's digits with leading zeros removed: empty for a zero.
@@ -108,16 +108,22 @@ class DigitCounts(namedtuple("DigitCounts", "system counts skip_reasons")):
         return sum(self.skip_reasons.values())
 
 
-def _number_text(number: float | int) -> str:
-    """The decimal text of a number: exact for an integer, repr(float(x)) otherwise.
+def _text(token: str | float | int) -> str:
+    """The decimal text of a value: a str stripped, an integer exact, repr(float(x)) otherwise.
 
     Anything with `__index__` (int, bool, numpy integers) is an integer, so
-    an int too long for a float keeps its leading digits exactly.
+    an int too long for a float keeps its leading digits exactly.  A value
+    that float() refuses (None, a complex number) reads as "", a non-number.
     """
+    if isinstance(token, str):
+        return token.strip()
     try:
-        value = as_integer(number)
+        value = as_integer(token)
     except TypeError:
-        return repr(float(number))
+        try:
+            return repr(float(token))
+        except TypeError:
+            return ""
     # str() refuses ints of more than 4300 digits.  Dividing by a power of ten
     # at least 19 digits below the leading one drops only trailing digits.
     shift = max(value.bit_length() * 30103 // 100000 - 20, 0)
@@ -154,8 +160,9 @@ def parse_records(
     non-numeric.  Returns the tokens (as decimal strings) and a map of skip
     reason -> count for cells that were empty or non-numeric.  Zeros are not
     filtered here; they are counted later, at digit extraction.  A delimiter
-    or decimal mark that is not one character, a whitespace decimal mark, or
-    a delimiter equal to the decimal mark raises ValueError.
+    or decimal mark that is not one character or is a digit, a sign, "e" or
+    "E", a whitespace decimal mark, or a delimiter equal to the decimal mark
+    raises ValueError.
 
     Whitespace-delimited text read by its first field is not split into
     rows: one regex search per chunk of stripped lines reads the grammar at
@@ -184,27 +191,37 @@ def _valid_chunks(
     for name, mark in (("delimiter", delimiter), ("decimal mark", decimal_mark)):
         if mark is not None and len(mark) != 1:
             raise ValueError(f"the {name} must be one character, got {mark!r}")
+        # A mark that a number can hold would split or join numbers.
+        if mark is not None and mark in "0123456789+-eE":
+            raise ValueError(f"the {name} must not be a digit, a sign, 'e' or 'E', got {mark!r}")
     if decimal_mark.isspace():
         raise ValueError(f"the decimal mark must not be whitespace, got {decimal_mark!r}")
     if delimiter == decimal_mark:
         raise ValueError(f"the delimiter and the decimal mark are both {delimiter!r}")
-    if isinstance(source, str):
-        source = io.StringIO(source)
-    delimiter, lines = _sniff(source, delimiter, decimal_mark)
+    lines = iter(io.StringIO(source) if isinstance(source, str) else source)
+    if delimiter is None:
+        # Read ahead to the first non-blank line, and no further: a comma
+        # there makes the input comma-delimited, unless it is the decimal mark.
+        ahead = []
+        for line in lines:
+            ahead.append(line)
+            if line.strip():
+                if "," in line and decimal_mark != ",":
+                    delimiter = ","
+                break
+        lines = chain(ahead, lines)
     if delimiter is None:
         lines = filter(None, map(str.strip, lines))
-        first_line = next(lines, None)
-        first_row = first_line.split() if first_line else None
         rows = map(str.split, lines)
     else:
         rows = filter(None, csv.reader(lines, delimiter=delimiter))
-        first_row = next(rows, None)
+    first_row = next(rows, None)
     if first_row is None:
         return
     index, is_header = _resolve_column(column, first_row, decimal_mark)
     first_fields = delimiter is None and index == 0
     if first_fields:
-        cells = lines if is_header else chain((first_line,), lines)
+        cells = lines if is_header else chain(first_row[:1], lines)
     else:
         if not is_header:
             rows = chain((first_row,), rows)
@@ -239,28 +256,6 @@ def _valid_chunks(
         yield valid
 
 
-def _sniff(
-    source: TextIO | Iterable[str], delimiter: str | None, decimal_mark: str
-) -> tuple[str | None, Iterator[str]]:
-    """Return (delimiter, lines of `source`), sniffing comma-delimited input.
-
-    A comma that is the decimal mark never makes the input comma-delimited.
-    Lines are read lazily: only those up to the first non-blank one are read
-    ahead for sniffing.  A None delimiter means whitespace-delimited text.
-    """
-    lines = iter(source)
-    if delimiter is None:
-        buffered = []
-        for line in lines:
-            buffered.append(line)
-            if line.strip():
-                if "," in line and decimal_mark != ",":
-                    delimiter = ","
-                break
-        lines = chain(buffered, lines)
-    return delimiter, lines
-
-
 def _resolve_column(column, first_row, decimal_mark) -> tuple[int, bool]:
     """Return (index, whether first_row is a header row)."""
     if isinstance(column, str):
@@ -279,11 +274,10 @@ def _resolve_column(column, first_row, decimal_mark) -> tuple[int, bool]:
 def count_digits(tokens: Iterable[str | float | int], system: DigitSystem) -> DigitCounts:
     """Tally extracted digits over `tokens` into a DigitCounts.
 
-    Zero values and unparseable tokens go to skip_reasons instead of counts.
-    Numbers are read as their decimal text, as DigitSystem.extract reads them.
+    Zero values and non-numeric tokens, None among them, go to skip_reasons.
+    Values are read as their decimal text, as DigitSystem.extract reads them.
     """
-    texts = (t.strip() if isinstance(t, str) else _number_text(t) for t in tokens)
-    texts, checked = tee(texts)
+    texts, checked = tee(map(_text, tokens))
     counted = Counter(zip(map(bool, map(_NUMERIC_RE.fullmatch, checked)), _heads(texts, system)))
     return _tally(((head if valid else None, n) for (valid, head), n in counted.items()), system)
 

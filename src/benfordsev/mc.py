@@ -21,10 +21,9 @@ import json
 import math
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from .asymptotics import build_constants, mad_moments
+from .asymptotics import build_constants, mad_moments, standardized
 from .benford import benford_probs
 from .digits import DigitCounts, DigitSystem
-from .severity import _standardized
 
 if TYPE_CHECKING:
     import numpy as np
@@ -167,7 +166,7 @@ def simulate(system: DigitSystem, n: int, reps: int, seed: int) -> SimulationRep
     # Formed after the std above has freed its (reps, k) temporary, so these
     # small temporaries do not raise the peak memory.
     moments = mad_moments(system, n)
-    tildes = _standardized(mads - moments.mean, n, system)
+    tildes = standardized(mads - moments.mean, n, system)
     return SimulationReport(
         digits=system.digits,
         k=system.k,

@@ -17,7 +17,7 @@ import warnings
 from typing import NamedTuple, Sequence
 
 from . import specialfn
-from .asymptotics import build_constants, mad_moments
+from .asymptotics import mad_moments, standardized
 from .benford import benford_probs, mad, proportions
 from .digits import DigitCounts, DigitSystem
 
@@ -68,22 +68,11 @@ def n_min_for(system: DigitSystem) -> int:
     return int(n)
 
 
-def _standardized(excess: float, n: int, system: DigitSystem) -> float:
-    """Excess MADs (a float or an array) in null standard deviations: k*sqrt(n)*x/sqrt(1'DRD1).
-
-    A sample size beyond the float range raises ValueError.
-    """
-    if n > sys.float_info.max:
-        raise ValueError("the sample size exceeds the largest float, about 1.8e308")
-    c = build_constants(system)
-    return system.k * math.sqrt(n) * excess / math.sqrt(c.quad_form)
-
-
 def run_test_from_proportions(p: Sequence[float], n: int, system: DigitSystem) -> TestOutcome:
     """Excess-MAD normal test computed from proportions and sample size."""
     observed_mad = mad(p, benford_probs(system))
     excess = observed_mad - mad_moments(system, n).mean
-    tilde = _standardized(excess, n, system)
+    tilde = standardized(excess, n, system)
     return TestOutcome(
         mad=observed_mad,
         excess_delta=excess,
@@ -143,9 +132,7 @@ def _noncentrality(delta_star: float, n: int, system: DigitSystem) -> float:
     """The benchmark delta_star in null standard deviations: the test's mean under it."""
     if delta_star < 0.0:
         raise ValueError("delta_star must be nonnegative")
-    if n < 1:
-        raise ValueError("sample size must be at least 1")
-    return _standardized(delta_star, n, system)
+    return standardized(delta_star, n, system)
 
 
 def delta_star(system: DigitSystem, threshold: float, n_min: int, n_max: int) -> float:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from benfordsev.asymptotics import build_constants, mad_moments
+from benfordsev.asymptotics import build_constants, mad_moments, standardized
 from benfordsev.benford import benford_probs
 from benfordsev.digits import FIRST_DIGIT, FIRST_TWO_DIGITS
 
@@ -107,3 +107,10 @@ class TestMadMoments:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             mad_moments(FIRST_DIGIT, 0)
+
+
+class TestStandardized:
+    @pytest.mark.parametrize("system", [FIRST_DIGIT, FIRST_TWO_DIGITS])
+    @pytest.mark.parametrize("n", [1, 110, 10**6])
+    def test_null_sd_is_one_unit(self, system, n):
+        assert standardized(mad_moments(system, n).sd, n, system) == pytest.approx(1.0, rel=1e-12)

@@ -226,6 +226,18 @@ class TestAnalyze:
         assert out == ""
         assert "must be one character" in err
 
+    @pytest.mark.parametrize("option", ["--delimiter", "--decimal-mark"])
+    def test_mark_that_a_number_can_hold_is_config_error(self, tmp_path, capsys, option):
+        f = tmp_path / "three.txt"
+        f.write_text("105\n205\n305\n")
+        plot = tmp_path / "plot.csv"
+        code, out, err = run_cli(capsys, "plotdata", str(f), "--digits", "2", option, "0",
+                                 "--out", str(plot))
+        assert code == 2
+        assert out == "" and not plot.exists()
+        assert err.startswith("benfordsev: error:") and "'0'" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("mark", [" ", "\t"])
     def test_whitespace_decimal_mark_is_config_error(self, tmp_path, capsys, mark):
         # Read with a space as the decimal mark, "1 5" would be 1.5 or the field "1".

@@ -19,7 +19,7 @@ from benfordsev.digits import (
     ColumnError,
     DigitCounts,
     DigitSystem,
-    _sniff,
+    _valid_chunks,
     count_digits,
     first_digit,
     first_two_digits,
@@ -94,7 +94,8 @@ class TestFirstDigit:
         assert first_two_digits(np.int64(1999999999999999999)) == 19
         assert first_two_digits(np.uint64(2**64 - 1)) == 18
 
-    @pytest.mark.parametrize("token", ["abc", "", "1.2.3", "nan", "inf", "1e", "--5"])
+    @pytest.mark.parametrize("token", ["abc", "", "1.2.3", "nan", "inf", "1e", "--5",
+                                       None, 1j, object()])
     def test_parse_errors(self, token):
         with pytest.raises(ValueError):
             first_digit(token)
@@ -242,6 +243,13 @@ class TestParseRecords:
         with pytest.raises(ValueError, match="decimal mark"):
             parse_records(io.StringIO("0,05\n1,5\n2,5\n"), delimiter=mark, decimal_mark=mark)
 
+    @pytest.mark.parametrize("name", ["delimiter", "decimal_mark"])
+    @pytest.mark.parametrize("mark", ["0", "5", "+", "-", "e", "E"])
+    def test_mark_that_a_number_can_hold_is_refused(self, name, mark):
+        # With "0" as the decimal mark, "105" would read as 1.5.
+        with pytest.raises(ValueError, match=f"{name.replace('_', ' ')} must not be a digit"):
+            parse_records(io.StringIO("105\n205\n305\n"), **{name: mark})
+
     def test_quoted_thousands_separator_is_non_numeric(self):
         tokens, skips = parse_records(io.StringIO('amt\n"1,234"\n5\n'), column="amt")
         assert tokens == ["5"]
@@ -264,11 +272,13 @@ class TestParseRecords:
 
     def test_sniff_reads_lazily(self):
         source = iter(["\n", "1,2\n", "3,4\n", "5,6\n"])
-        delimiter, lines = _sniff(source, None, ".")
-        assert delimiter == ","
-        # Only the lines up to the first non-blank one are read ahead.
-        assert next(source) == "3,4\n"
-        assert list(lines) == ["\n", "1,2\n", "5,6\n"]
+        with mock.patch.object(digits, "_CHUNK", 1):
+            chunks = _valid_chunks(source, None, None, ".", {})
+            # The comma is sniffed: the first chunk holds the first row's first cell.
+            assert next(chunks) == ["1"]
+            # Only the lines up to the first non-blank one are read ahead.
+            assert next(source) == "3,4\n"
+            assert list(chunks) == [["5"]]
 
 
 class TestDigitCounts:
@@ -534,6 +544,8 @@ class TestBatchedIngestionMatchesPerTokenLoop:
                 cell_texts,
                 st.floats(allow_nan=True, allow_infinity=True),
                 st.integers(min_value=-(10**12), max_value=10**12),
+                st.none(),
+                st.complex_numbers(),
             ),
             max_size=40,
         ),

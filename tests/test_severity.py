@@ -117,6 +117,10 @@ class TestSeverityOfRejection:
         with pytest.raises(ValueError):
             severity_of_rejection(1.0, -0.001, 100, FIRST_DIGIT)
 
+    def test_sample_size_below_one_rejected(self):
+        with pytest.raises(ValueError, match="at least 1, got 0"):
+            severity_of_rejection(1.0, 0.003, 0, FIRST_DIGIT)
+
 
 class TestSeverityOfAcceptance:
     @given(
