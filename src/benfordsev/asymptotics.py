@@ -76,11 +76,11 @@ def standardized(excess: float, n: int, system: DigitSystem) -> float:
     A sample size below 1 or beyond the float range raises ValueError.
     """
     _check_sample_size(n)
-    if n > sys.float_info.max:
-        raise ValueError("the sample size exceeds the largest float, about 1.8e308")
     return system.k * math.sqrt(n) * excess / math.sqrt(build_constants(system).quad_form)
 
 
 def _check_sample_size(n: int) -> None:
     if n < 1:
         raise ValueError(f"sample size must be at least 1, got {n!r}")
+    if n > sys.float_info.max:
+        raise ValueError("the sample size exceeds the largest float, about 1.8e308")

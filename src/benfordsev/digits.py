@@ -22,13 +22,16 @@ SKIP_ZERO = "zero-value"
 
 # The one numeric-token grammar.  Only ASCII digits count: str.isdigit and
 # the regex class \d would also admit other scripts' digits.  No two
-# repeats can share a run of digits, so a failed match takes linear time.
-_NUMERIC = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+# repeats can share a run of digits, so every quantifier can be possessive:
+# a match never gives characters back, and a failed one takes linear time.
+_NUMERIC = r"[+-]?+(?:[0-9]++(?:\.[0-9]*+)?+|\.[0-9]++)(?:[eE][+-]?+[0-9]++)?+"
 _NUMERIC_RE = re.compile(_NUMERIC)
-# The numeric first field of each stripped line of a text: the grammar at a
-# line's start, up to whitespace or the line's end.
-_FIRST_FIELDS_RE = re.compile(rf"^{_NUMERIC}(?!\S)", re.MULTILINE)
-_CHUNK = 65536  # cells per batch read by parse_records and ingest
+# Runs of valid lines in a chunk joined with a line break after each cell:
+# numeric cells, and stripped text lines whose first field is numeric, that
+# is, the grammar at a line's start up to whitespace or the line's end.
+_CELL_RUNS_RE = re.compile(rf"^(?:{_NUMERIC}\n)++", re.MULTILINE)
+_LINE_RUNS_RE = re.compile(rf"^(?:{_NUMERIC}(?:[^\S\n][^\n]*+)?+\n)++", re.MULTILINE)
+_CHUNK = 16384  # cells per batch read by parse_records and ingest
 
 
 class ColumnError(ValueError):
@@ -165,13 +168,14 @@ def parse_records(
     raises ValueError.
 
     Whitespace-delimited text read by its first field is not split into
-    rows: one regex search per chunk of stripped lines reads the grammar at
+    rows: one regex pass per chunk of stripped lines reads the grammar at
     each line's start, up to whitespace or the line's end, so a line of one
     field and a line of several are read alike.
     """
     skip_reasons: dict[str, int] = {}
     chunks = _valid_chunks(source, column, delimiter, decimal_mark, skip_reasons)
-    return list(chain.from_iterable(chunks)), skip_reasons
+    # A valid text line may keep fields after its first.
+    return [token.split(None, 1)[0] for token in chain.from_iterable(chunks)], skip_reasons
 
 
 def _valid_chunks(
@@ -183,10 +187,13 @@ def _valid_chunks(
 ) -> Iterator[list[str]]:
     """Yield parse_records' tokens one chunk of `_CHUNK` cells at a time.
 
-    Each chunk's skip counts are added to `skip_reasons`, whose reasons are
-    listed in order of first occurrence.  Nothing here holds a chunk once the
-    next is read, so a caller that counts each chunk as it comes keeps memory
-    flat however long the input is.
+    Each chunk is checked by one regex pass over its joined text, with no
+    Python call per cell.  A token read as the first field of a text line
+    is the whole stripped line, which may keep fields after its first.  Each
+    chunk's skip counts are added to `skip_reasons`, whose reasons are listed
+    in order of first occurrence.  Nothing here holds a chunk once the next
+    is read, so a caller that counts each chunk as it comes keeps memory flat
+    however long the input is.
     """
     for name, mark in (("delimiter", delimiter), ("decimal mark", decimal_mark)):
         if mark is not None and len(mark) != 1:
@@ -219,10 +226,11 @@ def _valid_chunks(
     if first_row is None:
         return
     index, is_header = _resolve_column(column, first_row, decimal_mark)
-    first_fields = delimiter is None and index == 0
-    if first_fields:
+    if delimiter is None and index == 0:
+        runs = _LINE_RUNS_RE
         cells = lines if is_header else chain(first_row[:1], lines)
     else:
+        runs = _CELL_RUNS_RE
         if not is_header:
             rows = chain((first_row,), rows)
         # Chunks hold cells, never row lists: tens of thousands of live lists
@@ -232,24 +240,26 @@ def _valid_chunks(
         cells = map(methodcaller("replace", decimal_mark, "."), cells)
     while chunk := list(islice(cells, _CHUNK)):
         size, empty = len(chunk), chunk.count("")
-        if first_fields:
-            # One findall per chunk reads each line's first field; a line that
-            # holds a line break is cut to its first field beforehand.  The
-            # lines are freed before findall copies out the fields, which
-            # keeps the peak memory of a chunk at one copy of it.
-            text = "\n".join(chunk)
-            if text.count("\n") >= size:
-                text = "\n".join(line.split(None, 1)[0] for line in chunk)
-            chunk.clear()
-            valid = _FIRST_FIELDS_RE.findall(text)
-        else:
-            valid = list(filter(_NUMERIC_RE.fullmatch, chunk))
-        non_numeric = size - empty - len(valid)
+        # One line per cell, each ended by a line break.  A line break inside
+        # a cell becomes a space: a CSV cell stays non-numeric, and a text
+        # line keeps its first field.
+        chunk.append("")
+        text = "\n".join(chunk)
+        if text.count("\n") > size:
+            text = "\n".join(map(methodcaller("replace", "\n", " "), chunk))
+        chunk.clear()
         # Skip reasons are listed in order of first occurrence.  When both are
-        # new, non-numeric is first if a cell before the first empty one is.
-        if empty and non_numeric and not skip_reasons:
-            if not all(map(_NUMERIC_RE.fullmatch, chunk[:chunk.index("")])):
+        # new, non-numeric is first if a cell before the first empty one is:
+        # if the run at the text's start stops short of the first empty line.
+        if empty and not skip_reasons and not text.startswith("\n"):
+            run = runs.match(text)
+            if run is None or text[run.end()] != "\n":
                 skip_reasons[SKIP_NON_NUMERIC] = 0
+        # The valid lines are copied out only after the cells are freed.
+        text = "".join(runs.findall(text))
+        valid = text.split("\n")
+        valid.pop()  # the empty string after the last line break
+        non_numeric = size - empty - len(valid)
         for reason, count in ((SKIP_EMPTY, empty), (SKIP_NON_NUMERIC, non_numeric)):
             if count:
                 skip_reasons[reason] = skip_reasons.get(reason, 0) + count
@@ -301,9 +311,9 @@ def _tally(head_counts: Iterable[tuple[str | None, int]], system: DigitSystem) -
     counts = [0] * system.k
     skip_reasons: dict[str, int] = {}
     for head, count in head_counts:
-        # The head's mantissa is a valid token with the same leading digits;
-        # it is empty for a zero value.
-        label = None if head is None else system.extract(re.split("[eE]", head)[0] or "0")
+        # The head's mantissa, cut at any field after a text line's first, is
+        # a valid token with the same leading digits; it is empty for a zero.
+        label = None if head is None else system.extract(re.split(r"[eE\s]", head)[0] or "0")
         if label is not None:
             counts[system.label_index(label)] += count
         else:
@@ -324,9 +334,11 @@ def ingest(
 
     The input is read as parse_records reads it, one chunk at a time, and
     each chunk's heads are counted before the next is read, so memory holds
-    about one chunk of cells however long the input is.  The tokens have
-    passed the parse check, so they are counted by head in C, with no second
-    check and no Python call per token.
+    about one chunk of cells however long the input is.  Each chunk is
+    checked by one regex pass over its joined text, and the tokens that pass
+    are counted by head in C, with no second check and no Python call per
+    token.  A token read from a text line may keep the line's later fields;
+    its head is cut at whitespace when it is tallied.
     """
     heads: Counter[str] = Counter()
     parse_skips: dict[str, int] = {}

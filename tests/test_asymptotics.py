@@ -108,6 +108,10 @@ class TestMadMoments:
         with pytest.raises(ValueError):
             mad_moments(FIRST_DIGIT, 0)
 
+    def test_sample_size_beyond_the_float_range_is_refused(self):
+        with pytest.raises(ValueError, match="largest float"):
+            mad_moments(FIRST_DIGIT, 10**309)
+
 
 class TestStandardized:
     @pytest.mark.parametrize("system", [FIRST_DIGIT, FIRST_TWO_DIGITS])

@@ -150,6 +150,9 @@ class TestExtractionProperties:
 # The grammar before it was made linear: `[0-9]+` and `[0-9]*` can split one
 # run of digits, so a failed match backtracks in quadratic time.
 OLD_NUMERIC = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+# The numeric first field of each line: the grammar at a line's start, up to
+# whitespace or the line's end.
+OLD_FIRST_FIELDS_RE = re.compile(rf"^{OLD_NUMERIC}(?!\S)", re.MULTILINE)
 grammar_texts = st.text(alphabet="0123456789.+-eEx \t", max_size=16)
 
 
@@ -160,9 +163,9 @@ class TestNumericGrammar:
 
     @given(st.lists(grammar_texts, max_size=8))
     def test_first_fields_match_the_old_grammar(self, lines):
-        text = "\n".join(lines)
-        old = re.compile(rf"^{OLD_NUMERIC}(?!\S)", re.MULTILINE)
-        assert digits._FIRST_FIELDS_RE.findall(text) == old.findall(text)
+        text = "".join(line + "\n" for line in lines)
+        valid = "".join(digits._LINE_RUNS_RE.findall(text)).split("\n")[:-1]
+        assert [line.split(None, 1)[0] for line in valid] == OLD_FIRST_FIELDS_RE.findall(text)
 
     @pytest.mark.parametrize("text", [
         "5\n" + "9" * 30_000 + "x\n",
@@ -376,10 +379,14 @@ class TestIngest:
         pattern = digits._NUMERIC_RE
         monkeypatch.setattr(digits, "_NUMERIC_RE", CountingPattern())
         cells = ["12.5", " 0.034 "] * 1000
-        counts = ingest(io.StringIO("amount\n" + "\n".join(cells) + "\n"), FIRST_DIGIT)
-        assert counts.n == 2000 and counts.counts[0] == counts.counts[2] == 1000
-        # One match per cell, one for the header check and one per distinct head.
-        assert len(calls) <= len(cells) + 1 + 2
+        for delimiter in (None, ","):
+            calls.clear()
+            text = "amount\n" + "\n".join(cells) + "\n"
+            counts = ingest(io.StringIO(text), FIRST_DIGIT, delimiter=delimiter)
+            assert counts.n == 2000 and counts.counts[0] == counts.counts[2] == 1000
+            # Cells are checked by the run patterns: the cell grammar alone
+            # checks the header and one head per distinct head.
+            assert len(calls) <= 1 + 2
 
     def test_each_text_line_is_matched_once(self, monkeypatch):
         calls = []
@@ -395,9 +402,9 @@ class TestIngest:
                 texts.append(text)
                 return lines_pattern.findall(text)
 
-        pattern, lines_pattern = digits._NUMERIC_RE, digits._FIRST_FIELDS_RE
+        pattern, lines_pattern = digits._NUMERIC_RE, digits._LINE_RUNS_RE
         monkeypatch.setattr(digits, "_NUMERIC_RE", CountingPattern())
-        monkeypatch.setattr(digits, "_FIRST_FIELDS_RE", CountingLinesPattern())
+        monkeypatch.setattr(digits, "_LINE_RUNS_RE", CountingLinesPattern())
         clean = [f"{i}.5" for i in range(100, 1100)]
         multi = [f"{i}.25 \tn/a" if i % 2 else f"n/a{i}\x0c7" for i in range(100, 1100)]
         lines = [line for pair in zip(clean, multi) for line in pair]
@@ -406,7 +413,8 @@ class TestIngest:
         assert counts.n == 1000 + 500 and counts.skip_reasons == {"non-numeric": 500}
         # One findall per chunk reads each line once, clean or not; the cell
         # grammar checks only the header and one head per distinct head.
-        assert "\n".join(texts).split("\n") == lines
+        assert len(texts) == -(-len(lines) // 64)
+        assert "".join(texts) == "".join(line + "\n" for line in lines)
         assert len(calls) <= 1 + 9
 
     @pytest.mark.parametrize("column", [None, 1], ids=["text-first-field", "csv-column"])
@@ -627,3 +635,119 @@ class TestBatchedIngestionMatchesPerTokenLoop:
         counts, skips = reference_ingest("".join(lines), scheme)
         assert list(result.counts) == counts
         assert list(result.skip_reasons.items()) == list(skips.items())
+
+
+# Differential test of the reader: parse_records and ingest against the
+# reader as it was before the run patterns, which checked one cell or line
+# at a time with the old grammar.
+
+
+def old_parse_records(source, column=None, delimiter=None, decimal_mark="."):
+    """Tokens and skip reasons with one old-grammar check per stripped cell or line."""
+    lines = list(io.StringIO(source) if isinstance(source, str) else source)
+    nonblank = [line.strip() for line in lines if line.strip()]
+    if delimiter is None and nonblank and "," in nonblank[0] and decimal_mark != ",":
+        delimiter = ","
+    if delimiter is None:
+        rows = [line.split() for line in nonblank]
+    else:
+        rows = [row for row in csv.reader(lines, delimiter=delimiter) if row]
+    if not rows:
+        return [], {}
+
+    def cell(row):
+        return (row[index].strip() if index < len(row) else "").replace(decimal_mark, ".")
+
+    if isinstance(column, str):
+        index, header = [name.strip() for name in rows[0]].index(column), True
+    else:
+        index = column or 0
+        header = bool(cell(rows[0])) and not re.fullmatch(OLD_NUMERIC, cell(rows[0]))
+    tokens, skips = [], {}
+    if delimiter is None and index == 0:
+        # Each line's first field; a line holding a line break is cut to it first.
+        for line in nonblank[header:]:
+            line = (line.split(None, 1)[0] if "\n" in line else line).replace(decimal_mark, ".")
+            field = OLD_FIRST_FIELDS_RE.match(line)
+            if field:
+                tokens.append(field.group())
+            else:
+                skips["non-numeric"] = skips.get("non-numeric", 0) + 1
+    else:
+        for value in map(cell, rows[header:]):
+            if value and re.fullmatch(OLD_NUMERIC, value):
+                tokens.append(value)
+            else:
+                reason = "non-numeric" if value else "empty"
+                skips[reason] = skips.get(reason, 0) + 1
+    return tokens, skips
+
+
+ZERO_CELLS = ["0", "-0.0", "+00", "0e5", ".0", "0.", "-0E-3"]
+BREAK_CELLS = ["1\n2", "5\n", "\n", "x\n7", " 3.5 \n "]
+
+
+@st.composite
+def reader_inputs(draw):
+    """(source, column, delimiter, decimal mark): text or CSV with every kind of cell."""
+    decimal_mark = draw(st.sampled_from([".", ","]))
+
+    def cell(extra=()):
+        text = draw(st.one_of(cell_texts, st.sampled_from([*ZERO_CELLS, *extra])))
+        return text.replace(".", decimal_mark) if draw(st.booleans()) else text
+
+    header = draw(st.booleans())
+    if draw(st.booleans()):
+        # Whitespace-delimited lines, some with trailing fields, some blank.
+        separators = st.sampled_from([" ", "\t", "  ", "\x0c", "\x1c"])
+        lines = ["amount id"] if header else []
+        for _ in range(draw(st.integers(min_value=0, max_value=20))):
+            cells = [cell() for _ in range(draw(st.integers(min_value=0, max_value=3)))]
+            lines.append("".join(draw(separators) + c for c in cells)[1:])
+        lines = [line + "\n" for line in lines]
+        column = draw(st.sampled_from([None, 0, 1, "amount"] if header else [None, 0, 1]))
+        if draw(st.booleans()):
+            return "".join(lines), column, None, decimal_mark
+        # Iterable lines, some of which hold several lines.
+        items = []
+        for line in lines:
+            if items and draw(st.integers(min_value=0, max_value=3)) == 0:
+                items[-1] += line
+            else:
+                items.append(line)
+        return items, column, None, decimal_mark
+    delimiter = draw(st.sampled_from([";"] if decimal_mark == "," else [",", ";"]))
+    buffer = io.StringIO()
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    writer = csv.writer(buffer, delimiter=delimiter, quoting=quoting, lineterminator="\n")
+    if header:
+        writer.writerow(["amount", "id", "x"])
+    for _ in range(draw(st.integers(min_value=0, max_value=20))):
+        writer.writerow([cell(BREAK_CELLS) for _ in range(draw(st.integers(1, 3)))])
+    column = draw(st.sampled_from([None, 0, 1, "x"] if header else [None, 0, 1]))
+    sniffed = delimiter == "," and draw(st.booleans())
+    return buffer.getvalue(), column, None if sniffed else delimiter, decimal_mark
+
+
+class TestReaderMatchesTheOldAlgorithm:
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @given(case=reader_inputs(), chunk=st.integers(min_value=1, max_value=7))
+    def test_parse_records_and_ingest(self, scheme, case, chunk):
+        source, column, delimiter, decimal_mark = case
+        options = {"delimiter": delimiter, "decimal_mark": decimal_mark}
+        try:
+            tokens, skips = old_parse_records(source, column, delimiter, decimal_mark)
+        except csv.Error:
+            # Lines sniffed as CSV: csv.reader refuses an item holding a line break.
+            with small_chunks(chunk), pytest.raises(csv.Error):
+                parse_records(source, column, **options)
+            return
+        with small_chunks(chunk):
+            parsed, parse_skips = parse_records(source, column, **options)
+            result = ingest(source, scheme, column, **options)
+        assert parsed == tokens
+        assert list(parse_skips.items()) == list(skips.items())
+        counts, zeros = reference_count(tokens, scheme)
+        zeros.update(skips)  # ingest lists zero values before the parse skips
+        assert list(result.counts) == counts
+        assert list(result.skip_reasons.items()) == list(zeros.items())

@@ -59,6 +59,10 @@ class TestRunTest:
         with pytest.raises(ValueError):
             run_test(counts)
 
+    def test_sample_size_beyond_the_float_range_is_refused(self):
+        with pytest.raises(ValueError, match="largest float"):
+            run_test_from_proportions(benford_probs(FIRST_DIGIT), 10**309, FIRST_DIGIT)
+
 
 class TestGenericNormalSeverity:
     def test_mean_shift_example_small_sample(self):
