@@ -138,17 +138,15 @@ def _parse_grid(spec: str) -> list[float]:
 def _ingest_file(args) -> DigitCounts:
     """Digit counts of `args.file`; a file with no usable record is an error."""
     # utf-8-sig drops the byte-order mark that spreadsheet exports often start with.
+    # A CSV that csv.reader refuses raises a ValueError that names the file.
     with open(args.file, "r", encoding="utf-8-sig", newline="") as fh:
-        try:
-            counts = ingest(
-                fh,
-                DigitSystem(args.digits),
-                column=_parse_column(args.column),
-                delimiter=args.delimiter,
-                decimal_mark=args.decimal_mark,
-            )
-        except csv.Error as exc:
-            raise ValueError(f"malformed CSV in {args.file!r}: {exc}") from exc
+        counts = ingest(
+            fh,
+            DigitSystem(args.digits),
+            column=_parse_column(args.column),
+            delimiter=args.delimiter,
+            decimal_mark=args.decimal_mark,
+        )
     if counts.n == 0:
         raise ValueError(f"no usable numeric records in {args.file!r}")
     return counts

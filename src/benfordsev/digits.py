@@ -26,12 +26,21 @@ SKIP_ZERO = "zero-value"
 # a match never gives characters back, and a failed one takes linear time.
 _NUMERIC = r"[+-]?+(?:[0-9]++(?:\.[0-9]*+)?+|\.[0-9]++)(?:[eE][+-]?+[0-9]++)?+"
 _NUMERIC_RE = re.compile(_NUMERIC)
-# Runs of valid lines in a chunk joined with a line break after each cell:
-# numeric cells, and stripped text lines whose first field is numeric, that
-# is, the grammar at a line's start up to whitespace or the line's end.
+# Runs of numeric cells in a chunk joined with a line break after each cell.
 _CELL_RUNS_RE = re.compile(rf"^(?:{_NUMERIC}\n)++", re.MULTILINE)
-_LINE_RUNS_RE = re.compile(rf"^(?:{_NUMERIC}(?:[^\S\n][^\n]*+)?+\n)++", re.MULTILINE)
-_CHUNK = 16384  # cells per batch read by parse_records and ingest
+# The lines of a block of text lines, in order, one match per run of valid
+# lines or per non-numeric line, each with the blank lines after it.  A line
+# is valid if its first field is numeric: the grammar at its start, after
+# any indentation, up to whitespace or the line's end.  A run, which only
+# its first line can indent, is captured without that indentation; a
+# non-numeric line captures "".
+_LINE = rf"{_NUMERIC}(?:[^\S\n][^\n]*+)?+\n"
+_TEXT_LINES_RE = re.compile(
+    rf"^(?:[^\S\n]*+((?:{_LINE})++)|[^\S\n]*+\S[^\n]*+\n)(?:[^\S\n]*+\n)*+", re.MULTILINE
+)
+# Cells per chunk read by parse_records and ingest; text read by its first
+# field from a source with `read` comes in blocks of 4 * _CHUNK characters.
+_CHUNK = 16384
 
 
 class ColumnError(ValueError):
@@ -168,9 +177,14 @@ def parse_records(
     raises ValueError.
 
     Whitespace-delimited text read by its first field is not split into
-    rows: one regex pass per chunk of stripped lines reads the grammar at
-    each line's start, up to whitespace or the line's end, so a line of one
-    field and a line of several are read alike.
+    rows: one regex pass per block of whole lines reads the grammar at each
+    line's start, after any indentation, up to whitespace or the line's end,
+    so a line of one field and a line of several are read alike.  A source
+    with `read` (a str is read as one) is read in blocks of characters, with
+    lines ended at "\\n", and also at "\\r\\n" and "\\r" in universal-newline
+    mode (`newline=""`); a file opened with `newline="\\r"` or `"\\r\\n"` is
+    not split at its own line ends.  An iterable's items are read as one line
+    each.  A CSV that csv.reader refuses raises ValueError.
     """
     skip_reasons: dict[str, int] = {}
     chunks = _valid_chunks(source, column, delimiter, decimal_mark, skip_reasons)
@@ -185,15 +199,18 @@ def _valid_chunks(
     decimal_mark: str,
     skip_reasons: dict[str, int],
 ) -> Iterator[list[str]]:
-    """Yield parse_records' tokens one chunk of `_CHUNK` cells at a time.
+    """Yield parse_records' tokens one chunk at a time.
 
     Each chunk is checked by one regex pass over its joined text, with no
-    Python call per cell.  A token read as the first field of a text line
-    is the whole stripped line, which may keep fields after its first.  Each
-    chunk's skip counts are added to `skip_reasons`, whose reasons are listed
-    in order of first occurrence.  Nothing here holds a chunk once the next
-    is read, so a caller that counts each chunk as it comes keeps memory flat
-    however long the input is.
+    Python call per cell or line.  A CSV, or a text column other than
+    the first, is read by rows, `_CHUNK` cells a chunk.  Text read by its
+    first field is read in blocks of whole lines (see `_text_chunks`), and
+    a token read from it is its line, which may keep fields after its first.
+    Each chunk's skip counts are added to `skip_reasons`, whose reasons are
+    listed in order of first occurrence.  Nothing here holds a chunk once
+    the next is read, so a caller that counts each chunk as it comes keeps
+    memory flat however long the input is.  A CSV that csv.reader refuses
+    raises ValueError, which names the source's file if it has a `name`.
     """
     for name, mark in (("delimiter", delimiter), ("decimal mark", decimal_mark)):
         if mark is not None and len(mark) != 1:
@@ -205,7 +222,8 @@ def _valid_chunks(
         raise ValueError(f"the decimal mark must not be whitespace, got {decimal_mark!r}")
     if delimiter == decimal_mark:
         raise ValueError(f"the delimiter and the decimal mark are both {delimiter!r}")
-    lines = iter(io.StringIO(source) if isinstance(source, str) else source)
+    source = io.StringIO(source) if isinstance(source, str) else source
+    lines = iter(source)
     if delimiter is None:
         # Read ahead to the first non-blank line, and no further: a comma
         # there makes the input comma-delimited, unless it is the decimal mark.
@@ -217,46 +235,103 @@ def _valid_chunks(
                     delimiter = ","
                 break
         lines = chain(ahead, lines)
-    if delimiter is None:
-        lines = filter(None, map(str.strip, lines))
-        rows = map(str.split, lines)
-    else:
-        rows = filter(None, csv.reader(lines, delimiter=delimiter))
-    first_row = next(rows, None)
-    if first_row is None:
-        return
-    index, is_header = _resolve_column(column, first_row, decimal_mark)
-    if delimiter is None and index == 0:
-        runs = _LINE_RUNS_RE
-        cells = lines if is_header else chain(first_row[:1], lines)
-    else:
-        runs = _CELL_RUNS_RE
+    try:
+        if delimiter is None:
+            rows = map(str.split, filter(None, map(str.strip, lines)))
+        else:
+            rows = filter(None, csv.reader(lines, delimiter=delimiter))
+        first_row = next(rows, None)
+        if first_row is None:
+            return
+        index, is_header = _resolve_column(column, first_row, decimal_mark)
+        if delimiter is None and index == 0:
+            # The rest of the text follows the first row in `source` or `lines`.
+            if hasattr(source, "read"):
+                blocks = _blocks(source)
+            else:
+                blocks = map(_joined, iter(lambda: list(islice(lines, _CHUNK)), []))
+            if not is_header:
+                blocks = chain((first_row[0] + "\n",), blocks)
+            if decimal_mark != ".":
+                blocks = map(methodcaller("replace", decimal_mark, "."), blocks)
+            yield from _text_chunks(blocks, skip_reasons)
+            return
         if not is_header:
             rows = chain((first_row,), rows)
         # Chunks hold cells, never row lists: tens of thousands of live lists
         # make the cyclic garbage collector's passes slow.
         cells = map(str.strip, (row[index] if index < len(row) else "" for row in rows))
-    if decimal_mark != ".":
-        cells = map(methodcaller("replace", decimal_mark, "."), cells)
+        if decimal_mark != ".":
+            cells = map(methodcaller("replace", decimal_mark, "."), cells)
+        yield from _cell_chunks(cells, skip_reasons)
+    except csv.Error as exc:
+        name = getattr(source, "name", None)
+        where = "" if name is None else f" in {name!r}"
+        raise ValueError(f"malformed CSV{where}: {exc}") from exc
+
+
+def _blocks(source: TextIO) -> Iterator[str]:
+    """The rest of `source` in blocks of whole lines, each ended by a line break.
+
+    A block is `4 * _CHUNK` characters completed by `readline`, so it ends
+    where a line ends.  A source that ends lines at "\\r\\n" and "\\r" as well
+    as "\\n", as a file opened with `newline=""` does, sets `newlines` once it
+    has read a line end: there "\\r\\n" and "\\r" become "\\n".  In any other
+    source a "\\r" stays inside its line, as whitespace.
+    """
+    while block := source.read(4 * _CHUNK) + source.readline():
+        if getattr(source, "newlines", None):
+            # "\r\n" first: it ends one line, not a line and a blank one.
+            block = block.replace("\r\n", "\n").replace("\r", "\n")
+        yield block if block.endswith("\n") else block + "\n"
+
+
+def _joined(items: list[str]) -> str:
+    """`items` as one text with a line break after each.
+
+    A line break inside an item becomes a space: a CSV cell that holds one
+    stays non-numeric, and an item of several text lines is read by its
+    first field.
+    """
+    text = "\n".join(items) + "\n"
+    if text.count("\n") > len(items):
+        text = "\n".join(map(methodcaller("replace", "\n", " "), items)) + "\n"
+    return text
+
+
+def _text_chunks(blocks: Iterable[str], skip_reasons: dict[str, int]) -> Iterator[list[str]]:
+    """Yield the valid lines of each block of whole lines.
+
+    One findall pass reads a block's lines in order: each run of valid
+    lines, without its first line's indentation, and "" for each
+    non-numeric line.  Blank lines are not records, so the only skips are
+    non-numeric lines.
+    """
+    for block in blocks:
+        found = _TEXT_LINES_RE.findall(block)
+        non_numeric = found.count("")
+        valid = "".join(found).split("\n")
+        valid.pop()  # the empty string after the last line break
+        if non_numeric:
+            skip_reasons[SKIP_NON_NUMERIC] = skip_reasons.get(SKIP_NON_NUMERIC, 0) + non_numeric
+        yield valid
+
+
+def _cell_chunks(cells: Iterator[str], skip_reasons: dict[str, int]) -> Iterator[list[str]]:
+    """Yield the valid cells of each chunk of `_CHUNK` stripped cells."""
     while chunk := list(islice(cells, _CHUNK)):
         size, empty = len(chunk), chunk.count("")
-        # One line per cell, each ended by a line break.  A line break inside
-        # a cell becomes a space: a CSV cell stays non-numeric, and a text
-        # line keeps its first field.
-        chunk.append("")
-        text = "\n".join(chunk)
-        if text.count("\n") > size:
-            text = "\n".join(map(methodcaller("replace", "\n", " "), chunk))
+        text = _joined(chunk)
         chunk.clear()
         # Skip reasons are listed in order of first occurrence.  When both are
         # new, non-numeric is first if a cell before the first empty one is:
         # if the run at the text's start stops short of the first empty line.
         if empty and not skip_reasons and not text.startswith("\n"):
-            run = runs.match(text)
+            run = _CELL_RUNS_RE.match(text)
             if run is None or text[run.end()] != "\n":
                 skip_reasons[SKIP_NON_NUMERIC] = 0
-        # The valid lines are copied out only after the cells are freed.
-        text = "".join(runs.findall(text))
+        # The valid cells are copied out only after the cells are freed.
+        text = "".join(_CELL_RUNS_RE.findall(text))
         valid = text.split("\n")
         valid.pop()  # the empty string after the last line break
         non_numeric = size - empty - len(valid)
@@ -334,11 +409,12 @@ def ingest(
 
     The input is read as parse_records reads it, one chunk at a time, and
     each chunk's heads are counted before the next is read, so memory holds
-    about one chunk of cells however long the input is.  Each chunk is
-    checked by one regex pass over its joined text, and the tokens that pass
-    are counted by head in C, with no second check and no Python call per
-    token.  A token read from a text line may keep the line's later fields;
-    its head is cut at whitespace when it is tallied.
+    about one chunk of cells, or one block of text lines, however long the
+    input is.  Each chunk is checked by one regex pass over its joined text
+    or block, and the tokens that pass are counted by head in C, with no
+    second check and no Python call per token.  A token read from a text
+    line may keep the line's later fields; its head is cut at whitespace
+    when it is tallied.
     """
     heads: Counter[str] = Counter()
     parse_skips: dict[str, int] = {}

@@ -160,6 +160,28 @@ class TestAnalyze:
         assert err.startswith("benfordsev: error:") and str(f) in err
         assert "Traceback" not in err
 
+    def test_line_ends_and_byte_order_mark_leave_the_report_unchanged(self, tmp_path, monkeypatch,
+                                                                      capsys):
+        values = ["1.5", "27", " 3e2", "", " \t", "n/a", "0.00456", "-19451", "7 x"] * 40
+        reports = set()
+        for name, end, bom in [("lf", "\n", ""), ("crlf", "\r\n", ""), ("cr", "\r", ""),
+                               ("bom", "\n", "\ufeff")]:
+            # The same file name in each directory: the report names its input.
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            Path("values.txt").write_text(bom + "".join(v + end for v in values), encoding="utf-8",
+                                          newline="")
+            code, out, err = run_cli(capsys, "analyze", "values.txt", "--format", "json")
+            assert code == 0, err
+            reports.add(out)
+        assert len(reports) == 1
+        report = json.loads(reports.pop())
+        assert report["n"] == 6 * 40 and report["skip_reasons"] == {"non-numeric": 40}
+        # Line ends mixed in one file: "\r", "\r\n" and "\n".
+        Path("mixed.txt").write_text("1\r2\r\n3\n", newline="")
+        code, out, err = run_cli(capsys, "analyze", "mixed.txt", "--format", "json")
+        assert code == 0 and json.loads(out)["n"] == 3
+
     def test_delta_star_override(self, tmp_path, capsys):
         f = write_benford_like_file(tmp_path / "data.txt")
         _, out, _ = run_cli(

@@ -6,6 +6,8 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from contextlib import nullcontext
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -163,9 +165,14 @@ class TestNumericGrammar:
 
     @given(st.lists(grammar_texts, max_size=8))
     def test_first_fields_match_the_old_grammar(self, lines):
-        text = "".join(line + "\n" for line in lines)
-        valid = "".join(digits._LINE_RUNS_RE.findall(text)).split("\n")[:-1]
-        assert [line.split(None, 1)[0] for line in valid] == OLD_FIRST_FIELDS_RE.findall(text)
+        # Lines as they stand, some indented or blank, against the old
+        # grammar on the stripped non-blank lines.
+        found = digits._TEXT_LINES_RE.findall("".join(line + "\n" for line in lines))
+        valid = "".join(found).split("\n")[:-1]
+        stripped = [line.strip() for line in lines if line.strip()]
+        old = OLD_FIRST_FIELDS_RE.findall("".join(line + "\n" for line in stripped))
+        assert [line.split(None, 1)[0] for line in valid] == old
+        assert found.count("") == len(stripped) - len(old)
 
     @pytest.mark.parametrize("text", [
         "5\n" + "9" * 30_000 + "x\n",
@@ -272,6 +279,14 @@ class TestParseRecords:
     def test_line_holding_a_line_break_is_read_by_its_first_field(self):
         tokens, skips = parse_records(["1\n2 x\n", "x 3\n", "4,5\n"], decimal_mark=",")
         assert tokens == ["1", "4.5"] and skips == {"non-numeric": 1}
+
+    def test_csv_item_holding_a_line_break_is_a_value_error(self):
+        # Sniffed as CSV, csv.reader refuses an item that holds two lines.
+        for read in (parse_records, lambda source: ingest(source, FIRST_DIGIT)):
+            with pytest.raises(ValueError, match="malformed CSV") as raised:
+                read(["amount id\n1,234\n"])
+            assert isinstance(raised.value.__cause__, csv.Error)
+        assert parse_records(["amount id\n1 234\n"]) == ([], {})
 
     def test_sniff_reads_lazily(self):
         source = iter(["\n", "1,2\n", "3,4\n", "5,6\n"])
@@ -402,23 +417,30 @@ class TestIngest:
                 texts.append(text)
                 return lines_pattern.findall(text)
 
-        pattern, lines_pattern = digits._NUMERIC_RE, digits._LINE_RUNS_RE
+        pattern, lines_pattern = digits._NUMERIC_RE, digits._TEXT_LINES_RE
         monkeypatch.setattr(digits, "_NUMERIC_RE", CountingPattern())
-        monkeypatch.setattr(digits, "_LINE_RUNS_RE", CountingLinesPattern())
+        monkeypatch.setattr(digits, "_TEXT_LINES_RE", CountingLinesPattern())
         clean = [f"{i}.5" for i in range(100, 1100)]
-        multi = [f"{i}.25 \tn/a" if i % 2 else f"n/a{i}\x0c7" for i in range(100, 1100)]
-        lines = [line for pair in zip(clean, multi) for line in pair]
+        multi = [" " * (i % 3) + f"{i}.25 \tn/a" if i % 2 else f"n/a{i}\x0c7"
+                 for i in range(100, 1100)]
+        lines = []
+        for i, pair in enumerate(zip(clean, multi)):
+            lines += [*pair, "", " \t"] if i % 10 == 0 else pair
+        text = "".join(line + "\n" for line in lines)
         with small_chunks(64):
-            counts = ingest(io.StringIO("amount id\n" + "\n".join(lines) + "\n"), FIRST_DIGIT)
+            counts = ingest(io.StringIO("amount id\n" + text), FIRST_DIGIT)
         assert counts.n == 1000 + 500 and counts.skip_reasons == {"non-numeric": 500}
-        # One findall per chunk reads each line once, clean or not; the cell
-        # grammar checks only the header and one head per distinct head.
-        assert len(texts) == -(-len(lines) // 64)
-        assert "".join(texts) == "".join(line + "\n" for line in lines)
+        # One findall per block of whole lines reads each line once, clean or
+        # not, indented or blank; a block is 4 * 64 characters read at once,
+        # completed to its line's end.  The cell grammar checks only the
+        # header and one head per distinct head.
+        assert "".join(texts) == text
+        assert all(4 * 64 <= len(block) < 4 * 64 + 16 for block in texts[:-1])
         assert len(calls) <= 1 + 9
 
-    @pytest.mark.parametrize("column", [None, 1], ids=["text-first-field", "csv-column"])
-    def test_peak_memory_does_not_grow_with_the_input(self, column):
+    @pytest.mark.parametrize("column, readable", [(None, False), (1, False), (None, True)],
+                             ids=["text-first-field", "csv-column", "text-first-field-read"])
+    def test_peak_memory_does_not_grow_with_the_input(self, column, readable):
         def peak(chunks):
             # Distinct values, made one line at a time as they are read.
             values = (f"{i % 97 + 1}.{i:06d}" for i in range(chunks * 1000))
@@ -426,7 +448,8 @@ class TestIngest:
             tracemalloc.start()
             try:
                 with small_chunks(1000):
-                    counts = ingest(lines, FIRST_TWO_DIGITS, column)
+                    source = GeneratedText(lines) if readable else lines
+                    counts = ingest(source, FIRST_TWO_DIGITS, column)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -537,6 +560,33 @@ def whitespace_lines(draw):
         return draw(st.lists(separators, max_size=3).map("".join))
     cells = draw(st.lists(cell_texts, min_size=1, max_size=4))
     return cells[0] + "".join(draw(separators) + cell for cell in cells[1:])
+
+
+class GeneratedText:
+    """A readable text source that makes its lines only as they are read."""
+
+    def __init__(self, lines):
+        self._lines = iter(lines)
+        self._buffer = ""
+
+    def read(self, size):
+        parts, length = [self._buffer], len(self._buffer)
+        while length < size and (line := next(self._lines, "")):
+            parts.append(line)
+            length += len(line)
+        text = "".join(parts)
+        self._buffer = text[size:]
+        return text[:size]
+
+    def readline(self):
+        if "\n" not in self._buffer:
+            self._buffer += next(self._lines, "")
+        end = self._buffer.find("\n") + 1 or len(self._buffer)
+        line, self._buffer = self._buffer[:end], self._buffer[end:]
+        return line
+
+    def __iter__(self):
+        return iter(self.readline, "")
 
 
 def small_chunks(chunk):
@@ -687,9 +737,17 @@ ZERO_CELLS = ["0", "-0.0", "+00", "0e5", ".0", "0.", "-0E-3"]
 BREAK_CELLS = ["1\n2", "5\n", "\n", "x\n7", " 3.5 \n "]
 
 
+LINE_ENDS = ["\n", "\r\n", "\r"]
+
+
 @st.composite
 def reader_inputs(draw):
-    """(source, column, delimiter, decimal mark): text or CSV with every kind of cell."""
+    """(text, items, column, delimiter, decimal mark): text or CSV with every kind of cell.
+
+    Lines end with "\n", "\r\n" or a lone "\r", and the last may have no
+    line break.  `items` are the lines that a file opened with newline=""
+    yields, some grouped into items that hold several lines.
+    """
     decimal_mark = draw(st.sampled_from([".", ","]))
 
     def cell(extra=()):
@@ -697,57 +755,84 @@ def reader_inputs(draw):
         return text.replace(".", decimal_mark) if draw(st.booleans()) else text
 
     header = draw(st.booleans())
+    count = draw(st.integers(min_value=0, max_value=20))
     if draw(st.booleans()):
-        # Whitespace-delimited lines, some with trailing fields, some blank.
+        # Whitespace-delimited lines, some with trailing fields, some
+        # indented, and some blank or whitespace only.
         separators = st.sampled_from([" ", "\t", "  ", "\x0c", "\x1c"])
+        indents = st.sampled_from(["", "", " ", "\t", "\x0c "])
         lines = ["amount id"] if header else []
-        for _ in range(draw(st.integers(min_value=0, max_value=20))):
+        for _ in range(count):
             cells = [cell() for _ in range(draw(st.integers(min_value=0, max_value=3)))]
-            lines.append("".join(draw(separators) + c for c in cells)[1:])
-        lines = [line + "\n" for line in lines]
+            lines.append(draw(indents) + "".join(draw(separators) + c for c in cells)[1:])
         column = draw(st.sampled_from([None, 0, 1, "amount"] if header else [None, 0, 1]))
-        if draw(st.booleans()):
-            return "".join(lines), column, None, decimal_mark
-        # Iterable lines, some of which hold several lines.
-        items = []
-        for line in lines:
-            if items and draw(st.integers(min_value=0, max_value=3)) == 0:
-                items[-1] += line
-            else:
-                items.append(line)
-        return items, column, None, decimal_mark
-    delimiter = draw(st.sampled_from([";"] if decimal_mark == "," else [",", ";"]))
-    buffer = io.StringIO()
-    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
-    writer = csv.writer(buffer, delimiter=delimiter, quoting=quoting, lineterminator="\n")
-    if header:
-        writer.writerow(["amount", "id", "x"])
-    for _ in range(draw(st.integers(min_value=0, max_value=20))):
-        writer.writerow([cell(BREAK_CELLS) for _ in range(draw(st.integers(1, 3)))])
-    column = draw(st.sampled_from([None, 0, 1, "x"] if header else [None, 0, 1]))
-    sniffed = delimiter == "," and draw(st.booleans())
-    return buffer.getvalue(), column, None if sniffed else delimiter, decimal_mark
+        delimiter = None
+    else:
+        delimiter = draw(st.sampled_from([";"] if decimal_mark == "," else [",", ";"]))
+        quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+        rows = [["amount", "id", "x"]] if header else []
+        rows += [[cell(BREAK_CELLS) for _ in range(draw(st.integers(1, 3)))] for _ in range(count)]
+        lines = []
+        for row in rows:
+            buffer = io.StringIO()
+            writer = csv.writer(buffer, delimiter=delimiter, quoting=quoting, lineterminator="\n")
+            writer.writerow(row)
+            lines.append(buffer.getvalue()[:-1])
+        column = draw(st.sampled_from([None, 0, 1, "x"] if header else [None, 0, 1]))
+        if delimiter == "," and draw(st.booleans()):
+            delimiter = None  # sniffed
+    ends = [draw(st.sampled_from(LINE_ENDS)) for _ in lines]
+    if ends and draw(st.booleans()):
+        ends[-1] = ""
+    text = "".join(map(str.__add__, lines, ends))
+    items = []
+    for line in io.StringIO(text, newline=""):
+        if items and draw(st.integers(min_value=0, max_value=3)) == 0:
+            items[-1] += line
+        else:
+            items.append(line)
+    return text, items, column, delimiter, decimal_mark
 
 
 class TestReaderMatchesTheOldAlgorithm:
     @pytest.mark.parametrize("scheme", SCHEMES)
-    @given(case=reader_inputs(), chunk=st.integers(min_value=1, max_value=7))
-    def test_parse_records_and_ingest(self, scheme, case, chunk):
-        source, column, delimiter, decimal_mark = case
+    @given(case=reader_inputs(), chunk=st.integers(min_value=1, max_value=7), bom=st.booleans())
+    def test_parse_records_and_ingest(self, scheme, case, chunk, bom, tmp_path_factory):
+        text, items, column, delimiter, decimal_mark = case
         options = {"delimiter": delimiter, "decimal_mark": decimal_mark}
-        try:
-            tokens, skips = old_parse_records(source, column, delimiter, decimal_mark)
-        except csv.Error:
-            # Lines sniffed as CSV: csv.reader refuses an item holding a line break.
-            with small_chunks(chunk), pytest.raises(csv.Error):
-                parse_records(source, column, **options)
-            return
-        with small_chunks(chunk):
-            parsed, parse_skips = parse_records(source, column, **options)
-            result = ingest(source, scheme, column, **options)
-        assert parsed == tokens
-        assert list(parse_skips.items()) == list(skips.items())
-        counts, zeros = reference_count(tokens, scheme)
-        zeros.update(skips)  # ingest lists zero values before the parse skips
-        assert list(result.counts) == counts
-        assert list(result.skip_reasons.items()) == list(zeros.items())
+        path = tmp_path_factory.mktemp("reader") / "input.txt"
+        path.write_text("\ufeff" * bom + text, encoding="utf-8", newline="")
+
+        def opened():
+            return open(path, encoding="utf-8-sig", newline="")  # as the CLI opens it
+
+        with opened() as fh:
+            file_lines = list(fh)
+        # Each source, and the lines it yields, which the old reader is given.
+        feeds = [
+            (lambda: nullcontext(text), list(io.StringIO(text))),
+            (lambda: io.StringIO(text), list(io.StringIO(text))),
+            (opened, file_lines),
+            (lambda: nullcontext(iter(items)), items),
+        ]
+        for source, lines in feeds:
+            try:
+                tokens, skips = old_parse_records(lines, column, delimiter, decimal_mark)
+            except csv.Error:
+                # csv.reader refuses these lines: the reader raises ValueError from its error.
+                for read in (parse_records, partial(ingest, system=scheme)):
+                    with source() as s, small_chunks(chunk), pytest.raises(ValueError) as raised:
+                        read(s, column=column, **options)
+                    assert isinstance(raised.value.__cause__, csv.Error)
+                continue
+            with small_chunks(chunk):
+                with source() as s:
+                    parsed, parse_skips = parse_records(s, column, **options)
+                with source() as s:
+                    result = ingest(s, scheme, column, **options)
+            assert parsed == tokens
+            assert list(parse_skips.items()) == list(skips.items())
+            counts, zeros = reference_count(tokens, scheme)
+            zeros.update(skips)  # ingest lists zero values before the parse skips
+            assert list(result.counts) == counts
+            assert list(result.skip_reasons.items()) == list(zeros.items())
