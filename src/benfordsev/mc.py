@@ -3,16 +3,17 @@
 Samples digit counts from the exact digit law and compares the empirical
 behaviour of the MAD and its standardized form against the theoretical
 moments.  Each replication draws from its own PCG64 stream, derived from the
-seed and the replication index, so a run is reproducible bit for bit; the
-statistics are then computed over all replications at once.  numpy is
+seed and the replication index, so a run is reproducible bit for bit.  The
+counts are kept in the narrowest unsigned integer type that holds n, and the
+statistics are computed from them in two passes over blocks of replications,
+so no float64 array of every replication's k cells is ever held.  numpy is
 imported inside the functions that use it, so no other command loads it.
 
 The streams are numpy's `SeedSequence(seed, spawn_key=(r,))` -> `PCG64`
 (O'Neill 2014), but building those objects per replication costs more than
 the draw itself.  `replication_states` instead computes each stream's PCG64
 state directly, a block of replications at a time, following numpy's
-SeedSequence mixing and PCG64 seeding; `replication_rng` stays the reference
-it is tested against bit for bit.
+SeedSequence mixing and PCG64 seeding.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# Replications whose states are derived together.  512 divides 2**32, so a
-# block's indices share every spawn-key word above the lowest; larger blocks
-# only raise peak memory.
+# Replications whose states are derived, and whose statistics are formed,
+# together.  512 divides 2**32, so a block's indices share every spawn-key
+# word above the lowest; larger blocks only raise peak memory.
 _BLOCK = 512
 
 
@@ -63,21 +64,15 @@ class SimulationReport(NamedTuple):
         return json.dumps(self._asdict(), indent=2)
 
 
-def replication_rng(seed: int, rep: int) -> np.random.Generator:
-    """The generator of replication `rep` in a run seeded `seed`."""
-    import numpy as np
-
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep,)))
-
-
 def replication_states(seed: int, start: int, stop: int) -> Iterator[tuple[int, int]]:
-    """The PCG64 `(state, inc)` of `replication_rng(seed, r)` for r in [start, stop).
+    """The PCG64 `(state, inc)` of each replication r in [start, stop).
 
-    Every replication shares the entropy pool of `SeedSequence(seed)`; only the
-    32-bit words of r are mixed into it, across a block at once in uint32
-    arithmetic.  The pool's hash constant has by then been stepped once per
-    pool word, once per ordered pair of pool words, and four times per seed
-    word beyond the pool's four.
+    Replication r of a run seeded `seed` draws from
+    `PCG64(SeedSequence(seed, spawn_key=(r,)))`.  Every replication shares the
+    entropy pool of `SeedSequence(seed)`; only the 32-bit words of r are mixed
+    into it, across a block at once in uint32 arithmetic.  The pool's hash
+    constant has by then been stepped once per pool word, once per ordered
+    pair of pool words, and four times per seed word beyond the pool's four.
     """
     import numpy as np
 
@@ -141,9 +136,9 @@ def simulate(system: DigitSystem, n: int, reps: int, seed: int) -> SimulationRep
     import numpy as np
 
     b = np.asarray(benford_probs(system))
-    # One array is reused in place: counts, then |p - b|, then the folded
-    # deviations sqrt(n)|p - b|/d, in the same operation order as a single test.
-    folded = np.empty((reps, system.k))
+    # The counts, in the narrowest unsigned type that holds n.  Allocated
+    # before the first draw, so a run that cannot fit fails at once.
+    counts = np.empty((reps, system.k), dtype=np.min_scalar_type(n))
     # One generator, reset to each replication's state before its draw.
     bit_generator = np.random.PCG64()
     rng = np.random.Generator(bit_generator)
@@ -154,17 +149,41 @@ def simulate(system: DigitSystem, n: int, reps: int, seed: int) -> SimulationRep
             "has_uint32": 0,
             "uinteger": 0,
         }
-        folded[r] = rng.multinomial(n, b)
-    folded /= n
-    folded -= b
-    np.abs(folded, out=folded)
-    mads = folded.mean(axis=1)
-    folded *= math.sqrt(n)
-    folded /= build_constants(system).d_vec
-    folded_means = folded.mean(axis=0)
-    folded_se = folded.std(axis=0, ddof=1) / math.sqrt(reps)
-    # Formed after the std above has freed its (reps, k) temporary, so these
-    # small temporaries do not raise the peak memory.
+        counts[r] = rng.multinomial(n, b)
+    d = build_constants(system).d_vec
+    mads = np.empty(reps)
+    # Row 0 is a running column sum; rows 1.. take one block of replications.
+    # numpy's axis-0 sum of a C-contiguous matrix adds its rows strictly in
+    # order, so adding each block after the running sum reproduces the mean
+    # and std of the whole (reps, k) matrix bit for bit.
+    buf = np.empty((_BLOCK + 1, system.k))
+
+    def column_sums(means: np.ndarray | None) -> np.ndarray:
+        """Column sums of the folded deviations sqrt(n)|p - b|/d, or of their
+        squared deviations from `means`.
+
+        The deviations are formed in the same operation order as a single
+        test, and the pass without `means` also sets the MADs.
+        """
+        buf[0] = 0.0
+        for start in range(0, reps, _BLOCK):
+            block = buf[1 : 1 + min(_BLOCK, reps - start)]
+            np.copyto(block, counts[start : start + len(block)])
+            block /= n
+            block -= b
+            np.abs(block, out=block)
+            if means is None:
+                block.mean(axis=1, out=mads[start : start + len(block)])
+            block *= math.sqrt(n)
+            block /= d
+            if means is not None:
+                block -= means
+                np.square(block, out=block)
+            buf[0] = np.add.reduce(buf[: 1 + len(block)], axis=0)
+        return buf[0]
+
+    folded_means = column_sums(None) / reps
+    folded_se = np.sqrt(column_sums(folded_means) / (reps - 1)) / math.sqrt(reps)
     moments = mad_moments(system, n)
     tildes = standardized(mads - moments.mean, n, system)
     return SimulationReport(

@@ -400,10 +400,11 @@ class TestSimulate:
         assert "seed" in err and "Traceback" not in err
 
     def test_reps_beyond_any_memory_is_config_error(self, capsys):
-        # 10^12 replications of 90 cells need 655 TiB, more than a 47-bit
-        # address space holds, so the allocation fails at once.
+        # 10^13 replications of 90 cells need 818 TiB even at 1 byte a count,
+        # more than a 47-bit address space holds, and the counts are allocated
+        # before the first draw, so the run fails at once.
         code, out, err = run_cli(
-            capsys, "simulate", "--digits", "2", "--n", "10", "--reps", str(10**12)
+            capsys, "simulate", "--digits", "2", "--n", "10", "--reps", str(10**13)
         )
         assert code == 2
         assert out == ""

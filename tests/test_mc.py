@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from benfordsev.benford import benford_probs, proportions
 from benfordsev.digits import FIRST_DIGIT, FIRST_TWO_DIGITS
 from benfordsev.mc import (
     SimulationReport,
-    replication_rng,
     replication_states,
     sample_benford_counts,
     simulate,
@@ -18,6 +18,11 @@ from benfordsev.mc import (
 from benfordsev.severity import run_test_from_proportions
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+
+
+def replication_rng(seed: int, rep: int) -> np.random.Generator:
+    """The generator of replication `rep` in a run seeded `seed`, built by numpy."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep,)))
 
 
 class TestSampleBenfordCounts:
@@ -107,6 +112,20 @@ class TestSimulate:
         assert data["empirical_mad_mean"] == report.empirical_mad_mean
         assert data["digit_folded_means"] == list(report.digit_folded_means)
 
+    def test_peak_memory_well_below_a_float64_matrix(self):
+        # At this n the counts take 2 bytes a cell, a quarter of a float64
+        # (reps, k) matrix, and the moments add one buffer of a block of rows.
+        # Holding the float64 matrix and its std temporary took twice it.
+        reps, n = 5000, 20000
+        simulate(FIRST_TWO_DIGITS, n, 2, 1)  # numpy's import and the cached constants
+        tracemalloc.start()
+        try:
+            simulate(FIRST_TWO_DIGITS, n, reps, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < reps * FIRST_TWO_DIGITS.k * 8 / 2
+
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError):
             simulate(system=FIRST_DIGIT, n=0, reps=10, seed=1)
@@ -188,6 +207,20 @@ class TestVectorisedSimulateMatchesPerReplicationLoop:
     # More replications than one block of derived states.
     @example(system=FIRST_TWO_DIGITS, n=50, reps=1100, seed=2**128)
     @example(system=FIRST_DIGIT, n=50, reps=1100, seed=2**128)
+    # Each side of a boundary of the integer type that holds the counts.
+    @example(system=FIRST_TWO_DIGITS, n=255, reps=3, seed=1)
+    @example(system=FIRST_TWO_DIGITS, n=256, reps=3, seed=1)
+    @example(system=FIRST_DIGIT, n=65535, reps=3, seed=1)
+    @example(system=FIRST_DIGIT, n=65536, reps=3, seed=1)
+    @example(system=FIRST_DIGIT, n=2**32, reps=3, seed=1)
+    @example(system=FIRST_TWO_DIGITS, n=2**40, reps=3, seed=1)
+    # Replications that end partway through a block of moments.
+    @example(system=FIRST_DIGIT, n=300, reps=513, seed=5)
+    @example(system=FIRST_TWO_DIGITS, n=300, reps=513, seed=5)
+    @example(system=FIRST_DIGIT, n=300, reps=1025, seed=5)
+    @example(system=FIRST_TWO_DIGITS, n=300, reps=1025, seed=5)
+    @example(system=FIRST_DIGIT, n=300, reps=1537, seed=5)
+    @example(system=FIRST_TWO_DIGITS, n=300, reps=1537, seed=5)
     def test_report_is_byte_identical(self, system, n, reps, seed):
         args = (system, n, reps, seed)
         assert simulate(*args).to_json() == reference_simulate(*args).to_json()
