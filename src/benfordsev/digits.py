@@ -26,20 +26,17 @@ SKIP_ZERO = "zero-value"
 # a match never gives characters back, and a failed one takes linear time.
 _NUMERIC = r"[+-]?+(?:[0-9]++(?:\.[0-9]*+)?+|\.[0-9]++)(?:[eE][+-]?+[0-9]++)?+"
 _NUMERIC_RE = re.compile(_NUMERIC)
-# Runs of numeric cells in a chunk joined with a line break after each cell.
-_CELL_RUNS_RE = re.compile(rf"^(?:{_NUMERIC}\n)++", re.MULTILINE)
-# The lines of a block of text lines, in order, one match per run of valid
-# lines or per non-numeric line, each with the blank lines after it.  A line
-# is valid if its first field is numeric: the grammar at its start, after
-# any indentation, up to whitespace or the line's end.  A run, which only
-# its first line can indent, is captured without that indentation; a
-# non-numeric line captures "".
-_LINE = rf"{_NUMERIC}(?:[^\S\n][^\n]*+)?+\n"
-_TEXT_LINES_RE = re.compile(
-    rf"^(?:[^\S\n]*+((?:{_LINE})++)|[^\S\n]*+\S[^\n]*+\n)(?:[^\S\n]*+\n)*+", re.MULTILINE
-)
-# Cells per chunk read by parse_records and ingest; text read by its first
-# field from a source with `read` comes in blocks of 4 * _CHUNK characters.
+# The runs of a block of lines, each ended by "\n", for a given valid line.
+# findall returns one string per match, in order: a run of valid lines,
+# which only its first line can indent, captured without that indentation;
+# "\n" for a blank line; and "" for any other line.
+_RUNS = r"(?m)^[^\S\n]*+((?:{line})++|\n)|^[^\n]*+\n"
+# A valid cell is the grammar alone.  A valid text line is read by its first
+# field: the grammar at its start, up to whitespace or the line's end.
+_CELL_RUNS_RE = re.compile(_RUNS.format(line=rf"{_NUMERIC}\n"))
+_LINE_RUNS_RE = re.compile(_RUNS.format(line=rf"{_NUMERIC}(?:[^\S\n][^\n]*+)?+\n"))
+# Cells or lines per chunk read by parse_records and ingest; text read in
+# blocks (see `_blocks`) comes in blocks of 4 * _CHUNK characters.
 _CHUNK = 16384
 
 
@@ -177,14 +174,14 @@ def parse_records(
     raises ValueError.
 
     Whitespace-delimited text read by its first field is not split into
-    rows: one regex pass per block of whole lines reads the grammar at each
-    line's start, after any indentation, up to whitespace or the line's end,
-    so a line of one field and a line of several are read alike.  A source
-    with `read` (a str is read as one) is read in blocks of characters, with
-    lines ended at "\\n", and also at "\\r\\n" and "\\r" in universal-newline
-    mode (`newline=""`); a file opened with `newline="\\r"` or `"\\r\\n"` is
-    not split at its own line ends.  An iterable's items are read as one line
-    each.  A CSV that csv.reader refuses raises ValueError.
+    rows: the grammar is read at each line's start, after any indentation,
+    up to whitespace or the line's end, so a line of one field and a line of
+    several are read alike.  Every source is split at its own line ends.  A
+    str, whose lines end at "\\n", and a source in universal-newline mode,
+    which sets `newlines` once it has read a line end, are read in blocks of
+    characters; any other source is read line by line, and an iterable's
+    items are read as one line each.  A CSV that csv.reader refuses raises
+    ValueError.
     """
     skip_reasons: dict[str, int] = {}
     chunks = _valid_chunks(source, column, delimiter, decimal_mark, skip_reasons)
@@ -201,11 +198,12 @@ def _valid_chunks(
 ) -> Iterator[list[str]]:
     """Yield parse_records' tokens one chunk at a time.
 
-    Each chunk is checked by one regex pass over its joined text, with no
-    Python call per cell or line.  A CSV, or a text column other than
-    the first, is read by rows, `_CHUNK` cells a chunk.  Text read by its
-    first field is read in blocks of whole lines (see `_text_chunks`), and
-    a token read from it is its line, which may keep fields after its first.
+    Cells and text lines alike are checked by one regex pass over each
+    chunk's joined text (see `_chunks`), with no Python call per cell or
+    line.  A CSV, or a text column other than the first, is read by rows,
+    `_CHUNK` cells a chunk.  Text read by its first field is read in blocks
+    of whole lines, or `_CHUNK` lines a chunk (see `parse_records`), and a
+    token read from it is its line, which may keep fields after its first.
     Each chunk's skip counts are added to `skip_reasons`, whose reasons are
     listed in order of first occurrence.  Nothing here holds a chunk once
     the next is read, so a caller that counts each chunk as it comes keeps
@@ -222,7 +220,8 @@ def _valid_chunks(
         raise ValueError(f"the decimal mark must not be whitespace, got {decimal_mark!r}")
     if delimiter == decimal_mark:
         raise ValueError(f"the delimiter and the decimal mark are both {delimiter!r}")
-    source = io.StringIO(source) if isinstance(source, str) else source
+    is_str = isinstance(source, str)
+    source = io.StringIO(source) if is_str else source
     lines = iter(source)
     if delimiter is None:
         # Read ahead to the first non-blank line, and no further: a comma
@@ -246,24 +245,26 @@ def _valid_chunks(
         index, is_header = _resolve_column(column, first_row, decimal_mark)
         if delimiter is None and index == 0:
             # The rest of the text follows the first row in `source` or `lines`.
-            if hasattr(source, "read"):
+            # Only a str or a universal-newline source, which sets `newlines`
+            # once it has read a line end, ends lines where `_blocks` does.
+            if is_str or getattr(source, "newlines", None):
                 blocks = _blocks(source)
             else:
-                blocks = map(_joined, iter(lambda: list(islice(lines, _CHUNK)), []))
+                blocks = _batches(lines)
             if not is_header:
                 blocks = chain((first_row[0] + "\n",), blocks)
-            if decimal_mark != ".":
-                blocks = map(methodcaller("replace", decimal_mark, "."), blocks)
-            yield from _text_chunks(blocks, skip_reasons)
-            return
-        if not is_header:
-            rows = chain((first_row,), rows)
-        # Chunks hold cells, never row lists: tens of thousands of live lists
-        # make the cyclic garbage collector's passes slow.
-        cells = map(str.strip, (row[index] if index < len(row) else "" for row in rows))
+            runs, marks = _LINE_RUNS_RE, {"": SKIP_NON_NUMERIC}
+        else:
+            if not is_header:
+                rows = chain((first_row,), rows)
+            # Chunks hold cells, never row lists: tens of thousands of live
+            # lists make the cyclic garbage collector's passes slow.
+            cells = (row[index] if index < len(row) else "" for row in rows)
+            blocks = _batches(map(str.strip, cells))
+            runs, marks = _CELL_RUNS_RE, {"": SKIP_NON_NUMERIC, "\n": SKIP_EMPTY}
         if decimal_mark != ".":
-            cells = map(methodcaller("replace", decimal_mark, "."), cells)
-        yield from _cell_chunks(cells, skip_reasons)
+            blocks = map(methodcaller("replace", decimal_mark, "."), blocks)
+        yield from _chunks(blocks, runs, marks, skip_reasons)
     except csv.Error as exc:
         name = getattr(source, "name", None)
         where = "" if name is None else f" in {name!r}"
@@ -271,13 +272,11 @@ def _valid_chunks(
 
 
 def _blocks(source: TextIO) -> Iterator[str]:
-    """The rest of `source` in blocks of whole lines, each ended by a line break.
+    """The rest of `source` in blocks of whole lines, each ended by "\\n".
 
     A block is `4 * _CHUNK` characters completed by `readline`, so it ends
-    where a line ends.  A source that ends lines at "\\r\\n" and "\\r" as well
-    as "\\n", as a file opened with `newline=""` does, sets `newlines` once it
-    has read a line end: there "\\r\\n" and "\\r" become "\\n".  In any other
-    source a "\\r" stays inside its line, as whitespace.
+    where a line ends.  In a source that has set `newlines`, as a file opened
+    with `newline=""` does, "\\r\\n" and "\\r" end lines too: they become "\\n".
     """
     while block := source.read(4 * _CHUNK) + source.readline():
         if getattr(source, "newlines", None):
@@ -286,59 +285,39 @@ def _blocks(source: TextIO) -> Iterator[str]:
         yield block if block.endswith("\n") else block + "\n"
 
 
-def _joined(items: list[str]) -> str:
-    """`items` as one text with a line break after each.
+def _batches(items: Iterator[str]) -> Iterator[str]:
+    """`items`, `_CHUNK` at a time, each batch as one text with a line break after each item.
 
     A line break inside an item becomes a space: a CSV cell that holds one
     stays non-numeric, and an item of several text lines is read by its
     first field.
     """
-    text = "\n".join(items) + "\n"
-    if text.count("\n") > len(items):
-        text = "\n".join(map(methodcaller("replace", "\n", " "), items)) + "\n"
-    return text
+    while batch := list(islice(items, _CHUNK)):
+        text = "\n".join(batch) + "\n"
+        if text.count("\n") > len(batch):
+            text = "\n".join(map(methodcaller("replace", "\n", " "), batch)) + "\n"
+        batch.clear()  # the items are freed before the text is read
+        yield text
 
 
-def _text_chunks(blocks: Iterable[str], skip_reasons: dict[str, int]) -> Iterator[list[str]]:
-    """Yield the valid lines of each block of whole lines.
+def _chunks(
+    blocks: Iterable[str], runs: re.Pattern, marks: dict[str, str], skip_reasons: dict[str, int]
+) -> Iterator[list[str]]:
+    """Yield the valid lines of each block of lines, each ended by "\\n".
 
-    One findall pass reads a block's lines in order: each run of valid
-    lines, without its first line's indentation, and "" for each
-    non-numeric line.  Blank lines are not records, so the only skips are
-    non-numeric lines.
+    One findall pass of `runs`, a `_RUNS` pattern, reads a block's lines in
+    order.  `marks` maps the string it returns for a non-numeric line, and
+    for a blank line if blank lines are records (CSV cells, not text lines),
+    to the line's skip reason.
     """
     for block in blocks:
-        found = _TEXT_LINES_RE.findall(block)
-        non_numeric = found.count("")
+        found = runs.findall(block)
+        # Skip reasons are listed in order of first occurrence.
+        for mark in sorted(filter(found.__contains__, marks), key=found.index):
+            skip_reasons[marks[mark]] = skip_reasons.get(marks[mark], 0) + found.count(mark)
         valid = "".join(found).split("\n")
         valid.pop()  # the empty string after the last line break
-        if non_numeric:
-            skip_reasons[SKIP_NON_NUMERIC] = skip_reasons.get(SKIP_NON_NUMERIC, 0) + non_numeric
-        yield valid
-
-
-def _cell_chunks(cells: Iterator[str], skip_reasons: dict[str, int]) -> Iterator[list[str]]:
-    """Yield the valid cells of each chunk of `_CHUNK` stripped cells."""
-    while chunk := list(islice(cells, _CHUNK)):
-        size, empty = len(chunk), chunk.count("")
-        text = _joined(chunk)
-        chunk.clear()
-        # Skip reasons are listed in order of first occurrence.  When both are
-        # new, non-numeric is first if a cell before the first empty one is:
-        # if the run at the text's start stops short of the first empty line.
-        if empty and not skip_reasons and not text.startswith("\n"):
-            run = _CELL_RUNS_RE.match(text)
-            if run is None or text[run.end()] != "\n":
-                skip_reasons[SKIP_NON_NUMERIC] = 0
-        # The valid cells are copied out only after the cells are freed.
-        text = "".join(_CELL_RUNS_RE.findall(text))
-        valid = text.split("\n")
-        valid.pop()  # the empty string after the last line break
-        non_numeric = size - empty - len(valid)
-        for reason, count in ((SKIP_EMPTY, empty), (SKIP_NON_NUMERIC, non_numeric)):
-            if count:
-                skip_reasons[reason] = skip_reasons.get(reason, 0) + count
-        yield valid
+        yield list(filter(None, valid)) if "\n" in found else valid
 
 
 def _resolve_column(column, first_row, decimal_mark) -> tuple[int, bool]:
@@ -410,11 +389,11 @@ def ingest(
     The input is read as parse_records reads it, one chunk at a time, and
     each chunk's heads are counted before the next is read, so memory holds
     about one chunk of cells, or one block of text lines, however long the
-    input is.  Each chunk is checked by one regex pass over its joined text
-    or block, and the tokens that pass are counted by head in C, with no
-    second check and no Python call per token.  A token read from a text
-    line may keep the line's later fields; its head is cut at whitespace
-    when it is tallied.
+    input is.  Cells and text lines are checked alike, by one regex pass
+    over each chunk's joined text, and the tokens that pass are counted by
+    head in C, with no second check and no Python call per token.  A token
+    read from a text line may keep the line's later fields; its head is cut
+    at whitespace when it is tallied.
     """
     heads: Counter[str] = Counter()
     parse_skips: dict[str, int] = {}

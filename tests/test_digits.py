@@ -165,14 +165,24 @@ class TestNumericGrammar:
 
     @given(st.lists(grammar_texts, max_size=8))
     def test_first_fields_match_the_old_grammar(self, lines):
-        # Lines as they stand, some indented or blank, against the old
+        # Text lines as they stand, some indented or blank, against the old
         # grammar on the stripped non-blank lines.
-        found = digits._TEXT_LINES_RE.findall("".join(line + "\n" for line in lines))
-        valid = "".join(found).split("\n")[:-1]
+        found = digits._LINE_RUNS_RE.findall("".join(line + "\n" for line in lines))
+        valid = [line for line in "".join(found).split("\n")[:-1] if line]
         stripped = [line.strip() for line in lines if line.strip()]
         old = OLD_FIRST_FIELDS_RE.findall("".join(line + "\n" for line in stripped))
         assert [line.split(None, 1)[0] for line in valid] == old
         assert found.count("") == len(stripped) - len(old)
+        assert found.count("\n") == len(lines) - len(stripped)
+        # Cells, stripped as the reader strips them, against the old grammar
+        # on each cell, with a blank cell counted as empty.
+        cells = [line.strip() for line in lines]
+        found = digits._CELL_RUNS_RE.findall("".join(cell + "\n" for cell in cells))
+        valid = [cell for cell in "".join(found).split("\n")[:-1] if cell]
+        old = [cell for cell in cells if re.fullmatch(OLD_NUMERIC, cell)]
+        assert valid == old
+        assert found.count("\n") == cells.count("")
+        assert found.count("") == len(cells) - cells.count("") - len(old)
 
     @pytest.mark.parametrize("text", [
         "5\n" + "9" * 30_000 + "x\n",
@@ -271,10 +281,24 @@ class TestParseRecords:
         assert skips == {"non-numeric": 1}
 
     def test_skip_reasons_keep_order_of_first_occurrence(self):
-        for text, order in [("x,y\n1,n/a\n2,\n3,\n", ["non-numeric", "empty"]),
-                            ("x,y\n1,\n2,n/a\n", ["empty", "non-numeric"])]:
-            _, skips = parse_records(io.StringIO(text), column="y")
-            assert list(skips) == order
+        cases = [
+            # Both reasons first seen in one chunk, in either order.
+            ("x,y\n1,n/a\n2,\n3,\n", {"non-numeric": 1, "empty": 2}),
+            ("x,y\n1,\n2,n/a\n", {"empty": 1, "non-numeric": 1}),
+            # A chunk that starts with an empty cell, after one that does not.
+            ("x,y\n1,5\n2,\n3,x\n4,\n", {"empty": 2, "non-numeric": 1}),
+            # Reasons first seen in different chunks.
+            ("x,y\n1,x\n2,5\n3,6\n4,\n", {"non-numeric": 1, "empty": 1}),
+            ("x,y\n1,\n2,5\n3,6\n4,x\n", {"empty": 1, "non-numeric": 1}),
+        ]
+        for chunk in (1, 2, 3):
+            with small_chunks(chunk):
+                for text, skips in cases:
+                    _, parse_skips = parse_records(io.StringIO(text), column="y")
+                    assert list(parse_skips.items()) == list(skips.items())
+                # A text block that starts with blank lines, which are not records.
+                for source in ("5\n\n\n \t\nn/a\n\n7\n", ["5\n", "\n", " \n", "n/a\n", "\n", "7\n"]):
+                    assert parse_records(source) == (["5", "7"], {"non-numeric": 1})
 
     def test_line_holding_a_line_break_is_read_by_its_first_field(self):
         tokens, skips = parse_records(["1\n2 x\n", "x 3\n", "4,5\n"], decimal_mark=",")
@@ -417,9 +441,9 @@ class TestIngest:
                 texts.append(text)
                 return lines_pattern.findall(text)
 
-        pattern, lines_pattern = digits._NUMERIC_RE, digits._TEXT_LINES_RE
+        pattern, lines_pattern = digits._NUMERIC_RE, digits._LINE_RUNS_RE
         monkeypatch.setattr(digits, "_NUMERIC_RE", CountingPattern())
-        monkeypatch.setattr(digits, "_TEXT_LINES_RE", CountingLinesPattern())
+        monkeypatch.setattr(digits, "_LINE_RUNS_RE", CountingLinesPattern())
         clean = [f"{i}.5" for i in range(100, 1100)]
         multi = [" " * (i % 3) + f"{i}.25 \tn/a" if i % 2 else f"n/a{i}\x0c7"
                  for i in range(100, 1100)]
@@ -428,7 +452,7 @@ class TestIngest:
             lines += [*pair, "", " \t"] if i % 10 == 0 else pair
         text = "".join(line + "\n" for line in lines)
         with small_chunks(64):
-            counts = ingest(io.StringIO("amount id\n" + text), FIRST_DIGIT)
+            counts = ingest("amount id\n" + text, FIRST_DIGIT)
         assert counts.n == 1000 + 500 and counts.skip_reasons == {"non-numeric": 500}
         # One findall per block of whole lines reads each line once, clean or
         # not, indented or blank; a block is 4 * 64 characters read at once,
@@ -563,7 +587,13 @@ def whitespace_lines(draw):
 
 
 class GeneratedText:
-    """A readable text source that makes its lines only as they are read."""
+    """A readable text source that makes its lines only as they are read.
+
+    Its lines end at "\\n" alone, and it says so as a file opened in
+    universal-newline mode does, so the reader takes it in blocks.
+    """
+
+    newlines = "\n"
 
     def __init__(self, lines):
         self._lines = iter(lines)
@@ -815,6 +845,11 @@ class TestReaderMatchesTheOldAlgorithm:
             (opened, file_lines),
             (lambda: nullcontext(iter(items)), items),
         ]
+        # A file opened in any other newline mode is split at its own line ends.
+        for newline in ("\r", "\r\n", "\n", None):
+            reopened = partial(open, path, encoding="utf-8-sig", newline=newline)
+            with reopened() as fh:
+                feeds.append((reopened, list(fh)))
         for source, lines in feeds:
             try:
                 tokens, skips = old_parse_records(lines, column, delimiter, decimal_mark)
