@@ -12,7 +12,7 @@ import csv
 import io
 import re
 from collections import Counter, namedtuple
-from itertools import chain, islice, repeat, tee
+from itertools import chain, islice, repeat
 from operator import index as as_integer, itemgetter, methodcaller
 from typing import Iterable, Iterator, TextIO
 
@@ -177,11 +177,11 @@ def parse_records(
     rows: the grammar is read at each line's start, after any indentation,
     up to whitespace or the line's end, so a line of one field and a line of
     several are read alike.  Every source is split at its own line ends.  A
-    str, whose lines end at "\\n", and a source in universal-newline mode,
-    which sets `newlines` once it has read a line end, are read in blocks of
-    characters; any other source is read line by line, and an iterable's
-    items are read as one line each.  A CSV that csv.reader refuses raises
-    ValueError.
+    str, and a source with `read` that either is in universal-newline mode
+    (it sets `newlines` once it has read a line end) or ends its first
+    non-blank line in a bare "\\n", is read in blocks of characters; any
+    other source is read line by line, and an iterable's items are read as
+    one line each.  A CSV that csv.reader refuses raises ValueError.
     """
     skip_reasons: dict[str, int] = {}
     chunks = _valid_chunks(source, column, delimiter, decimal_mark, skip_reasons)
@@ -202,8 +202,9 @@ def _valid_chunks(
     chunk's joined text (see `_chunks`), with no Python call per cell or
     line.  A CSV, or a text column other than the first, is read by rows,
     `_CHUNK` cells a chunk.  Text read by its first field is read in blocks
-    of whole lines, or `_CHUNK` lines a chunk (see `parse_records`), and a
-    token read from it is its line, which may keep fields after its first.
+    of whole lines, or `_CHUNK` lines a chunk, as decided once from the
+    source and its read-ahead line (see `parse_records`), and a token read
+    from it is its line, which may keep fields after its first.
     Each chunk's skip counts are added to `skip_reasons`, whose reasons are
     listed in order of first occurrence.  Nothing here holds a chunk once
     the next is read, so a caller that counts each chunk as it comes keeps
@@ -220,8 +221,7 @@ def _valid_chunks(
         raise ValueError(f"the decimal mark must not be whitespace, got {decimal_mark!r}")
     if delimiter == decimal_mark:
         raise ValueError(f"the delimiter and the decimal mark are both {delimiter!r}")
-    is_str = isinstance(source, str)
-    source = io.StringIO(source) if is_str else source
+    source = io.StringIO(source) if isinstance(source, str) else source
     lines = iter(source)
     if delimiter is None:
         # Read ahead to the first non-blank line, and no further: a comma
@@ -245,10 +245,13 @@ def _valid_chunks(
         index, is_header = _resolve_column(column, first_row, decimal_mark)
         if delimiter is None and index == 0:
             # The rest of the text follows the first row in `source` or `lines`.
-            # Only a str or a universal-newline source, which sets `newlines`
-            # once it has read a line end, ends lines where `_blocks` does.
-            if is_str or getattr(source, "newlines", None):
-                blocks = _blocks(source)
+            # A universal-newline source has set `newlines` by now.  In another
+            # mode, if the read-ahead `line` ends in "\n" alone, either it is
+            # the last line or lines end at "\n", where `_blocks` ends them.
+            universal = bool(getattr(source, "newlines", None))
+            bare_lf = line.endswith("\n") and not line.endswith("\r\n")
+            if hasattr(source, "read") and (universal or bare_lf):
+                blocks = _blocks(source, universal)
             else:
                 blocks = _batches(lines)
             if not is_header:
@@ -271,15 +274,15 @@ def _valid_chunks(
         raise ValueError(f"malformed CSV{where}: {exc}") from exc
 
 
-def _blocks(source: TextIO) -> Iterator[str]:
+def _blocks(source: TextIO, universal: bool) -> Iterator[str]:
     """The rest of `source` in blocks of whole lines, each ended by "\\n".
 
     A block is `4 * _CHUNK` characters completed by `readline`, so it ends
-    where a line ends.  In a source that has set `newlines`, as a file opened
-    with `newline=""` does, "\\r\\n" and "\\r" end lines too: they become "\\n".
+    where a line ends.  In a `universal` source, one that has set `newlines`,
+    "\\r\\n" and "\\r" end lines too: they become "\\n".
     """
     while block := source.read(4 * _CHUNK) + source.readline():
-        if getattr(source, "newlines", None):
+        if universal:
             # "\r\n" first: it ends one line, not a line and a blank one.
             block = block.replace("\r\n", "\n").replace("\r", "\n")
         yield block if block.endswith("\n") else block + "\n"
@@ -338,42 +341,41 @@ def _resolve_column(column, first_row, decimal_mark) -> tuple[int, bool]:
 def count_digits(tokens: Iterable[str | float | int], system: DigitSystem) -> DigitCounts:
     """Tally extracted digits over `tokens` into a DigitCounts.
 
-    Zero values and non-numeric tokens, None among them, go to skip_reasons.
-    Values are read as their decimal text, as DigitSystem.extract reads them.
+    Values are read as their decimal text, as DigitSystem.extract reads
+    them, and checked as CSV cells are, by one regex pass over each chunk's
+    joined text.  Zero values and non-numeric tokens, None and "" among
+    them, go to skip_reasons, zero-value first.
     """
-    texts, checked = tee(map(_text, tokens))
-    counted = Counter(zip(map(bool, map(_NUMERIC_RE.fullmatch, checked)), _heads(texts, system)))
-    return _tally(((head if valid else None, n) for (valid, head), n in counted.items()), system)
+    skip_reasons: dict[str, int] = {}
+    marks = {"": SKIP_NON_NUMERIC, "\n": SKIP_NON_NUMERIC}
+    chunks = _chunks(_batches(map(_text, tokens)), _CELL_RUNS_RE, marks, skip_reasons)
+    return _tally(chunks, system, skip_reasons)
 
 
-def _heads(texts: Iterable[str], system: DigitSystem) -> Iterator[str]:
-    """Each text's head: its first 2*digits - 1 characters after any sign, leading zeros and point.
+def _tally(
+    chunks: Iterable[list[str]], system: DigitSystem, skip_reasons: dict[str, int]
+) -> DigitCounts:
+    """Tally chunks of valid tokens into a DigitCounts.
 
-    The head of a valid token fixes its leading `digits` significant digits:
-    one character for the first digit, and three ("1.5") for the first two.
+    Each chunk's tokens are counted by head in C before the next chunk is
+    read.  A token's head, its first 2*digits - 1 characters after any sign,
+    leading zeros and point ("1.5" for the first two digits), fixes its
+    leading digits, so each distinct head goes once through the reference
+    extraction.  Zero-value is listed first, then the reasons that reading
+    the chunks added to `skip_reasons`.
     """
     width = 2 * system.digits - 1
-    return map(itemgetter(slice(None, width)), map(str.lstrip, texts, repeat("+-0.")))
-
-
-def _tally(head_counts: Iterable[tuple[str | None, int]], system: DigitSystem) -> DigitCounts:
-    """Tally (head, count) pairs into a DigitCounts; a None head counts non-numeric tokens.
-
-    Each distinct head goes once through the reference extraction.  Skip
-    reasons are listed in the order of their first pair.
-    """
-    counts = [0] * system.k
-    skip_reasons: dict[str, int] = {}
-    for head, count in head_counts:
+    heads: Counter[str] = Counter()
+    for tokens in chunks:
+        heads.update(map(itemgetter(slice(None, width)), map(str.lstrip, tokens, repeat("+-0."))))
+    labels: Counter[int | None] = Counter()
+    for head, count in heads.items():
         # The head's mantissa, cut at any field after a text line's first, is
         # a valid token with the same leading digits; it is empty for a zero.
-        label = None if head is None else system.extract(re.split(r"[eE\s]", head)[0] or "0")
-        if label is not None:
-            counts[system.label_index(label)] += count
-        else:
-            reason = SKIP_NON_NUMERIC if head is None else SKIP_ZERO
-            skip_reasons[reason] = skip_reasons.get(reason, 0) + count
-    return DigitCounts(system=system, counts=tuple(counts), skip_reasons=skip_reasons)
+        labels[system.extract(re.split(r"[eE\s]", head)[0] or "0")] += count
+    skips = {SKIP_ZERO: labels.pop(None)} if None in labels else {}
+    counts = tuple(labels[label] for label in system.digit_labels)
+    return DigitCounts(system=system, counts=counts, skip_reasons={**skips, **skip_reasons})
 
 
 def ingest(
@@ -390,16 +392,12 @@ def ingest(
     each chunk's heads are counted before the next is read, so memory holds
     about one chunk of cells, or one block of text lines, however long the
     input is.  Cells and text lines are checked alike, by one regex pass
-    over each chunk's joined text, and the tokens that pass are counted by
-    head in C, with no second check and no Python call per token.  A token
-    read from a text line may keep the line's later fields; its head is cut
-    at whitespace when it is tallied.
+    over each chunk's joined text, and `_tally` counts the tokens that pass
+    by head in C, with no second check and no Python call per token.  A
+    token read from a text line may keep the line's later fields; its head
+    is cut at whitespace when it is tallied.  Zero-value is listed first,
+    then the skips of parse_records.
     """
-    heads: Counter[str] = Counter()
-    parse_skips: dict[str, int] = {}
-    for tokens in _valid_chunks(source, column, delimiter, decimal_mark, parse_skips):
-        heads.update(_heads(tokens, system))
-    # The tally adds only zero-value skips, which are listed before the parse skips.
-    result = _tally(heads.items(), system)
-    result.skip_reasons.update(parse_skips)
-    return result
+    skip_reasons: dict[str, int] = {}
+    chunks = _valid_chunks(source, column, delimiter, decimal_mark, skip_reasons)
+    return _tally(chunks, system, skip_reasons)
