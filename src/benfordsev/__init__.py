@@ -9,7 +9,7 @@ severity against a substantive discrepancy benchmark.
 __version__ = "0.1.0"
 
 from .asymptotics import AsymptoticConstants, MadMoments, build_constants, mad_moments
-from .benford import benford_probs, chi_square_stat, mad, proportions, psi
+from .benford import benford_probs, chi_square_stat, mad, proportions
 from .digits import (
     FIRST_DIGIT,
     FIRST_TWO_DIGITS,

@@ -50,14 +50,8 @@ def mad(p: Sequence[float], b: Sequence[float]) -> float:
     return float(pairwise_sum([abs(pi - bi) for pi, bi in zip(p, b)]) / len(b))
 
 
-def psi(p: Sequence[float], b: Sequence[float], n: int) -> float:
-    """Pearson-form quadratic distance n * sum((p_i - b_i)^2 / b_i)."""
-    _check_match(p, b)
-    if n < 1:
-        raise ValueError("sample size must be at least 1")
-    return float(n * pairwise_sum([(pi - bi) * (pi - bi) / bi for pi, bi in zip(p, b)]))
-
-
 def chi_square_stat(counts: DigitCounts, b: Sequence[float]) -> float:
-    """Pearson's goodness-of-fit statistic; identical to psi on the sample."""
-    return psi(proportions(counts), b, counts.n)
+    """Pearson's goodness-of-fit statistic, the paper's psi: n * sum((p_i - b_i)^2 / b_i)."""
+    p = proportions(counts)
+    _check_match(p, b)
+    return float(counts.n * pairwise_sum([(pi - bi) * (pi - bi) / bi for pi, bi in zip(p, b)]))

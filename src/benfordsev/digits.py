@@ -85,9 +85,6 @@ class DigitSystem(namedtuple("DigitSystem", "digits")):
             return None
         return int((significand + "0")[:self.digits])
 
-    def label_index(self, label: int) -> int:
-        return label - 10 ** (self.digits - 1)
-
 
 FIRST_DIGIT = DigitSystem(1)
 FIRST_TWO_DIGITS = DigitSystem(2)
@@ -177,9 +174,10 @@ def parse_records(
     rows: the grammar is read at each line's start, after any indentation,
     up to whitespace or the line's end, so a line of one field and a line of
     several are read alike.  Every source is split at its own line ends.  A
-    str, and a source with `read` that either is in universal-newline mode
-    (it sets `newlines` once it has read a line end) or ends its first
-    non-blank line in a bare "\\n", is read in blocks of characters; any
+    str, whatever its line ends (it is split at "\\n", and a "\\r" reads as
+    whitespace), and a source with `read` that either is in universal-newline
+    mode (it sets `newlines` once it has read a line end) or ends its first
+    non-blank line in a bare "\\n", are read in blocks of characters; any
     other source is read line by line, and an iterable's items are read as
     one line each.  A CSV that csv.reader refuses raises ValueError.
     """
@@ -203,8 +201,10 @@ def _valid_chunks(
     line.  A CSV, or a text column other than the first, is read by rows,
     `_CHUNK` cells a chunk.  Text read by its first field is read in blocks
     of whole lines, or `_CHUNK` lines a chunk, as decided once from the
-    source and its read-ahead line (see `parse_records`), and a token read
-    from it is its line, which may keep fields after its first.
+    source and its read-ahead line (see `parse_records`).  A str is read
+    through an io.StringIO made here, whose lines end at "\\n" alone, so it
+    is read in blocks.  A token read from such text is its line, which may
+    keep fields after its first.
     Each chunk's skip counts are added to `skip_reasons`, whose reasons are
     listed in order of first occurrence.  Nothing here holds a chunk once
     the next is read, so a caller that counts each chunk as it comes keeps
@@ -221,7 +221,8 @@ def _valid_chunks(
         raise ValueError(f"the decimal mark must not be whitespace, got {decimal_mark!r}")
     if delimiter == decimal_mark:
         raise ValueError(f"the delimiter and the decimal mark are both {delimiter!r}")
-    source = io.StringIO(source) if isinstance(source, str) else source
+    is_str = isinstance(source, str)
+    source = io.StringIO(source) if is_str else source
     lines = iter(source)
     if delimiter is None:
         # Read ahead to the first non-blank line, and no further: a comma
@@ -247,10 +248,11 @@ def _valid_chunks(
             # The rest of the text follows the first row in `source` or `lines`.
             # A universal-newline source has set `newlines` by now.  In another
             # mode, if the read-ahead `line` ends in "\n" alone, either it is
-            # the last line or lines end at "\n", where `_blocks` ends them.
+            # the last line or lines end at "\n", where `_blocks` ends them, as
+            # they do in the StringIO made from a str.
             universal = bool(getattr(source, "newlines", None))
             bare_lf = line.endswith("\n") and not line.endswith("\r\n")
-            if hasattr(source, "read") and (universal or bare_lf):
+            if hasattr(source, "read") and (is_str or universal or bare_lf):
                 blocks = _blocks(source, universal)
             else:
                 blocks = _batches(lines)

@@ -61,11 +61,7 @@ def default_delta_star(system: DigitSystem) -> float:
 
 def n_min_for(system: DigitSystem) -> int:
     """Smallest n giving every digit cell an expected count >= MIN_EXPECTED_COUNT."""
-    min_b = min(benford_probs(system))
-    n = math.ceil(MIN_EXPECTED_COUNT / min_b)
-    if (n - 1) * min_b >= MIN_EXPECTED_COUNT:  # guard against ceil of a near-integer
-        n -= 1
-    return int(n)
+    return math.ceil(MIN_EXPECTED_COUNT / min(benford_probs(system)))
 
 
 def run_test_from_proportions(p: Sequence[float], n: int, system: DigitSystem) -> TestOutcome:

@@ -9,7 +9,6 @@ from benfordsev.benford import (
     mad,
     pairwise_sum,
     proportions,
-    psi,
 )
 from benfordsev.digits import DigitCounts, FIRST_DIGIT, FIRST_TWO_DIGITS
 
@@ -98,19 +97,13 @@ class TestMad:
 
 class TestChiSquare:
     def test_zero_at_exact_law(self):
-        b = benford_probs(FIRST_DIGIT)
-        p = list(b)
-        assert psi(p, b, 1000) == 0.0
+        counts = make_counts([30, 18, 12, 10, 8, 7, 6, 5, 4])
+        assert chi_square_stat(counts, proportions(counts)) == 0.0
 
     def test_single_count_on_digit_one(self):
         counts = make_counts([1, 0, 0, 0, 0, 0, 0, 0, 0])
         b = benford_probs(FIRST_DIGIT)
         assert chi_square_stat(counts, b) == pytest.approx(CHI2_SINGLE_COUNT, abs=1e-12)
-
-    def test_psi_equals_chi_square_on_same_data(self):
-        counts = make_counts([30, 18, 12, 10, 8, 7, 6, 5, 4])
-        b = benford_probs(FIRST_DIGIT)
-        assert psi(proportions(counts), b, counts.n) == chi_square_stat(counts, b)
 
     def test_integer_scaling_multiplies_statistic(self):
         counts = make_counts([30, 18, 12, 10, 8, 7, 6, 5, 4])
@@ -119,11 +112,6 @@ class TestChiSquare:
         assert chi_square_stat(scaled, b) == pytest.approx(
             3.0 * chi_square_stat(counts, b), rel=1e-12
         )
-
-    def test_doubling_n_at_fixed_p_doubles_psi(self):
-        b = benford_probs(FIRST_DIGIT)
-        p = np.full(9, 1.0 / 9.0)
-        assert psi(p, b, 1800) == pytest.approx(2.0 * psi(p, b, 900), rel=1e-12)
 
     def test_empty_sample(self):
         b = benford_probs(FIRST_DIGIT)

@@ -145,6 +145,13 @@ class TestAnalyze:
         assert code != 0
         assert "amount" in err
 
+    def test_negative_column_index_is_config_error(self, tmp_path, capsys):
+        f = write_benford_like_file(tmp_path / "data.txt")
+        code, out, err = run_cli(capsys, "analyze", str(f), "--column", "-1")
+        assert code == 2
+        assert out == ""
+        assert "column index must be nonnegative, got -1" in err
+
     def test_missing_file_is_io_error(self, capsys):
         code, out, err = run_cli(capsys, "analyze", "/nonexistent/input.csv")
         assert code != 0
@@ -496,6 +503,8 @@ class TestPlotdata:
     ["severity-curve", "--n", "1000", "--tilde-delta", "2", "--grid", "nan,inf"],
     ["severity-curve", "--n", "1000", "--tilde-delta", "2", "--grid", "0:inf:3"],
     ["severity-curve", "--n", "1000", "--tilde-delta", "2", "--grid=-1e308:1e308:3"],
+    ["analyze", "FILE", "--delta-star", "abc"],
+    ["calibrate", "--threshold", "0.006x"],
 ])
 def test_non_finite_number_is_config_error(tmp_path, capsys, argv):
     f = write_benford_like_file(tmp_path / "data.txt")

@@ -235,6 +235,10 @@ class TestParseRecords:
         with pytest.raises(ColumnError):
             parse_records(io.StringIO("a,b\n1,2\n"), column="amount")
 
+    def test_negative_column_index(self):
+        with pytest.raises(ColumnError, match=r"^column index must be nonnegative, got -1$"):
+            parse_records(io.StringIO("1\n"), column=-1)
+
     def test_empty_cells_reported(self):
         tokens, skips = parse_records(io.StringIO("x,y\n1,\n,2\n"), column="y")
         assert tokens == ["2"]
@@ -350,7 +354,7 @@ class TestCountDigits:
 
     def test_shared_significand_start(self):
         counts = count_digits(["5", "0.5", "50"], FIRST_TWO_DIGITS)
-        assert counts.counts[FIRST_TWO_DIGITS.label_index(50)] == 3
+        assert counts.counts[FIRST_TWO_DIGITS.digit_labels.index(50)] == 3
         assert counts.n == 3
 
     def test_unparseable_tokens_tallied(self):
@@ -360,8 +364,8 @@ class TestCountDigits:
 
     def test_integers_are_read_exactly(self):
         counts = count_digits([199999999999999999, 10**400, 0], FIRST_TWO_DIGITS)
-        assert counts.counts[FIRST_TWO_DIGITS.label_index(19)] == 1
-        assert counts.counts[FIRST_TWO_DIGITS.label_index(10)] == 1
+        assert counts.counts[FIRST_TWO_DIGITS.digit_labels.index(19)] == 1
+        assert counts.counts[FIRST_TWO_DIGITS.digit_labels.index(10)] == 1
         assert counts.n == 2 and counts.skip_reasons == {"zero-value": 1}
 
     def test_integers_beyond_the_str_limit_are_counted(self):
@@ -432,8 +436,9 @@ class TestIngest:
         # count_digits checks its values as cells are checked, with no header.
         assert len(calls) <= 2
 
-    @pytest.mark.parametrize("newline", ["str", "StringIO", "\n", "", None],
-                             ids=["str", "StringIO", "newline-lf", "newline-empty", "newline-none"])
+    @pytest.mark.parametrize("newline", ["str", "str-crlf", "StringIO", "\n", "", None],
+                             ids=["str", "str-crlf", "StringIO", "newline-lf", "newline-empty",
+                                  "newline-none"])
     def test_each_text_line_is_matched_once(self, monkeypatch, tmp_path, newline):
         calls = []
         texts = []
@@ -458,9 +463,13 @@ class TestIngest:
         for i, pair in enumerate(zip(clean, multi)):
             lines += [*pair, "", " \t"] if i % 10 == 0 else pair
         text = "".join(line + "\n" for line in lines)
-        # The source: a str, a default StringIO, or a file opened with `newline`.
+        # The source: a str, a str with "\r\n" line ends, a default StringIO,
+        # or a file opened with `newline`.
         if newline == "str":
             source = nullcontext("amount id\n" + text)
+        elif newline == "str-crlf":
+            text = text.replace("\n", "\r\n")
+            source = nullcontext("amount id\r\n" + text)
         elif newline == "StringIO":
             source = io.StringIO("amount id\n" + text)
         else:
@@ -521,7 +530,7 @@ def reference_count(tokens, system):
             reason = "non-numeric"
         else:
             if label is not None:
-                counts[system.label_index(label)] += 1
+                counts[system.digit_labels.index(label)] += 1
                 continue
             reason = "zero-value"
         skips[reason] = skips.get(reason, 0) + 1
@@ -570,7 +579,7 @@ def reference_ingest(text, system, column=None, delimiter=None, decimal_mark="."
                 if label is None:
                     zeros += 1
                 else:
-                    counts[system.label_index(label)] += 1
+                    counts[system.digit_labels.index(label)] += 1
                 continue
         parse_skips[reason] = parse_skips.get(reason, 0) + 1
     # ingest lists extraction skips (zeros) before the parsing skips.

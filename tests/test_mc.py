@@ -33,6 +33,10 @@ class TestSampleBenfordCounts:
             assert sum(counts.counts) == 1
             assert max(counts.counts) == 1
 
+    def test_empty_sample_is_refused(self):
+        with pytest.raises(ValueError, match=r"^n must be at least 1$"):
+            sample_benford_counts(FIRST_DIGIT, 0, np.random.default_rng(5))
+
     def test_counts_sum_to_n(self):
         rng = np.random.default_rng(6)
         counts = sample_benford_counts(FIRST_TWO_DIGITS, 12345, rng)
