@@ -174,12 +174,12 @@ def parse_records(
     rows: the grammar is read at each line's start, after any indentation,
     up to whitespace or the line's end, so a line of one field and a line of
     several are read alike.  Every source is split at its own line ends.  A
-    str, whatever its line ends (it is split at "\\n", and a "\\r" reads as
-    whitespace), and a source with `read` that either is in universal-newline
-    mode (it sets `newlines` once it has read a line end) or ends its first
-    non-blank line in a bare "\\n", are read in blocks of characters; any
-    other source is read line by line, and an iterable's items are read as
-    one line each.  A CSV that csv.reader refuses raises ValueError.
+    str is split at "\\n", "\\r\\n" or a lone "\\r", as a file opened with
+    newline="" is.  A source in universal-newline mode (it sets `newlines`
+    once it has read a line end), a str among them, is read in blocks of
+    characters; any other source is read line by line, with the same
+    result, and an iterable's items are read as one line each.  A CSV that
+    csv.reader refuses raises ValueError.
     """
     skip_reasons: dict[str, int] = {}
     chunks = _valid_chunks(source, column, delimiter, decimal_mark, skip_reasons)
@@ -200,11 +200,12 @@ def _valid_chunks(
     chunk's joined text (see `_chunks`), with no Python call per cell or
     line.  A CSV, or a text column other than the first, is read by rows,
     `_CHUNK` cells a chunk.  Text read by its first field is read in blocks
-    of whole lines, or `_CHUNK` lines a chunk, as decided once from the
-    source and its read-ahead line (see `parse_records`).  A str is read
-    through an io.StringIO made here, whose lines end at "\\n" alone, so it
-    is read in blocks.  A token read from such text is its line, which may
-    keep fields after its first.
+    of whole lines if the source has set `newlines` by the time its first
+    row is read, which a source in universal-newline mode has, and
+    `_CHUNK` lines a chunk otherwise.  A str is read through an
+    io.StringIO(newline="") made here, as the command line opens a file.  A
+    token read from such text is its line, which may keep fields after its
+    first.
     Each chunk's skip counts are added to `skip_reasons`, whose reasons are
     listed in order of first occurrence.  Nothing here holds a chunk once
     the next is read, so a caller that counts each chunk as it comes keeps
@@ -221,8 +222,7 @@ def _valid_chunks(
         raise ValueError(f"the decimal mark must not be whitespace, got {decimal_mark!r}")
     if delimiter == decimal_mark:
         raise ValueError(f"the delimiter and the decimal mark are both {delimiter!r}")
-    is_str = isinstance(source, str)
-    source = io.StringIO(source) if is_str else source
+    source = io.StringIO(source, newline="") if isinstance(source, str) else source
     lines = iter(source)
     if delimiter is None:
         # Read ahead to the first non-blank line, and no further: a comma
@@ -246,14 +246,10 @@ def _valid_chunks(
         index, is_header = _resolve_column(column, first_row, decimal_mark)
         if delimiter is None and index == 0:
             # The rest of the text follows the first row in `source` or `lines`.
-            # A universal-newline source has set `newlines` by now.  In another
-            # mode, if the read-ahead `line` ends in "\n" alone, either it is
-            # the last line or lines end at "\n", where `_blocks` ends them, as
-            # they do in the StringIO made from a str.
-            universal = bool(getattr(source, "newlines", None))
-            bare_lf = line.endswith("\n") and not line.endswith("\r\n")
-            if hasattr(source, "read") and (is_str or universal or bare_lf):
-                blocks = _blocks(source, universal)
+            # A universal-newline source has set `newlines` by now, and its
+            # line ends are the ones `_blocks` ends lines at.
+            if getattr(source, "newlines", None):
+                blocks = _blocks(source)
             else:
                 blocks = _batches(lines)
             if not is_header:
@@ -276,17 +272,16 @@ def _valid_chunks(
         raise ValueError(f"malformed CSV{where}: {exc}") from exc
 
 
-def _blocks(source: TextIO, universal: bool) -> Iterator[str]:
-    """The rest of `source` in blocks of whole lines, each ended by "\\n".
+def _blocks(source: TextIO) -> Iterator[str]:
+    """The rest of a universal-newline `source` in blocks of whole lines, each ended by "\\n".
 
     A block is `4 * _CHUNK` characters completed by `readline`, so it ends
-    where a line ends.  In a `universal` source, one that has set `newlines`,
-    "\\r\\n" and "\\r" end lines too: they become "\\n".
+    where a line ends.  "\\n", "\\r\\n" and "\\r" end lines, as they do in
+    the source: "\\r\\n" and "\\r" become "\\n".
     """
     while block := source.read(4 * _CHUNK) + source.readline():
-        if universal:
-            # "\r\n" first: it ends one line, not a line and a blank one.
-            block = block.replace("\r\n", "\n").replace("\r", "\n")
+        # "\r\n" first: it ends one line, not a line and a blank one.
+        block = block.replace("\r\n", "\n").replace("\r", "\n")
         yield block if block.endswith("\n") else block + "\n"
 
 

@@ -316,6 +316,12 @@ class TestParseRecords:
             assert isinstance(raised.value.__cause__, csv.Error)
         assert parse_records(["amount id\n1 234\n"]) == ([], {})
 
+    def test_str_with_lone_cr_line_ends_is_read_on_every_path(self):
+        # A str is split at its line ends as a file opened with newline="" is.
+        assert ingest("1\r2\r3\r", FIRST_DIGIT).n == 3
+        assert parse_records("5 1\r6 2\r", column=1) == (["1", "2"], {})
+        assert parse_records("a,b\r1,2\r3,4\r", column="b") == (["2", "4"], {})
+
     def test_sniff_reads_lazily(self):
         source = iter(["\n", "1,2\n", "3,4\n", "5,6\n"])
         with mock.patch.object(digits, "_CHUNK", 1):
@@ -436,9 +442,9 @@ class TestIngest:
         # count_digits checks its values as cells are checked, with no header.
         assert len(calls) <= 2
 
-    @pytest.mark.parametrize("newline", ["str", "str-crlf", "StringIO", "\n", "", None],
-                             ids=["str", "str-crlf", "StringIO", "newline-lf", "newline-empty",
-                                  "newline-none"])
+    @pytest.mark.parametrize("newline", ["str", "str-crlf", "str-cr", "StringIO", "\n", "", None],
+                             ids=["str", "str-crlf", "str-cr", "StringIO", "newline-lf",
+                                  "newline-empty", "newline-none"])
     def test_each_text_line_is_matched_once(self, monkeypatch, tmp_path, newline):
         calls = []
         texts = []
@@ -463,13 +469,13 @@ class TestIngest:
         for i, pair in enumerate(zip(clean, multi)):
             lines += [*pair, "", " \t"] if i % 10 == 0 else pair
         text = "".join(line + "\n" for line in lines)
-        # The source: a str, a str with "\r\n" line ends, a default StringIO,
-        # or a file opened with `newline`.
+        # The source: a str, a str with "\r\n" or "\r" line ends, a default
+        # StringIO, or a file opened with `newline`.
         if newline == "str":
             source = nullcontext("amount id\n" + text)
-        elif newline == "str-crlf":
-            text = text.replace("\n", "\r\n")
-            source = nullcontext("amount id\r\n" + text)
+        elif newline in ("str-crlf", "str-cr"):
+            end = "\r\n" if newline == "str-crlf" else "\r"
+            source = nullcontext(("amount id\n" + text).replace("\n", end))
         elif newline == "StringIO":
             source = io.StringIO("amount id\n" + text)
         else:
@@ -480,11 +486,18 @@ class TestIngest:
             counts = ingest(s, FIRST_DIGIT)
         assert counts.n == 1000 + 500 and counts.skip_reasons == {"non-numeric": 500}
         # One findall per block of whole lines reads each line once, clean or
-        # not, indented or blank; a block is 4 * 64 characters read at once,
-        # completed to its line's end.  The cell grammar checks only the
-        # header and one head per distinct head.
-        assert "".join(texts) == text
-        assert all(4 * 64 <= len(block) < 4 * 64 + 16 for block in texts[:-1])
+        # not, indented or blank.  A universal-newline source is read in
+        # blocks of 4 * 64 characters read at once, completed to their line's
+        # end, with every line end read as "\n"; any other source is read 64
+        # lines a findall.  The cell grammar checks only the header and one
+        # head per distinct head.
+        if newline in ("StringIO", "\n"):
+            assert "".join(texts) == text.replace("\n", " \n")
+            assert all(block.count("\n") == 64 for block in texts[:-1])
+        else:
+            assert "".join(texts) == text
+        if newline in ("str", "", None):
+            assert all(4 * 64 <= len(block) < 4 * 64 + 16 for block in texts[:-1])
         assert len(calls) <= 1 + 9
 
     @pytest.mark.parametrize(
@@ -873,7 +886,7 @@ class TestReaderMatchesTheOldAlgorithm:
             file_lines = list(fh)
         # Each source, and the lines it yields, which the old reader is given.
         feeds = [
-            (lambda: nullcontext(text), list(io.StringIO(text))),
+            (lambda: nullcontext(text), list(io.StringIO(text, newline=""))),
             (lambda: io.StringIO(text), list(io.StringIO(text))),
             (opened, file_lines),
             (lambda: nullcontext(iter(items)), items),
