@@ -35,8 +35,8 @@ _RUNS = r"(?m)^[^\S\n]*+((?:{line})++|\n)|^[^\n]*+\n"
 # field: the grammar at its start, up to whitespace or the line's end.
 _CELL_RUNS_RE = re.compile(_RUNS.format(line=rf"{_NUMERIC}\n"))
 _LINE_RUNS_RE = re.compile(_RUNS.format(line=rf"{_NUMERIC}(?:[^\S\n][^\n]*+)?+\n"))
-# Cells or lines per chunk read by parse_records and ingest; text read in
-# blocks (see `_blocks`) comes in blocks of 4 * _CHUNK characters.
+# Cells per chunk read by parse_records, ingest and count_digits; text read
+# in blocks (see `_blocks`) comes in blocks of 4 * _CHUNK characters.
 _CHUNK = 16384
 
 
@@ -170,16 +170,16 @@ def parse_records(
     "E", a whitespace decimal mark, or a delimiter equal to the decimal mark
     raises ValueError.
 
-    Whitespace-delimited text read by its first field is not split into
-    rows: the grammar is read at each line's start, after any indentation,
-    up to whitespace or the line's end, so a line of one field and a line of
-    several are read alike.  Every source is split at its own line ends.  A
-    str is split at "\\n", "\\r\\n" or a lone "\\r", as a file opened with
-    newline="" is.  A source in universal-newline mode (it sets `newlines`
-    once it has read a line end), a str among them, is read in blocks of
-    characters; any other source is read line by line, with the same
-    result, and an iterable's items are read as one line each.  A CSV that
-    csv.reader refuses raises ValueError.
+    Every source is split at its own line ends.  A str is split at "\\n",
+    "\\r\\n" or a lone "\\r", as a file opened with newline="" is, and an
+    iterable's items are read as one line each.  Whitespace-delimited text
+    from a source in universal-newline mode (it sets `newlines` once it has
+    read a line end), a str among them, is read by its first field in blocks
+    of characters, not split into rows: the grammar is read at each line's
+    start, after any indentation, up to whitespace or the line's end, so a
+    line of one field and a line of several are read alike.  Every other
+    source, and every other column, is read by rows, with the same result.
+    A CSV that csv.reader refuses raises ValueError.
     """
     skip_reasons: dict[str, int] = {}
     chunks = _valid_chunks(source, column, delimiter, decimal_mark, skip_reasons)
@@ -198,14 +198,12 @@ def _valid_chunks(
 
     Cells and text lines alike are checked by one regex pass over each
     chunk's joined text (see `_chunks`), with no Python call per cell or
-    line.  A CSV, or a text column other than the first, is read by rows,
-    `_CHUNK` cells a chunk.  Text read by its first field is read in blocks
-    of whole lines if the source has set `newlines` by the time its first
-    row is read, which a source in universal-newline mode has, and
-    `_CHUNK` lines a chunk otherwise.  A str is read through an
-    io.StringIO(newline="") made here, as the command line opens a file.  A
-    token read from such text is its line, which may keep fields after its
-    first.
+    line.  Text read by its first field is read in blocks of whole lines if
+    the source has set `newlines` by the time its first row is read, which a
+    source in universal-newline mode has; a token read from such text is its
+    line, which may keep fields after its first.  Everything else is read by
+    rows, `_CHUNK` cells a chunk.  A str is read through an
+    io.StringIO(newline="") made here, as the command line opens a file.
     Each chunk's skip counts are added to `skip_reasons`, whose reasons are
     listed in order of first occurrence.  Nothing here holds a chunk once
     the next is read, so a caller that counts each chunk as it comes keeps
@@ -237,21 +235,18 @@ def _valid_chunks(
         lines = chain(ahead, lines)
     try:
         if delimiter is None:
-            rows = map(str.split, filter(None, map(str.strip, lines)))
+            rows = filter(None, map(str.split, lines))
         else:
             rows = filter(None, csv.reader(lines, delimiter=delimiter))
         first_row = next(rows, None)
         if first_row is None:
             return
         index, is_header = _resolve_column(column, first_row, decimal_mark)
-        if delimiter is None and index == 0:
-            # The rest of the text follows the first row in `source` or `lines`.
-            # A universal-newline source has set `newlines` by now, and its
-            # line ends are the ones `_blocks` ends lines at.
-            if getattr(source, "newlines", None):
-                blocks = _blocks(source)
-            else:
-                blocks = _batches(lines)
+        # A universal-newline source has set `newlines` by now, and its line
+        # ends are the ones `_blocks` ends lines at.
+        if delimiter is None and index == 0 and getattr(source, "newlines", None):
+            # The rest of the text follows the first row in `source`.
+            blocks = _blocks(source)
             if not is_header:
                 blocks = chain((first_row[0] + "\n",), blocks)
             runs, marks = _LINE_RUNS_RE, {"": SKIP_NON_NUMERIC}
@@ -288,9 +283,8 @@ def _blocks(source: TextIO) -> Iterator[str]:
 def _batches(items: Iterator[str]) -> Iterator[str]:
     """`items`, `_CHUNK` at a time, each batch as one text with a line break after each item.
 
-    A line break inside an item becomes a space: a CSV cell that holds one
-    stays non-numeric, and an item of several text lines is read by its
-    first field.
+    The items are cells or values.  A line break inside one becomes a
+    space, so a cell or value that holds one stays non-numeric.
     """
     while batch := list(islice(items, _CHUNK)):
         text = "\n".join(batch) + "\n"

@@ -454,14 +454,19 @@ class TestIngest:
                 calls.append(text)
                 return pattern.fullmatch(text)
 
-        class CountingLinesPattern:
-            def findall(self, text):
-                texts.append(text)
-                return lines_pattern.findall(text)
+        class CountingRunsPattern:
+            def __init__(self, runs, found):
+                self.runs, self.found = runs, found
 
-        pattern, lines_pattern = digits._NUMERIC_RE, digits._LINE_RUNS_RE
+            def findall(self, text):
+                self.found.append(text)
+                return self.runs.findall(text)
+
+        cell_texts = []
+        pattern = digits._NUMERIC_RE
         monkeypatch.setattr(digits, "_NUMERIC_RE", CountingPattern())
-        monkeypatch.setattr(digits, "_LINE_RUNS_RE", CountingLinesPattern())
+        for name, found in (("_LINE_RUNS_RE", texts), ("_CELL_RUNS_RE", cell_texts)):
+            monkeypatch.setattr(digits, name, CountingRunsPattern(getattr(digits, name), found))
         clean = [f"{i}.5" for i in range(100, 1100)]
         multi = [" " * (i % 3) + f"{i}.25 \tn/a" if i % 2 else f"n/a{i}\x0c7"
                  for i in range(100, 1100)]
@@ -485,15 +490,17 @@ class TestIngest:
         with source as s, small_chunks(64):
             counts = ingest(s, FIRST_DIGIT)
         assert counts.n == 1000 + 500 and counts.skip_reasons == {"non-numeric": 500}
-        # One findall per block of whole lines reads each line once, clean or
-        # not, indented or blank.  A universal-newline source is read in
-        # blocks of 4 * 64 characters read at once, completed to their line's
-        # end, with every line end read as "\n"; any other source is read 64
-        # lines a findall.  The cell grammar checks only the header and one
-        # head per distinct head.
+        # One findall per block reads each line once, clean or not, indented
+        # or blank.  A universal-newline source is read in blocks of whole
+        # lines, 4 * 64 characters read at once and completed to their line's
+        # end, with every line end read as "\n"; any other source is read by
+        # rows, its first fields 64 cells a findall.  The cell grammar checks
+        # only the header and one head per distinct head.
         if newline in ("StringIO", "\n"):
-            assert "".join(texts) == text.replace("\n", " \n")
-            assert all(block.count("\n") == 64 for block in texts[:-1])
+            assert texts == []
+            first_fields = [line.split()[0] for line in lines if line.split()]
+            assert "".join(cell_texts) == "".join(field + "\n" for field in first_fields)
+            assert all(block.count("\n") == 64 for block in cell_texts[:-1])
         else:
             assert "".join(texts) == text
         if newline in ("str", "", None):
