@@ -126,7 +126,7 @@ def severity_of_acceptance(
 
 def _noncentrality(delta_star: float, n: int, system: DigitSystem) -> float:
     """The benchmark delta_star in null standard deviations: the test's mean under it."""
-    if delta_star < 0.0:
+    if not delta_star >= 0.0:
         raise ValueError("delta_star must be nonnegative")
     return standardized(delta_star, n, system)
 
@@ -140,7 +140,7 @@ def delta_star(system: DigitSystem, threshold: float, n_min: int, n_max: int) ->
     threshold sits below the average null expectation and is reported with
     a warning rather than an error.
     """
-    if threshold <= 0.0:
+    if not threshold > 0.0:
         raise ValueError("threshold must be positive")
     if n_min > n_max:
         raise ValueError(f"n_min={n_min} exceeds n_max={n_max}")
@@ -190,9 +190,9 @@ def chi_square_severity(x_obs: float, psi_star: float, system: DigitSystem) -> f
     with any given MAD, so the benchmark must come from the user.  A psi_star
     above specialfn.MAX_NONCENTRALITY raises ValueError.
     """
-    if x_obs < 0.0:
+    if not x_obs >= 0.0:
         raise ValueError("observed statistic must be nonnegative")
-    if psi_star < 0.0:
+    if not psi_star >= 0.0:
         raise ValueError("psi_star must be nonnegative")
     return specialfn.noncentral_chi2_cdf(x_obs, system.k - 1, psi_star)
 

@@ -10,9 +10,13 @@ import math
 
 _SQRT2 = math.sqrt(2.0)
 # Largest noncentrality noncentral_chi2_cdf accepts.  The Poisson-mixture sum
-# takes about sqrt(lam) steps and the central terms' gamma series runs out
-# of terms a little above this; larger values raise ValueError.
+# has at most 2 * spread + 1 terms, about 10.6 sqrt(lam), and the central
+# terms' gamma series runs out of terms a little above this; larger values
+# raise ValueError.
 MAX_NONCENTRALITY = 1e6
+# log(1 / 0.5e-12): the Poisson mass the mixture may leave out on each side
+# of its mode is at most exp(-_LOG_INV_TAIL).
+_LOG_INV_TAIL = math.log(2e12)
 # Above this shape, Poisson and gamma densities are computed in the
 # saddle-point form, where no large terms cancel; below it, directly.
 _SADDLE_POINT_ABOVE = 15.0
@@ -32,9 +36,9 @@ def std_normal_cdf(x: float) -> float:
 
 def regularized_lower_gamma(s: float, x: float) -> float:
     """Regularized lower incomplete gamma P(s, x) for s > 0, x >= 0."""
-    if s <= 0.0:
+    if not s > 0.0:
         raise ValueError(f"shape parameter must be positive, got {s!r}")
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError(f"argument must be nonnegative, got {x!r}")
     if x == 0.0:
         return 0.0
@@ -62,6 +66,8 @@ def _lower_gamma_series(s: float, x: float) -> float:
 def _upper_gamma_cf(s: float, x: float) -> float:
     # Modified Lentz evaluation of the continued fraction for Q(s, x),
     # valid for x >= s + 1.
+    if x == math.inf:
+        return 0.0
     tiny = 1e-300
     b = x + 1.0 - s
     c = 1.0 / tiny
@@ -156,35 +162,39 @@ def central_chi2_sf(x: float, df: int) -> float:
     """
     s = _check_df(df) / 2.0
     y = x / 2.0
-    if y < s + 1.0:
-        return 1.0 - regularized_lower_gamma(s, y)
-    return _upper_gamma_cf(s, y)
+    if y >= s + 1.0:
+        return _upper_gamma_cf(s, y)
+    return 1.0 - regularized_lower_gamma(s, y)
 
 
 def noncentral_chi2_cdf(x: float, df: int, lam: float) -> float:
     """Noncentral chi-square CDF via its Poisson mixture of central CDFs.
 
-    The mixture is summed outward from the modal Poisson index floor(lam/2)
-    so that no weight underflows for large noncentrality; summation stops
-    once the neglected Poisson mass is below 1e-12.  A noncentrality above
+    The mixture is summed outward from the modal Poisson index m = floor(lam/2),
+    so that no weight underflows for large noncentrality, over m - spread to
+    m + spread.  Bernstein's bound P(|N - h| >= t) <= exp(-t^2 / (2 (h + t/3))),
+    h = lam/2, fixes spread before the sum so that the Poisson mass left out
+    is at most 0.5e-12 a side, 1e-12 in all.  A noncentrality above
     MAX_NONCENTRALITY raises ValueError.
     """
     df = _check_df(df)
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise ValueError(f"noncentrality must be nonnegative, got {lam!r}")
     if lam > MAX_NONCENTRALITY:
         raise ValueError(f"noncentrality {lam:g} exceeds the supported maximum {MAX_NONCENTRALITY:g}")
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError(f"argument must be nonnegative, got {x!r}")
-    if lam == 0.0:
-        return central_chi2_cdf(x, df)
 
     a = df / 2.0
     y = x / 2.0
     h = lam / 2.0
+    # h = 0 covers a subnormal lam, y = 0 an x so small that x/2 underflows.
+    # Every central CDF of the mixture is 0 at y = 0 and 1 at y = inf.
+    if h == 0.0 or y in (0.0, math.inf):
+        return central_chi2_cdf(x, df)
     m = int(h)
-    if y == 0.0:  # covers x = 0 and x so small that x/2 underflows
-        return 0.0
+    third = _LOG_INV_TAIL / 3.0
+    spread = math.ceil(third + math.sqrt(third * third + 2.0 * _LOG_INV_TAIL * h))
 
     # Values at the modal index: Poisson weight w_m, central CDF c_m,
     # and the stepping term t(s) = y^s e^{-y} / Gamma(s+1), which links
@@ -197,35 +207,22 @@ def noncentral_chi2_cdf(x: float, df: int, lam: float) -> float:
     log_t_m = _log_poisson(a + m, y)
 
     total = w_m * c_m
-    tail_budget = 0.5e-12
 
-    # Upward pass: j = m+1, m+2, ...  Weights decrease geometrically here.
-    w, c, log_t, j = w_m, c_m, log_t_m, m
-    while True:
-        w *= h / (j + 1.0)
+    # Upward pass: j = m+1, ..., m+spread.
+    w, c, log_t = w_m, c_m, log_t_m
+    for j in range(m + 1, m + spread + 1):
+        w *= h / j
         c = max(c - math.exp(log_t), 0.0)
-        j += 1
         log_t += log_y - math.log(a + j)
         total += w * c
-        ratio = h / (j + 2.0)
-        if ratio < 1.0 and w * ratio / (1.0 - ratio) < tail_budget:
-            break
-        if w == 0.0:
-            break
 
-    # Downward pass: j = m-1, ..., 0.  Weights also decrease leaving the mode.
-    w, c, log_t, j = w_m, c_m, log_t_m, m
-    while j > 0:
+    # Downward pass: j - 1 = m-1, ..., max(m-spread, 0).  The lower Poisson
+    # tail obeys the tighter bound exp(-t^2 / (2h)), so spread serves it too.
+    w, c, log_t = w_m, c_m, log_t_m
+    for j in range(m, max(m - spread, 0), -1):
         log_t += math.log(a + j) - log_y
         c = min(c + math.exp(log_t), 1.0)
         w *= j / h
-        j -= 1
         total += w * c
-        if j >= 1:
-            ratio = j / h
-            if ratio < 1.0 and w * ratio / (1.0 - ratio) < tail_budget:
-                break
-        if w == 0.0:
-            break
 
     return min(max(total, 0.0), 1.0)

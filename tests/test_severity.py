@@ -120,6 +120,8 @@ class TestSeverityOfRejection:
     def test_negative_benchmark_rejected(self):
         with pytest.raises(ValueError):
             severity_of_rejection(1.0, -0.001, 100, FIRST_DIGIT)
+        with pytest.raises(ValueError, match="^delta_star must be nonnegative$"):
+            severity_of_rejection(1.0, math.nan, 100, FIRST_DIGIT)
 
     def test_sample_size_below_one_rejected(self):
         with pytest.raises(ValueError, match="at least 1, got 0"):
@@ -210,8 +212,9 @@ class TestDeltaStar:
             delta_star(system=FIRST_DIGIT, threshold=0.006, n_min=0, n_max=100)
 
     def test_threshold_is_checked_before_the_range(self):
-        with pytest.raises(ValueError, match="^threshold must be positive$"):
-            delta_star(FIRST_DIGIT, 0.0, 0, 100)
+        for threshold in (0.0, math.nan):
+            with pytest.raises(ValueError, match="^threshold must be positive$"):
+                delta_star(FIRST_DIGIT, threshold, 0, 100)
 
     @pytest.mark.parametrize("system, threshold, n_min, n_max", [
         (FIRST_DIGIT, 0.006, 110, 25000),
@@ -262,6 +265,10 @@ class TestChiSquareSeverity:
             chi_square_severity(-1.0, 5.0, FIRST_DIGIT)
         with pytest.raises(ValueError):
             chi_square_severity(1.0, -5.0, FIRST_DIGIT)
+        with pytest.raises(ValueError, match="^observed statistic must be nonnegative$"):
+            chi_square_severity(math.nan, 5.0, FIRST_DIGIT)
+        with pytest.raises(ValueError, match="^psi_star must be nonnegative$"):
+            chi_square_severity(1.0, math.nan, FIRST_DIGIT)
 
 
 class TestDeltaStarMonotoneSeverityGrid:

@@ -66,7 +66,7 @@ class TestRegularizedLowerGamma:
     def test_half_shape(self):
         assert regularized_lower_gamma(0.5, 2.0) == pytest.approx(P_HALF_2, rel=1e-10)
 
-    @pytest.mark.parametrize("s,x", [(0.0, 1.0), (-1.0, 1.0), (2.0, -0.5)])
+    @pytest.mark.parametrize("s,x", [(0.0, 1.0), (-1.0, 1.0), (2.0, -0.5), (math.nan, 1.0), (2.0, math.nan)])
     def test_domain_errors(self, s, x):
         with pytest.raises(ValueError):
             regularized_lower_gamma(s, x)
@@ -104,6 +104,11 @@ class TestCentralChi2:
         with pytest.raises(ValueError):
             central_chi2_cdf(1.0, df)
 
+    @pytest.mark.parametrize("x", [-1.0, math.nan])
+    def test_domain_errors(self, x):
+        with pytest.raises(ValueError, match="^argument must be nonnegative"):
+            central_chi2_cdf(x, 8)
+
 
 class TestCentralChi2Sf:
     @pytest.mark.parametrize("df", [1, 8, 89])
@@ -127,13 +132,20 @@ class TestCentralChi2Sf:
         with pytest.raises(ValueError):
             central_chi2_sf(1.0, df)
 
+    @pytest.mark.parametrize("x", [-1.0, math.nan])
+    def test_domain_errors(self, x):
+        with pytest.raises(ValueError, match="^argument must be nonnegative"):
+            central_chi2_sf(x, 8)
+
 
 class TestNoncentralChi2:
     def test_zero_noncentrality_degenerates(self):
-        for x in (0.5, 3.0, 10.0, 30.0):
-            assert noncentral_chi2_cdf(x, 8, 0.0) == pytest.approx(
-                central_chi2_cdf(x, 8), rel=1e-12
-            )
+        # 5e-324 is the smallest subnormal: lam / 2 underflows to 0.
+        for lam in (0.0, 5e-324):
+            for x in (0.5, 3.0, 10.0, 30.0):
+                assert noncentral_chi2_cdf(x, 8, lam) == pytest.approx(
+                    central_chi2_cdf(x, 8), rel=1e-12
+                )
 
     def test_at_zero(self):
         assert noncentral_chi2_cdf(0.0, 8, 5.0) == 0.0
@@ -142,8 +154,26 @@ class TestNoncentralChi2:
         assert noncentral_chi2_cdf(10.0, 8, 5.0) == pytest.approx(NC_10_8_5, abs=1e-9)
         assert noncentral_chi2_cdf(30.0, 8, 10.0) == pytest.approx(NC_30_8_10, abs=1e-9)
 
-    def test_keeps_its_mass_at_large_noncentrality(self):
-        assert noncentral_chi2_cdf(1e300, 8, MAX_NONCENTRALITY) == pytest.approx(1.0, abs=1e-12)
+    @pytest.mark.parametrize("lam", [10.0, 1e3, MAX_NONCENTRALITY])
+    def test_keeps_its_mass_at_large_noncentrality(self, lam):
+        # lam = 10, df = 8 is chi_square_severity(1e5, 10, k = 9), which rounds to 1.
+        assert noncentral_chi2_cdf(1e300, 8, lam) == pytest.approx(1.0, abs=1e-13)
+
+    @pytest.mark.parametrize("x,df,lam", [
+        (49.0, 8, 5.0), (178.5, 89, 5.0), (136.0, 1, 50.0), (170.0, 89, 0.5),
+    ])
+    def test_matches_mpmath_poisson_mixture(self, x, df, lam):
+        # 40-digit sum over 30 sqrt(lam/2) + 60 indices each side of the mode,
+        # several times the range the function sums.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            h, a, y = mpmath.mpf(lam) / 2, mpmath.mpf(df) / 2, mpmath.mpf(x) / 2
+            m, width = int(lam / 2), int(30 * math.sqrt(lam / 2)) + 60
+            expected = mpmath.fsum(
+                mpmath.exp(-h) * h**j / mpmath.factorial(j) * mpmath.gammainc(a + j, 0, y, regularized=True)
+                for j in range(max(m - width, 0), m + width + 1)
+            )
+            assert noncentral_chi2_cdf(x, df, lam) == pytest.approx(float(expected), abs=1e-13)
 
     @pytest.mark.parametrize("lam", [1e4, 1e5, 1e6])
     @pytest.mark.parametrize("df", [8, 89])
@@ -184,10 +214,23 @@ class TestNoncentralChi2:
         # noncentrality above MAX_NONCENTRALITY
         (1e6 + 8.0, 8, math.nextafter(MAX_NONCENTRALITY, math.inf)), (5e6 + 8.0, 8, 5e6),
         (1e308, 8, 1e308),
+        (math.nan, 8, 5.0), (10.0, 8, math.nan),
     ])
     def test_domain_errors(self, x, df, lam):
-        with pytest.raises(ValueError):
+        # The package's own messages, not a float conversion's.
+        with pytest.raises(ValueError, match="must be|exceeds"):
             noncentral_chi2_cdf(x, df, lam)
+
+
+@pytest.mark.parametrize("cdf_or_sf, limit", [
+    (functools.partial(regularized_lower_gamma, 2.0), 1.0),
+    (lambda x: central_chi2_cdf(x, 8), 1.0),
+    (lambda x: central_chi2_sf(x, 8), 0.0),
+    (lambda x: noncentral_chi2_cdf(x, 8, 5.0), 1.0),
+    (lambda x: noncentral_chi2_cdf(x, 8, MAX_NONCENTRALITY), 1.0),
+], ids=["lower_gamma", "central_cdf", "central_sf", "noncentral_cdf", "noncentral_cdf_at_the_bound"])
+def test_infinite_argument_gives_the_limit(cdf_or_sf, limit):
+    assert cdf_or_sf(math.inf) == limit
 
 
 @functools.lru_cache(maxsize=None)
