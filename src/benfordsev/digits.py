@@ -35,6 +35,8 @@ _RUNS = r"(?m)^[^\S\n]*+((?:{line})++|\n)|^[^\n]*+\n"
 # field: the grammar at its start, up to whitespace or the line's end.
 _CELL_RUNS_RE = re.compile(_RUNS.format(line=rf"{_NUMERIC}\n"))
 _LINE_RUNS_RE = re.compile(_RUNS.format(line=rf"{_NUMERIC}(?:[^\S\n][^\n]*+)?+\n"))
+# One number written with commas, such as "1,234", "1,5" or "1,234.56".
+_COMMA_NUMBER_RE = re.compile(r"[+-]?[0-9]+(?:,[0-9]+)+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?")
 # Cells per chunk read by parse_records, ingest and count_digits; text read
 # in blocks (see `_blocks`) comes in blocks of 4 * _CHUNK characters.
 _CHUNK = 16384
@@ -163,12 +165,15 @@ def parse_records(
     `column` selects a field by 0-based index or by header name; by default
     the first field of each row is used.  A header row is consumed
     automatically when the first row's selected cell is non-empty and
-    non-numeric.  Returns the tokens (as decimal strings) and a map of skip
-    reason -> count for cells that were empty or non-numeric.  Zeros are not
-    filtered here; they are counted later, at digit extraction.  A delimiter
-    or decimal mark that is not one character or is a digit, a sign, "e" or
-    "E", a whitespace decimal mark, or a delimiter equal to the decimal mark
-    raises ValueError.
+    non-numeric.  A comma in the first non-blank line makes the input
+    comma-delimited unless `decimal_mark` is ","; if neither `delimiter` nor
+    `column` is given, that line must not be one number written with commas,
+    such as "1,234".  Returns the tokens (as decimal strings) and a map of
+    skip reason -> count for cells that were empty or non-numeric.  Zeros
+    are not filtered here; they are counted later, at digit extraction.  A
+    delimiter or decimal mark that is not one character or is a digit, a
+    sign, "e" or "E", a whitespace decimal mark, a delimiter equal to the
+    decimal mark, or such a first line raises ValueError.
 
     Every source is split at its own line ends.  A str is split at "\\n",
     "\\r\\n" or a lone "\\r", as a file opened with newline="" is, and an
@@ -231,6 +236,9 @@ def _valid_chunks(
             if line.strip():
                 if "," in line and decimal_mark != ",":
                     delimiter = ","
+                    if column is None and _COMMA_NUMBER_RE.fullmatch(line.strip()):
+                        raise ValueError(f"{line.strip()!r} may be one number written with commas;"
+                                         " give --delimiter , or --column, or --decimal-mark ,")
                 break
         lines = chain(ahead, lines)
     try:

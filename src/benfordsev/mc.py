@@ -11,8 +11,8 @@ imported inside the functions that use it, so no other command loads it.
 
 The streams are numpy's `SeedSequence(seed, spawn_key=(r,))` -> `PCG64`
 (O'Neill 2014), but building those objects per replication costs more than
-the draw itself.  `replication_states` instead computes each stream's PCG64
-state directly, a block of replications at a time, following numpy's
+the draw itself.  `replication_states` instead computes the PCG64 states of
+replications 0 ... reps - 1 directly, a block at a time, following numpy's
 SeedSequence mixing and PCG64 seeding.
 """
 
@@ -37,8 +37,7 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # Replications whose states are derived, and whose statistics are formed,
-# together.  512 divides 2**32, so a block's indices share every spawn-key
-# word above the lowest; larger blocks only raise peak memory.
+# together; larger blocks only raise peak memory.
 _BLOCK = 512
 
 
@@ -64,42 +63,34 @@ class SimulationReport(NamedTuple):
         return json.dumps(self._asdict(), indent=2)
 
 
-def replication_states(seed: int, start: int, stop: int) -> Iterator[tuple[int, int]]:
-    """The PCG64 `(state, inc)` of each replication r in [start, stop).
+def replication_states(seed: int, reps: int) -> Iterator[tuple[int, int]]:
+    """The PCG64 `(state, inc)` of each replication r in 0 ... reps - 1.
 
     Replication r of a run seeded `seed` draws from
-    `PCG64(SeedSequence(seed, spawn_key=(r,)))`.  Every replication shares the
-    entropy pool of `SeedSequence(seed)`; only the 32-bit words of r are mixed
-    into it, across a block at once in uint32 arithmetic.  The pool's hash
-    constant has by then been stepped once per pool word, once per ordered
-    pair of pool words, and four times per seed word beyond the pool's four.
+    `PCG64(SeedSequence(seed, spawn_key=(r,)))`, for r below 2**32.  Every
+    replication shares the entropy pool of `SeedSequence(seed)`; only r, a
+    single 32-bit spawn-key word, is mixed into it, across a block at once in
+    uint32 arithmetic.  The pool's hash constant has by then been stepped once per
+    pool word, once per ordered pair of pool words, and four times per seed
+    word beyond the pool's four.
     """
     import numpy as np
 
-    if start < 0:
-        raise ValueError(f"replication indices are nonnegative, got {start}")
     pool = np.random.SeedSequence(seed).pool.tolist()
     seed_words = max(1, -(-seed.bit_length() // 32))
     steps = 4 + 12 + 4 * max(seed_words - 4, 0)
     key_hash_const = _INIT_A * pow(_MULT_A, steps, 1 << 32) & _MASK32
-    while start < stop:
-        end = min(start - start % _BLOCK + _BLOCK, stop)
-        size = end - start
-        key = [np.arange(size, dtype=np.uint32) + (start & _MASK32)]
-        high = start >> 32
-        while high:
-            key.append(np.full(size, high & _MASK32, dtype=np.uint32))
-            high >>= 32
-        mixer = [np.full(size, word, dtype=np.uint32) for word in pool]
+    for start in range(0, reps, _BLOCK):
+        key = np.arange(start, min(start + _BLOCK, reps), dtype=np.uint32)
+        mixer = [np.full(len(key), word, dtype=np.uint32) for word in pool]
         hash_const = key_hash_const
-        for word in key:
-            for i in range(len(mixer)):
-                value = word ^ hash_const
-                hash_const = hash_const * _MULT_A & _MASK32
-                value *= hash_const
-                value ^= value >> 16
-                mixed = _MIX_MULT_L * mixer[i] - _MIX_MULT_R * value
-                mixer[i] = mixed ^ (mixed >> 16)
+        for i in range(len(mixer)):
+            value = key ^ hash_const
+            hash_const = hash_const * _MULT_A & _MASK32
+            value *= hash_const
+            value ^= value >> 16
+            mixed = _MIX_MULT_L * mixer[i] - _MIX_MULT_R * value
+            mixer[i] = mixed ^ (mixed >> 16)
         # generate_state(4, uint64): eight uint32 outputs, low word first.
         out = []
         hash_const = _INIT_B
@@ -113,7 +104,6 @@ def replication_states(seed: int, start: int, stop: int) -> Iterator[tuple[int, 
         for s_hi, s_lo, q_hi, q_lo in zip(*words):
             inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
             yield (((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) & _MASK128, inc
-        start = end
 
 
 def sample_benford_counts(system: DigitSystem, n: int, rng: np.random.Generator) -> DigitCounts:
@@ -131,6 +121,8 @@ def simulate(system: DigitSystem, n: int, reps: int, seed: int) -> SimulationRep
         raise ValueError(f"n must be at least 1 and below 2**63, got {n}")
     if reps < 2:
         raise ValueError("reps must be at least 2: the standard deviations need two samples")
+    if reps > 2**32:
+        raise ValueError(f"reps must be at most 2**32, one 32-bit spawn key each, got {reps}")
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     import numpy as np
@@ -142,7 +134,7 @@ def simulate(system: DigitSystem, n: int, reps: int, seed: int) -> SimulationRep
     # One generator, reset to each replication's state before its draw.
     bit_generator = np.random.PCG64()
     rng = np.random.Generator(bit_generator)
-    for r, (state, inc) in enumerate(replication_states(seed, 0, reps)):
+    for r, (state, inc) in enumerate(replication_states(seed, reps)):
         bit_generator.state = {
             "bit_generator": "PCG64",
             "state": {"state": state, "inc": inc},

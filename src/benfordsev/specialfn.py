@@ -35,9 +35,9 @@ def std_normal_cdf(x: float) -> float:
 
 
 def regularized_lower_gamma(s: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(s, x) for s > 0, x >= 0."""
-    if not s > 0.0:
-        raise ValueError(f"shape parameter must be positive, got {s!r}")
+    """Regularized lower incomplete gamma P(s, x) for 0 < s < 2**53 and x >= 0."""
+    if not 0.0 < s < s + 1.0:  # s + 1.0 rounds to s from 2**53 up
+        raise ValueError(f"shape parameter must be positive and below 2**53, got {s!r}")
     if not x >= 0.0:
         raise ValueError(f"argument must be nonnegative, got {x!r}")
     if x == 0.0:
@@ -142,8 +142,8 @@ def _bd0(s: float, mean: float) -> float:
 
 
 def _check_df(df: int) -> int:
-    if isinstance(df, bool) or df != int(df) or df < 1:
-        raise ValueError(f"degrees of freedom must be a positive integer, got {df!r}")
+    if isinstance(df, bool) or not 1 <= df < 2**53 or df != int(df):
+        raise ValueError(f"degrees of freedom must be a positive integer below 2**53, got {df!r}")
     return int(df)
 
 

@@ -228,6 +228,34 @@ class TestAnalyze:
         assert report["n"] == 3 and report["skipped"] == 0
         assert [row[0] for row in report["digit_table"] if row[1]] == [15, 25, 50]
 
+    @pytest.mark.parametrize("text, readings", [
+        ("1,234\n5,678\n98,100\n", {"--delimiter": [10, 50, 98], "--decimal-mark": [12, 56, 98],
+                                     "--column": [10, 23, 67]}),
+        ("1,5\n2,75\n3,25\n", {"--delimiter": [10, 20, 30], "--decimal-mark": [15, 27, 32],
+                                "--column": [25, 50, 75]}),
+        ("1,234.56\n5,678.9\n", {"--delimiter": [10, 50], "--decimal-mark": None,
+                                 "--column": [23, 67]}),
+    ])
+    def test_sniffed_comma_inside_a_number_is_config_error(self, tmp_path, capsys, text, readings):
+        f = tmp_path / "numbers.txt"
+        f.write_text(text)
+        code, out, err = run_cli(capsys, "analyze", str(f), "--digits", "2", "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert repr(text.split("\n")[0]) in err and "written with commas" in err
+        # Each option removes the guess; the file is then read as it says.
+        for option, value in (("--delimiter", ","), ("--decimal-mark", ","), ("--column", "1")):
+            code, out, err = run_cli(capsys, "analyze", str(f), "--digits", "2", "--format",
+                                     "json", option, value)
+            if readings[option] is None:
+                # "1.234.56" is not a number.
+                assert code == 2 and "no usable numeric records" in err
+                continue
+            assert code == 0
+            report = json.loads(out)
+            assert report["skipped"] == 0
+            assert [row[0] for row in report["digit_table"] if row[1]] == readings[option]
+
     def test_delimiter_equal_to_decimal_mark_is_config_error(self, tmp_path, capsys):
         f = tmp_path / "comma.txt"
         f.write_text("0,05\n1,5\n2,5\n")
@@ -407,15 +435,15 @@ class TestSimulate:
         assert "seed" in err and "Traceback" not in err
 
     def test_reps_beyond_any_memory_is_config_error(self, capsys):
-        # 10^13 replications of 90 cells need 818 TiB even at 1 byte a count,
-        # more than a 47-bit address space holds, and the counts are allocated
-        # before the first draw, so the run fails at once.
+        # 10^13 replications of 90 cells need 818 TiB even at 1 byte a count.
+        # Replication indices are 32-bit spawn keys, so any count above 2**32
+        # is refused before the counts are allocated.
         code, out, err = run_cli(
             capsys, "simulate", "--digits", "2", "--n", "10", "--reps", str(10**13)
         )
         assert code == 2
         assert out == ""
-        assert err.startswith("benfordsev: error:") and "allocate" in err
+        assert err.startswith("benfordsev: error:") and "at most 2**32" in err
 
 
 class TestSeverityCurve:

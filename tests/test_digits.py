@@ -262,6 +262,23 @@ class TestParseRecords:
         assert tokens == ["0.05", "1.5", "2.5"]
         assert skips == {}
 
+    @pytest.mark.parametrize("text", [
+        "1,234\n5,678\n98,100\n", "1,5\n2,75\n3,25\n", "1,234.56\n5,678.9\n",
+        "\n \n -1,2e5\t\n7\n",
+    ])
+    def test_sniffed_comma_inside_a_number_is_refused(self, text):
+        # Thousands separators, a decimal comma, or two fields: the comma's role is a guess.
+        first = text.strip().split("\n")[0].strip()
+        for read in (parse_records, partial(ingest, system=FIRST_TWO_DIGITS)):
+            with pytest.raises(ValueError, match="may be one number written with commas") as raised:
+                read(io.StringIO(text))
+            for quoted in (repr(first), "--delimiter ,", "--column", "--decimal-mark ,"):
+                assert quoted in str(raised.value)
+
+    def test_sniffed_comma_after_a_decimal_point_is_a_field_break(self):
+        # Not one number written with commas: read as CSV.
+        assert parse_records("1.5,2.5\n3.5,1\n") == (["1.5", "3.5"], {})
+
     @pytest.mark.parametrize("mark", [",", ";"])
     def test_delimiter_equal_to_decimal_mark_is_refused(self, mark):
         with pytest.raises(ValueError, match="decimal mark"):
@@ -325,7 +342,7 @@ class TestParseRecords:
     def test_sniff_reads_lazily(self):
         source = iter(["\n", "1,2\n", "3,4\n", "5,6\n"])
         with mock.patch.object(digits, "_CHUNK", 1):
-            chunks = _valid_chunks(source, None, None, ".", {})
+            chunks = _valid_chunks(source, 0, None, ".", {})
             # The comma is sniffed: the first chunk holds the first row's first cell.
             assert next(chunks) == ["1"]
             # Only the lines up to the first non-blank one are read ahead.
@@ -557,11 +574,30 @@ def reference_count(tokens, system):
     return counts, skips
 
 
+# A first line that is one number written with commas, which the reader
+# refuses to split at a sniffed comma.
+COMMA_NUMBER = r"[+-]?[0-9]+(?:,[0-9]+)+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?"
+
+
+class AmbiguousComma(Exception):
+    """The oracles' refusal: the comma was sniffed, no column was given, and
+    the first non-blank line is one number written with commas."""
+
+
+def sniff_comma(nonblank, column, decimal_mark):
+    """Whether the oracles read the input as comma-delimited; raises AmbiguousComma."""
+    if not nonblank or "," not in nonblank[0] or decimal_mark == ",":
+        return False
+    if column is None and re.fullmatch(COMMA_NUMBER, nonblank[0].strip()):
+        raise AmbiguousComma(nonblank[0])
+    return True
+
+
 def reference_ingest(text, system, column=None, delimiter=None, decimal_mark="."):
     """Per-row ingestion of `text` with full row splits and per-cell extraction."""
     lines = list(io.StringIO(text))
     nonblank = [line for line in lines if line.strip()]
-    if delimiter is None and nonblank and "," in nonblank[0] and decimal_mark != ",":
+    if delimiter is None and sniff_comma(nonblank, column, decimal_mark):
         delimiter = ","
     if delimiter is None:
         rows = [line.split() for line in nonblank]
@@ -735,9 +771,15 @@ class TestBatchedIngestionMatchesPerTokenLoop:
         elif column == "amount":
             column = None
         text = "".join(line + "\n" for line in lines)
+        read = partial(ingest, io.StringIO(text), scheme, column, decimal_mark=decimal_mark)
+        try:
+            counts, skips = reference_ingest(text, scheme, column, decimal_mark=decimal_mark)
+        except AmbiguousComma:
+            with small_chunks(chunk), pytest.raises(ValueError, match="written with commas"):
+                read()
+            return
         with small_chunks(chunk):
-            result = ingest(io.StringIO(text), scheme, column, decimal_mark=decimal_mark)
-        counts, skips = reference_ingest(text, scheme, column, decimal_mark=decimal_mark)
+            result = read()
         assert list(result.counts) == counts
         assert list(result.skip_reasons.items()) == list(skips.items())
 
@@ -779,7 +821,7 @@ def old_parse_records(source, column=None, delimiter=None, decimal_mark="."):
     """Tokens and skip reasons with one old-grammar check per stripped cell or line."""
     lines = list(io.StringIO(source) if isinstance(source, str) else source)
     nonblank = [line.strip() for line in lines if line.strip()]
-    if delimiter is None and nonblank and "," in nonblank[0] and decimal_mark != ",":
+    if delimiter is None and sniff_comma(nonblank, column, decimal_mark):
         delimiter = ","
     if delimiter is None:
         rows = [line.split() for line in nonblank]
@@ -906,12 +948,15 @@ class TestReaderMatchesTheOldAlgorithm:
         for source, lines in feeds:
             try:
                 tokens, skips = old_parse_records(lines, column, delimiter, decimal_mark)
-            except csv.Error:
-                # csv.reader refuses these lines: the reader raises ValueError from its error.
+            except (csv.Error, AmbiguousComma) as refused:
+                # csv.reader refuses these lines, or the sniffed comma may sit
+                # inside a number: the reader raises ValueError, from
+                # csv.reader's error in the first case.
                 for read in (parse_records, partial(ingest, system=scheme)):
                     with source() as s, small_chunks(chunk), pytest.raises(ValueError) as raised:
                         read(s, column=column, **options)
-                    assert isinstance(raised.value.__cause__, csv.Error)
+                    from_csv = isinstance(raised.value.__cause__, csv.Error)
+                    assert from_csv == isinstance(refused, csv.Error)
                 continue
             with small_chunks(chunk):
                 with source() as s:

@@ -68,8 +68,8 @@ class TestSimulate:
         assert a == b
 
     def test_parallel_split_equivalence(self):
-        # Replication r must receive the same stream whether the run is
-        # serial or split by replication index.
+        # The oracle's stream for replication r is the one numpy spawns as
+        # the r-th child of SeedSequence(seed).
         seed, n = 321, 800
         children = np.random.SeedSequence(seed).spawn(6)
         for r, child in enumerate(children):
@@ -141,6 +141,10 @@ class TestSimulate:
         # A standard deviation over replications needs at least two of them.
         with pytest.raises(ValueError, match="at least 2"):
             simulate(system=FIRST_DIGIT, n=10, reps=1, seed=1)
+        # Replication indices are 32-bit spawn keys; refused before the counts
+        # of 2**32 + 1 replications are allocated.
+        with pytest.raises(ValueError, match=r"at most 2\*\*32"):
+            simulate(system=FIRST_DIGIT, n=10, reps=2**32 + 1, seed=1)
 
     def test_negative_seed_rejected(self):
         # numpy refuses it too, but without naming the seed.
@@ -151,17 +155,13 @@ class TestSimulate:
 class TestReplicationStates:
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128, 2**200 + 3])
     def test_equal_to_numpy_construction(self, seed):
-        # The second range crosses from one-word to two-word spawn keys.
-        for start, stop in ((0, 600), (2**32 - 3, 2**32 + 3)):
-            expected = []
-            for r in range(start, stop):
-                state = replication_rng(seed, r).bit_generator.state["state"]
-                expected.append((state["state"], state["inc"]))
-            assert list(replication_states(seed, start, stop)) == expected
-
-    def test_negative_index_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            list(replication_states(0, -1, 2))
+        expected = []
+        for r in range(600):
+            state = replication_rng(seed, r).bit_generator.state["state"]
+            expected.append((state["state"], state["inc"]))
+        # Runs that end inside, at the end of, and past a block of states.
+        for reps in (1, 2, 511, 512, 513, 600):
+            assert list(replication_states(seed, reps)) == expected[:reps]
 
 
 def reference_simulate(system, n: int, reps: int, seed: int) -> SimulationReport:

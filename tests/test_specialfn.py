@@ -66,7 +66,11 @@ class TestRegularizedLowerGamma:
     def test_half_shape(self):
         assert regularized_lower_gamma(0.5, 2.0) == pytest.approx(P_HALF_2, rel=1e-10)
 
-    @pytest.mark.parametrize("s,x", [(0.0, 1.0), (-1.0, 1.0), (2.0, -0.5), (math.nan, 1.0), (2.0, math.nan)])
+    @pytest.mark.parametrize("s,x", [
+        (0.0, 1.0), (-1.0, 1.0), (2.0, -0.5), (math.nan, 1.0), (2.0, math.nan),
+        # Shapes where s + 1.0 rounds to s.
+        (math.inf, 1.0), (1e300, 1e300),
+    ])
     def test_domain_errors(self, s, x):
         with pytest.raises(ValueError):
             regularized_lower_gamma(s, x)
@@ -99,10 +103,13 @@ class TestCentralChi2:
             assert central_chi2_cdf(x, 1) == pytest.approx(expected, abs=1e-10)
             x += 0.25
 
-    @pytest.mark.parametrize("df", [0, -3, 2.5])
+    @pytest.mark.parametrize("df", [0, -3, 2.5, 2 * 10**300])
     def test_bad_df(self, df):
         with pytest.raises(ValueError):
             central_chi2_cdf(1.0, df)
+        # At its mean, where the shape df/2 is too large for the gamma functions.
+        with pytest.raises(ValueError, match="degrees of freedom"):
+            central_chi2_cdf(float(df), df)
 
     @pytest.mark.parametrize("x", [-1.0, math.nan])
     def test_domain_errors(self, x):
@@ -127,10 +134,13 @@ class TestCentralChi2Sf:
             assert central_chi2_sf(x, df) == pytest.approx(float(expected), rel=1e-12, abs=0.0)
             x *= 1.1
 
-    @pytest.mark.parametrize("df", [0, -3, 2.5])
+    @pytest.mark.parametrize("df", [0, -3, 2.5, 2 * 10**300])
     def test_bad_df(self, df):
         with pytest.raises(ValueError):
             central_chi2_sf(1.0, df)
+        # At its mean, where the shape df/2 is too large for the gamma functions.
+        with pytest.raises(ValueError, match="degrees of freedom"):
+            central_chi2_sf(float(df), df)
 
     @pytest.mark.parametrize("x", [-1.0, math.nan])
     def test_domain_errors(self, x):
