@@ -156,6 +156,11 @@ OLD_NUMERIC = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 # whitespace or the line's end.
 OLD_FIRST_FIELDS_RE = re.compile(rf"^{OLD_NUMERIC}(?!\S)", re.MULTILINE)
 grammar_texts = st.text(alphabet="0123456789.+-eEx \t", max_size=16)
+# Values whose leading digits follow a sign, zeros or a point: the only
+# tokens the tally strips.  Every other valid token starts with 1-9.
+STRIPPED_VALUES = ["-0.0312", "+5", ".7", "007", "0e5", "0"]
+nonzero_led = st.from_regex(r"[1-9][0-9]{0,3}(?:\.[0-9]{0,3})?(?:[eE][+-]?[0-9]{1,2})?",
+                            fullmatch=True)
 
 
 class TestNumericGrammar:
@@ -183,6 +188,32 @@ class TestNumericGrammar:
         assert valid == old
         assert found.count("\n") == cells.count("")
         assert found.count("") == len(cells) - cells.count("") - len(old)
+
+    @given(st.lists(st.one_of(grammar_texts, nonzero_led, st.sampled_from(STRIPPED_VALUES)),
+                    max_size=12))
+    def test_only_lines_that_start_with_1_to_9_share_a_run(self, lines):
+        # A text line is matched without its indentation, and a cell as the
+        # reader strips it.
+        stripped = [line.lstrip() for line in lines]
+        cells = [line.strip() for line in lines]
+        cases = [
+            (digits._LINE_RUNS_RE, stripped, [line for line in stripped
+                                              if OLD_FIRST_FIELDS_RE.match(line)]),
+            (digits._CELL_RUNS_RE, cells, [cell for cell in cells
+                                           if re.fullmatch(OLD_NUMERIC, cell)]),
+        ]
+        for runs, texts, valid in cases:
+            found = runs.findall("".join(text + "\n" for text in texts))
+            items = [item for item in found if item not in ("", "\n")]
+            # Each valid line that starts with a sign, a "0" or a point is
+            # a findall item of its own, and it is the only kind that does.
+            assert [item for item in items if item[0] in "+-0."] == [
+                line + "\n" for line in valid if line[0] in "+-0."]
+            # Every line of every other item starts with 1-9.
+            assert all(line[0] in "123456789" for item in items if item[0] not in "+-0."
+                       for line in item.split("\n")[:-1])
+            # The items hold the valid lines, in order.
+            assert "".join(items) == "".join(line + "\n" for line in valid)
 
     @pytest.mark.parametrize("text", [
         "5\n" + "9" * 30_000 + "x\n",
@@ -343,11 +374,12 @@ class TestParseRecords:
         source = iter(["\n", "1,2\n", "3,4\n", "5,6\n"])
         with mock.patch.object(digits, "_CHUNK", 1):
             chunks = _valid_chunks(source, 0, None, ".", {})
-            # The comma is sniffed: the first chunk holds the first row's first cell.
-            assert next(chunks) == ["1"]
+            # The comma is sniffed: the first chunk holds the first row's first
+            # cell, as a run of one line.
+            assert next(chunks) == ["1\n"]
             # Only the lines up to the first non-blank one are read ahead.
             assert next(source) == "3,4\n"
-            assert list(chunks) == [["5"]]
+            assert list(chunks) == [["5\n"]]
 
 
 class TestDigitCounts:
@@ -917,6 +949,55 @@ def reader_inputs(draw):
         else:
             items.append(line)
     return text, items, column, delimiter, decimal_mark
+
+
+class TestReaderHeadsOfStrippedAndUnstrippedTokens:
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.one_of(nonzero_led, st.sampled_from([*STRIPPED_VALUES, "n/a"])),
+                st.sampled_from(["", "", " ", "\t "]),  # indentation
+                st.sampled_from(["", " x", "\t7 y"]),  # later fields
+                st.sampled_from(["", "", "\n"]),  # a blank line before
+            ),
+            max_size=40,
+        ),
+        layout=st.sampled_from(["text", "csv"]),
+        decimal_mark=st.sampled_from([".", ","]),
+        chunk=st.integers(min_value=1, max_value=8),
+    )
+    def test_ingest_count_digits_and_parse_records(self, scheme, rows, layout, decimal_mark,
+                                                    chunk):
+        # Runs of 1-9-led tokens, counted as they stand, broken by tokens
+        # that are stripped first, non-numeric lines and blank lines.
+        values = [value for value, *_ in rows]
+        delimiter = {"text": " ", "csv": "," if decimal_mark == "." else ";"}[layout]
+        text = "".join(f"{blank}{indent}{value.replace('.', decimal_mark)}{delimiter}{later}\n"
+                       for value, indent, later, blank in rows)
+        options = {"column": 0, "decimal_mark": decimal_mark}
+        if layout == "csv":
+            options["delimiter"] = delimiter
+        records = values[1:] if values[:1] == ["n/a"] else values  # a header, or not
+        tokens = [value for value in records if value != "n/a"]
+        skipped = len(records) - len(tokens)
+        parse_skips = {"non-numeric": skipped} if skipped else {}
+        counts, skips = reference_count(records, scheme)
+        ordered = sorted(skips.items(), key=lambda item: item[0] != "zero-value")
+        # A str is read in blocks, and a default StringIO by rows.
+        for source in (lambda: text, lambda: io.StringIO(text)):
+            with small_chunks(chunk):
+                assert parse_records(source(), **options) == (tokens, parse_skips)
+                result = ingest(source(), scheme, **options)
+            assert list(result.counts) == counts
+            assert list(result.skip_reasons.items()) == ordered
+        padded = [indent + value for value, indent, *_ in rows]
+        counts, skips = reference_count(values, scheme)
+        with small_chunks(chunk):
+            result = count_digits(padded, scheme)
+        assert list(result.counts) == counts
+        assert list(result.skip_reasons.items()) == sorted(
+            skips.items(), key=lambda item: item[0] != "zero-value")
 
 
 class TestReaderMatchesTheOldAlgorithm:
