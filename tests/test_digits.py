@@ -206,7 +206,7 @@ class TestNumericGrammar:
             found = runs.findall("".join(text + "\n" for text in texts))
             items = [item for item in found if item not in ("", "\n")]
             # Each valid line that starts with a sign, a "0" or a point is
-            # a findall item of its own, and it is the only kind that does.
+            # a findall item of its own, and no other item starts so.
             assert [item for item in items if item[0] in "+-0."] == [
                 line + "\n" for line in valid if line[0] in "+-0."]
             # Every line of every other item starts with 1-9.
