@@ -27,12 +27,10 @@ SKIP_ZERO = "zero-value"
 _NUMERIC = r"[+-]?+(?:[0-9]++(?:\.[0-9]*+)?+|\.[0-9]++)(?:[eE][+-]?+[0-9]++)?+"
 _NUMERIC_RE = re.compile(_NUMERIC)
 # The runs of a block of lines, each ended by "\n", for a given valid line.
-# findall returns one string per match, in order: a run of valid lines that
-# start with 1-9, which only its first line can indent, captured without that
-# indentation; a valid line that starts with "+", "-", "0" or ".", alone and
-# captured alike, the only kind that `_tally` strips; "\n" for a blank line;
-# and "" for any other line.
-_RUNS = r"(?m)^[^\S\n]*+((?:(?=[1-9]){line})++|{line}|\n)|^[^\n]*+\n"
+# findall returns one string per match, in order: a run of valid lines,
+# which only its first line can indent, captured without that indentation;
+# "\n" for a blank line; and "" for any other line.
+_RUNS = r"(?m)^[^\S\n]*+((?:{line})++|\n)|^[^\n]*+\n"
 # A valid cell is the grammar alone.  A valid text line is read by its first
 # field: the grammar at its start, up to whitespace or the line's end.
 _CELL_RUNS_RE = re.compile(_RUNS.format(line=rf"{_NUMERIC}\n"))
@@ -191,8 +189,7 @@ def parse_records(
     skip_reasons: dict[str, int] = {}
     chunks = _valid_chunks(source, column, delimiter, decimal_mark, skip_reasons)
     # A valid text line may keep fields after its first.
-    lines = chain.from_iterable("".join(runs).split("\n")[:-1] for runs in chunks)
-    return [line.split(None, 1)[0] for line in lines], skip_reasons
+    return [token.split(None, 1)[0] for token in chain.from_iterable(chunks)], skip_reasons
 
 
 def _valid_chunks(
@@ -202,7 +199,7 @@ def _valid_chunks(
     decimal_mark: str,
     skip_reasons: dict[str, int],
 ) -> Iterator[list[str]]:
-    """Yield the runs of parse_records' valid cells or lines, a chunk at a time (see `_chunks`).
+    """Yield parse_records' tokens one chunk at a time.
 
     Cells and text lines alike are checked by one regex pass over each
     chunk's joined text (see `_chunks`), with no Python call per cell or
@@ -283,12 +280,11 @@ def _blocks(source: TextIO) -> Iterator[str]:
 
     A block is `4 * _CHUNK` characters completed by `readline`, so it ends
     where a line ends.  "\\n", "\\r\\n" and "\\r" end lines, as they do in
-    the source: "\\r\\n" and "\\r" become "\\n", in a block that holds a "\\r".
+    the source: "\\r\\n" and "\\r" become "\\n".
     """
     while block := source.read(4 * _CHUNK) + source.readline():
-        if "\r" in block:
-            # "\r\n" first: it ends one line, not a line and a blank one.
-            block = block.replace("\r\n", "\n").replace("\r", "\n")
+        # "\r\n" first: it ends one line, not a line and a blank one.
+        block = block.replace("\r\n", "\n").replace("\r", "\n")
         yield block if block.endswith("\n") else block + "\n"
 
 
@@ -309,19 +305,21 @@ def _batches(items: Iterator[str]) -> Iterator[str]:
 def _chunks(
     blocks: Iterable[str], runs: re.Pattern, marks: dict[str, str], skip_reasons: dict[str, int]
 ) -> Iterator[list[str]]:
-    """Yield the runs of valid lines of each block of lines, each line ended by "\\n".
+    """Yield the valid lines of each block of lines, each ended by "\\n".
 
     One findall pass of `runs`, a `_RUNS` pattern, reads a block's lines in
     order.  `marks` maps the string it returns for a non-numeric line, and
     for a blank line if blank lines are records (CSV cells, not text lines),
-    to the line's skip reason.  A block's runs are yielded as one list, in order.
+    to the line's skip reason.
     """
     for block in blocks:
         found = runs.findall(block)
         # Skip reasons are listed in order of first occurrence.
         for mark in sorted(filter(found.__contains__, marks), key=found.index):
             skip_reasons[marks[mark]] = skip_reasons.get(marks[mark], 0) + found.count(mark)
-        yield [run for run in found if run not in ("", "\n")]
+        valid = "".join(found).split("\n")
+        valid.pop()  # the empty string after the last line break
+        yield list(filter(None, valid)) if "\n" in found else valid
 
 
 def _resolve_column(column, first_row, decimal_mark) -> tuple[int, bool]:
@@ -356,30 +354,33 @@ def count_digits(tokens: Iterable[str | float | int], system: DigitSystem) -> Di
 def _tally(
     chunks: Iterable[list[str]], system: DigitSystem, skip_reasons: dict[str, int]
 ) -> DigitCounts:
-    """Tally chunks of runs of valid tokens, as `_chunks` yields them, into a DigitCounts.
+    """Tally chunks of valid tokens into a DigitCounts.
 
     Each chunk's tokens are counted by head in C before the next chunk is
     read.  A token's head, its first 2*digits - 1 characters after any sign,
     leading zeros and point ("1.5" for the first two digits), fixes its
     leading digits, so each distinct head goes once through the reference
-    extraction.  Only a run of one line can start with a sign, a "0" or a
-    point, so only such runs are stripped: a line of any other run starts
-    with 1-9, and its head is its first characters as they stand.
-    Zero-value is listed first, then the reasons that reading the chunks
-    added to `skip_reasons`.
+    extraction.  Only a token that starts with "+", "-", "0" or "." has
+    anything to strip, and those four sort below "1".  So a chunk is first
+    counted as it stands (a one-digit head is a token's first character),
+    and kept if its least head is at least "1".  A chunk with a lesser head
+    is counted again, stripped, and so is every later chunk, without the
+    first count: an input with one token to strip likely holds more, and
+    that count would be wasted on each chunk.  Zero-value is listed first,
+    then the reasons that reading the chunks added to `skip_reasons`.
     """
-    width = 2 * system.digits - 1
-    cut = itemgetter(slice(None, width))
-    first = itemgetter(0) if width == 1 else cut
+    cut = itemgetter(slice(None, 2 * system.digits - 1))
+    first = itemgetter(0) if system.digits == 1 else cut
     heads: Counter[str] = Counter()
-    for runs in chunks:
-        to_strip = [run for run in runs if run[0] in "+-0."]
-        if to_strip:
-            runs = [run for run in runs if run[0] not in "+-0."]
-            heads.update(map(cut, map(str.lstrip, to_strip, repeat("+-0."))))
-        lines = "".join(runs).split("\n")
-        lines.pop()  # the empty string after the last line break
-        heads.update(map(first, lines))
+    strip = False
+    for tokens in chunks:
+        if not strip:
+            chunk = Counter(map(first, tokens))
+            strip = min(chunk, default="1") < "1"
+            if not strip:
+                heads.update(chunk)
+                continue
+        heads.update(map(cut, map(str.lstrip, tokens, repeat("+-0."))))
     labels: Counter[int | None] = Counter()
     for head, count in heads.items():
         # The head's mantissa, cut at any field after a text line's first, is
@@ -405,11 +406,11 @@ def ingest(
     about one chunk of cells, or one block of text lines, however long the
     input is.  Cells and text lines are checked alike, by one regex pass
     over each chunk's joined text, and `_tally` counts the tokens that pass
-    by head in C, with no second check and no Python call per token; only
-    the few that start with a sign, a "0" or a point are stripped first.  A
-    token read from a text line may keep the line's later fields; its head
-    is cut at whitespace when it is tallied.  Zero-value is listed first,
-    then the skips of parse_records.
+    by head in C, with no second check and no Python call per token; a
+    chunk is counted with no sign, leading zero or point stripped unless it,
+    or a chunk before it, holds a token that starts with one.  A token read
+    from a text line may keep the line's later fields; its head is cut at
+    whitespace when it is tallied.  Zero-value is listed first, then the skips of parse_records.
     """
     skip_reasons: dict[str, int] = {}
     chunks = _valid_chunks(source, column, delimiter, decimal_mark, skip_reasons)

@@ -12,7 +12,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from benfordsev import digits
 from benfordsev.digits import (
@@ -157,7 +157,7 @@ OLD_NUMERIC = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 OLD_FIRST_FIELDS_RE = re.compile(rf"^{OLD_NUMERIC}(?!\S)", re.MULTILINE)
 grammar_texts = st.text(alphabet="0123456789.+-eEx \t", max_size=16)
 # Values whose leading digits follow a sign, zeros or a point: the only
-# tokens the tally strips.  Every other valid token starts with 1-9.
+# tokens that the tally's strip changes.  Every other valid token starts with 1-9.
 STRIPPED_VALUES = ["-0.0312", "+5", ".7", "007", "0e5", "0"]
 nonzero_led = st.from_regex(r"[1-9][0-9]{0,3}(?:\.[0-9]{0,3})?(?:[eE][+-]?[0-9]{1,2})?",
                             fullmatch=True)
@@ -189,31 +189,12 @@ class TestNumericGrammar:
         assert found.count("\n") == cells.count("")
         assert found.count("") == len(cells) - cells.count("") - len(old)
 
-    @given(st.lists(st.one_of(grammar_texts, nonzero_led, st.sampled_from(STRIPPED_VALUES)),
-                    max_size=12))
-    def test_only_lines_that_start_with_1_to_9_share_a_run(self, lines):
-        # A text line is matched without its indentation, and a cell as the
-        # reader strips it.
-        stripped = [line.lstrip() for line in lines]
-        cells = [line.strip() for line in lines]
-        cases = [
-            (digits._LINE_RUNS_RE, stripped, [line for line in stripped
-                                              if OLD_FIRST_FIELDS_RE.match(line)]),
-            (digits._CELL_RUNS_RE, cells, [cell for cell in cells
-                                           if re.fullmatch(OLD_NUMERIC, cell)]),
-        ]
-        for runs, texts, valid in cases:
-            found = runs.findall("".join(text + "\n" for text in texts))
-            items = [item for item in found if item not in ("", "\n")]
-            # Each valid line that starts with a sign, a "0" or a point is
-            # a findall item of its own, and no other item starts so.
-            assert [item for item in items if item[0] in "+-0."] == [
-                line + "\n" for line in valid if line[0] in "+-0."]
-            # Every line of every other item starts with 1-9.
-            assert all(line[0] in "123456789" for item in items if item[0] not in "+-0."
-                       for line in item.split("\n")[:-1])
-            # The items hold the valid lines, in order.
-            assert "".join(items) == "".join(line + "\n" for line in valid)
+    @given(st.one_of(grammar_texts, st.sampled_from(STRIPPED_VALUES)))
+    def test_a_token_has_something_to_strip_only_if_it_sorts_below_1(self, text):
+        # `_tally` keeps a chunk's count as it stands when its least head is
+        # at least "1".  A token may keep a text line's later fields.
+        assume(digits._NUMERIC_RE.match(text))
+        assert (text.lstrip("+-0.") != text) == (text < "1")
 
     @pytest.mark.parametrize("text", [
         "5\n" + "9" * 30_000 + "x\n",
@@ -374,12 +355,11 @@ class TestParseRecords:
         source = iter(["\n", "1,2\n", "3,4\n", "5,6\n"])
         with mock.patch.object(digits, "_CHUNK", 1):
             chunks = _valid_chunks(source, 0, None, ".", {})
-            # The comma is sniffed: the first chunk holds the first row's first
-            # cell, as a run of one line.
-            assert next(chunks) == ["1\n"]
+            # The comma is sniffed: the first chunk holds the first row's first cell.
+            assert next(chunks) == ["1"]
             # Only the lines up to the first non-blank one are read ahead.
             assert next(source) == "3,4\n"
-            assert list(chunks) == [["5\n"]]
+            assert list(chunks) == [["5"]]
 
 
 class TestDigitCounts:
@@ -969,8 +949,9 @@ class TestReaderHeadsOfStrippedAndUnstrippedTokens:
     )
     def test_ingest_count_digits_and_parse_records(self, scheme, rows, layout, decimal_mark,
                                                     chunk):
-        # Runs of 1-9-led tokens, counted as they stand, broken by tokens
-        # that are stripped first, non-numeric lines and blank lines.
+        # Chunks of 1-9-led tokens, counted as they stand, then stripped
+        # chunks from the first that holds a token to strip, among
+        # non-numeric and blank lines.
         values = [value for value, *_ in rows]
         delimiter = {"text": " ", "csv": "," if decimal_mark == "." else ";"}[layout]
         text = "".join(f"{blank}{indent}{value.replace('.', decimal_mark)}{delimiter}{later}\n"
