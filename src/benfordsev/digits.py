@@ -26,15 +26,23 @@ SKIP_ZERO = "zero-value"
 # a match never gives characters back, and a failed one takes linear time.
 _NUMERIC = r"[+-]?+(?:[0-9]++(?:\.[0-9]*+)?+|\.[0-9]++)(?:[eE][+-]?+[0-9]++)?+"
 _NUMERIC_RE = re.compile(_NUMERIC)
-# The runs of a block of lines, each ended by "\n", for a given valid line.
-# findall returns one string per match, in order: a run of valid lines,
-# which only its first line can indent, captured without that indentation;
-# "\n" for a blank line; and "" for any other line.
-_RUNS = r"(?m)^[^\S\n]*+((?:{line})++|\n)|^[^\n]*+\n"
+# The grammar's tokens that start with 1-9: the only ones whose leading
+# digits are their first characters, with no sign, zero or point to strip.
+_LED = r"[1-9][0-9]*+(?:\.[0-9]*+)?+(?:[eE][+-]?+[0-9]++)?+"
+# The runs of a block of lines, each ended by "\n", for a line's end after
+# the grammar.  findall returns one pair per match, in order, whose groups
+# are: a run of lines that start with 1-9, or "\n" for a blank line; or
+# else a run of valid lines from one that starts with a sign, a zero or a
+# point, on through the valid lines after it; ("", "") for any other line.
+# Only a run's first line can be indented; it is captured without that
+# indentation.  A 1-9-led line matches the first group if it is valid at
+# all, so the second group starts only at a line with something to strip.
+_RUNS = r"(?m)^[^\S\n]*+(?:((?:{led}{end})++|\n)|((?:{numeric}{end})++))|^[^\n]*+\n"
 # A valid cell is the grammar alone.  A valid text line is read by its first
 # field: the grammar at its start, up to whitespace or the line's end.
-_CELL_RUNS_RE = re.compile(_RUNS.format(line=rf"{_NUMERIC}\n"))
-_LINE_RUNS_RE = re.compile(_RUNS.format(line=rf"{_NUMERIC}(?:[^\S\n][^\n]*+)?+\n"))
+_CELL_RUNS_RE = re.compile(_RUNS.format(led=_LED, numeric=_NUMERIC, end=r"\n"))
+_LINE_RUNS_RE = re.compile(_RUNS.format(led=_LED, numeric=_NUMERIC,
+                                        end=r"(?:\n|[^\S\n][^\n]*+\n)"))
 # One number written with commas, such as "1,234", "1,5" or "1,234.56".
 _COMMA_NUMBER_RE = re.compile(r"[+-]?[0-9]+(?:,[0-9]+)+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?")
 # Cells per chunk read by parse_records, ingest and count_digits; text read
@@ -187,9 +195,13 @@ def parse_records(
     A CSV that csv.reader refuses raises ValueError.
     """
     skip_reasons: dict[str, int] = {}
-    chunks = _valid_chunks(source, column, delimiter, decimal_mark, skip_reasons)
-    # A valid text line may keep fields after its first.
-    return [token.split(None, 1)[0] for token in chain.from_iterable(chunks)], skip_reasons
+    tokens = []
+    for found in _valid_chunks(source, column, delimiter, decimal_mark, skip_reasons):
+        # Each match holds one run, or one blank line, in input order.  A
+        # valid text line may keep fields after its first.
+        lines = "".join(chain.from_iterable(found)).split("\n")
+        tokens += [line.split(None, 1)[0] for line in lines if line]
+    return tokens, skip_reasons
 
 
 def _valid_chunks(
@@ -198,8 +210,8 @@ def _valid_chunks(
     delimiter: str | None,
     decimal_mark: str,
     skip_reasons: dict[str, int],
-) -> Iterator[list[str]]:
-    """Yield parse_records' tokens one chunk at a time.
+) -> Iterator[list[tuple[str, str]]]:
+    """Yield parse_records' tokens one chunk at a time, as `_chunks` yields them.
 
     Cells and text lines alike are checked by one regex pass over each
     chunk's joined text (see `_chunks`), with no Python call per cell or
@@ -257,7 +269,7 @@ def _valid_chunks(
             blocks = _blocks(source)
             if not is_header:
                 blocks = chain((first_row[0] + "\n",), blocks)
-            runs, marks = _LINE_RUNS_RE, {"": SKIP_NON_NUMERIC}
+            runs, marks = _LINE_RUNS_RE, {("", ""): SKIP_NON_NUMERIC}
         else:
             if not is_header:
                 rows = chain((first_row,), rows)
@@ -265,7 +277,7 @@ def _valid_chunks(
             # lists make the cyclic garbage collector's passes slow.
             cells = (row[index] if index < len(row) else "" for row in rows)
             blocks = _batches(map(str.strip, cells))
-            runs, marks = _CELL_RUNS_RE, {"": SKIP_NON_NUMERIC, "\n": SKIP_EMPTY}
+            runs, marks = _CELL_RUNS_RE, {("", ""): SKIP_NON_NUMERIC, ("\n", ""): SKIP_EMPTY}
         if decimal_mark != ".":
             blocks = map(methodcaller("replace", decimal_mark, "."), blocks)
         yield from _chunks(blocks, runs, marks, skip_reasons)
@@ -303,23 +315,25 @@ def _batches(items: Iterator[str]) -> Iterator[str]:
 
 
 def _chunks(
-    blocks: Iterable[str], runs: re.Pattern, marks: dict[str, str], skip_reasons: dict[str, int]
-) -> Iterator[list[str]]:
-    """Yield the valid lines of each block of lines, each ended by "\\n".
+    blocks: Iterable[str],
+    runs: re.Pattern,
+    marks: dict[tuple[str, str], str],
+    skip_reasons: dict[str, int],
+) -> Iterator[list[tuple[str, str]]]:
+    """Yield the findall matches of each block of lines, each ended by "\\n".
 
     One findall pass of `runs`, a `_RUNS` pattern, reads a block's lines in
-    order.  `marks` maps the string it returns for a non-numeric line, and
-    for a blank line if blank lines are records (CSV cells, not text lines),
-    to the line's skip reason.
+    order, as pairs of a run that starts with 1-9 or a blank line, and a run
+    that starts with a sign, a zero or a point.  `marks` maps the pair it
+    returns for a non-numeric line, and for a blank line if blank lines are
+    records (CSV cells, not text lines), to the line's skip reason.
     """
     for block in blocks:
         found = runs.findall(block)
         # Skip reasons are listed in order of first occurrence.
         for mark in sorted(filter(found.__contains__, marks), key=found.index):
             skip_reasons[marks[mark]] = skip_reasons.get(marks[mark], 0) + found.count(mark)
-        valid = "".join(found).split("\n")
-        valid.pop()  # the empty string after the last line break
-        yield list(filter(None, valid)) if "\n" in found else valid
+        yield found
 
 
 def _resolve_column(column, first_row, decimal_mark) -> tuple[int, bool]:
@@ -346,41 +360,38 @@ def count_digits(tokens: Iterable[str | float | int], system: DigitSystem) -> Di
     them, go to skip_reasons, zero-value first.
     """
     skip_reasons: dict[str, int] = {}
-    marks = {"": SKIP_NON_NUMERIC, "\n": SKIP_NON_NUMERIC}
+    marks = {("", ""): SKIP_NON_NUMERIC, ("\n", ""): SKIP_NON_NUMERIC}
     chunks = _chunks(_batches(map(_text, tokens)), _CELL_RUNS_RE, marks, skip_reasons)
     return _tally(chunks, system, skip_reasons)
 
 
 def _tally(
-    chunks: Iterable[list[str]], system: DigitSystem, skip_reasons: dict[str, int]
+    chunks: Iterable[list[tuple[str, str]]], system: DigitSystem, skip_reasons: dict[str, int]
 ) -> DigitCounts:
-    """Tally chunks of valid tokens into a DigitCounts.
+    """Tally the findall matches of `_chunks` into a DigitCounts.
 
     Each chunk's tokens are counted by head in C before the next chunk is
     read.  A token's head, its first 2*digits - 1 characters after any sign,
     leading zeros and point ("1.5" for the first two digits), fixes its
     leading digits, so each distinct head goes once through the reference
     extraction.  Only a token that starts with "+", "-", "0" or "." has
-    anything to strip, and those four sort below "1".  So a chunk is first
-    counted as it stands (a one-digit head is a token's first character),
-    and kept if its least head is at least "1".  A chunk with a lesser head
-    is counted again, stripped, and so is every later chunk, without the
-    first count: an input with one token to strip likely holds more, and
-    that count would be wasted on each chunk.  Zero-value is listed first,
-    then the reasons that reading the chunks added to `skip_reasons`.
+    anything to strip.  The run pattern puts a run of tokens that start
+    with 1-9 in a match's first group, and such a run is counted as it
+    stands: a one-digit head is a token's first character.  Its second
+    group, a run from a token with something to strip on through the valid
+    tokens after it, is stripped first.  Zero-value is listed first, then
+    the reasons that reading the chunks added to `skip_reasons`.
     """
     cut = itemgetter(slice(None, 2 * system.digits - 1))
     first = itemgetter(0) if system.digits == 1 else cut
     heads: Counter[str] = Counter()
-    strip = False
-    for tokens in chunks:
-        if not strip:
-            chunk = Counter(map(first, tokens))
-            strip = min(chunk, default="1") < "1"
-            if not strip:
-                heads.update(chunk)
-                continue
-        heads.update(map(cut, map(str.lstrip, tokens, repeat("+-0."))))
+    for found in chunks:
+        led, to_strip = ("".join(map(itemgetter(group), found)).split("\n") for group in (0, 1))
+        led.pop()  # the empty string after the last line break
+        to_strip.pop()
+        # A blank line leaves an empty string among the 1-9-led tokens.
+        heads.update(map(first, filter(None, led) if ("\n", "") in found else led))
+        heads.update(map(cut, map(str.lstrip, to_strip, repeat("+-0."))))
     labels: Counter[int | None] = Counter()
     for head, count in heads.items():
         # The head's mantissa, cut at any field after a text line's first, is
@@ -406,11 +417,13 @@ def ingest(
     about one chunk of cells, or one block of text lines, however long the
     input is.  Cells and text lines are checked alike, by one regex pass
     over each chunk's joined text, and `_tally` counts the tokens that pass
-    by head in C, with no second check and no Python call per token; a
-    chunk is counted with no sign, leading zero or point stripped unless it,
-    or a chunk before it, holds a token that starts with one.  A token read
-    from a text line may keep the line's later fields; its head is cut at
-    whitespace when it is tallied.  Zero-value is listed first, then the skips of parse_records.
+    by head in C, with no second check and no Python call per token.  That
+    pass tells a run of tokens that start with 1-9, counted as they stand,
+    from a run that starts at a token with a sign, a leading zero or a
+    point, whose tokens are stripped of them first.  A token read from a
+    text line may keep the line's later fields; its head is cut at
+    whitespace when it is tallied.  Zero-value is listed first, then the
+    skips of parse_records.
     """
     skip_reasons: dict[str, int] = {}
     chunks = _valid_chunks(source, column, delimiter, decimal_mark, skip_reasons)

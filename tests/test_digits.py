@@ -12,7 +12,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from benfordsev import digits
 from benfordsev.digits import (
@@ -168,40 +168,54 @@ class TestNumericGrammar:
     def test_matches_the_old_grammar(self, text):
         assert bool(digits._NUMERIC_RE.fullmatch(text)) == bool(re.fullmatch(OLD_NUMERIC, text))
 
+    @staticmethod
+    def check_run_pairs(found):
+        # Each match fills one group at most: a run of 1-9-led lines or a
+        # blank line, or a run that starts at a line with something to strip.
+        for led, to_strip in found:
+            assert not (led and to_strip)
+            assert led == "\n" or all(line[:1] in "123456789" for line in led.split("\n")[:-1])
+            assert to_strip[:1] in ("", "+", "-", "0", ".")
+
     @given(st.lists(grammar_texts, max_size=8))
     def test_first_fields_match_the_old_grammar(self, lines):
         # Text lines as they stand, some indented or blank, against the old
         # grammar on the stripped non-blank lines.
         found = digits._LINE_RUNS_RE.findall("".join(line + "\n" for line in lines))
-        valid = [line for line in "".join(found).split("\n")[:-1] if line]
+        self.check_run_pairs(found)
+        valid = [line for line in "".join(map("".join, found)).split("\n")[:-1] if line]
         stripped = [line.strip() for line in lines if line.strip()]
         old = OLD_FIRST_FIELDS_RE.findall("".join(line + "\n" for line in stripped))
         assert [line.split(None, 1)[0] for line in valid] == old
-        assert found.count("") == len(stripped) - len(old)
-        assert found.count("\n") == len(lines) - len(stripped)
+        assert found.count(("", "")) == len(stripped) - len(old)
+        assert found.count(("\n", "")) == len(lines) - len(stripped)
         # Cells, stripped as the reader strips them, against the old grammar
         # on each cell, with a blank cell counted as empty.
         cells = [line.strip() for line in lines]
         found = digits._CELL_RUNS_RE.findall("".join(cell + "\n" for cell in cells))
-        valid = [cell for cell in "".join(found).split("\n")[:-1] if cell]
+        self.check_run_pairs(found)
+        valid = [cell for cell in "".join(map("".join, found)).split("\n")[:-1] if cell]
         old = [cell for cell in cells if re.fullmatch(OLD_NUMERIC, cell)]
         assert valid == old
-        assert found.count("\n") == cells.count("")
-        assert found.count("") == len(cells) - cells.count("") - len(old)
+        assert found.count(("\n", "")) == cells.count("")
+        assert found.count(("", "")) == len(cells) - cells.count("") - len(old)
 
-    @given(st.one_of(grammar_texts, st.sampled_from(STRIPPED_VALUES)))
-    def test_a_token_has_something_to_strip_only_if_it_sorts_below_1(self, text):
-        # `_tally` keeps a chunk's count as it stands when its least head is
-        # at least "1".  A token may keep a text line's later fields.
-        assume(digits._NUMERIC_RE.match(text))
-        assert (text.lstrip("+-0.") != text) == (text < "1")
+    @given(st.one_of(st.from_regex(OLD_NUMERIC, fullmatch=True), st.sampled_from(STRIPPED_VALUES)),
+           st.sampled_from(["", " x", "\t7 y"]))
+    def test_a_token_is_1_9_led_exactly_when_it_has_nothing_to_strip(self, token, later):
+        # `_tally` counts a run of `_LED` lines as it stands and strips every
+        # other run.  A token may keep a text line's later fields.
+        text = token + later
+        assert bool(re.fullmatch(digits._LED, token)) == (text.lstrip("+-0.") == text)
 
     @pytest.mark.parametrize("text", [
-        "5\n" + "9" * 30_000 + "x\n",
-        "amount,id\n5,1\n" + "9" * 30_000 + "x,2\n",
+        "5\n" + "".join(lead + "9" * 30_000 + "x\n" for lead in ("", "-", "0", ".")),
+        "amount,id\n5,1\n" + "".join(lead + "9" * 30_000 + "x,2\n" for lead in ("", "-", "0", ".")),
     ], ids=["text", "csv"])
     def test_long_digit_run_is_skipped_in_linear_time(self, tmp_path, text):
-        # The old grammar took tens of seconds on such a cell: the timeout fails it.
+        # The old grammar took tens of seconds on such a cell: the timeout
+        # fails it.  A line led by a sign, a zero or a point is tried by both
+        # run groups before it is skipped.
         f = tmp_path / "junk.txt"
         f.write_text(text)
         src = Path(__file__).resolve().parents[1] / "src"
@@ -211,7 +225,7 @@ class TestNumericGrammar:
         )
         assert result.returncode == 0, result.stderr
         report = json.loads(result.stdout)
-        assert report["n"] == 1 and report["skip_reasons"] == {"non-numeric": 1}
+        assert report["n"] == 1 and report["skip_reasons"] == {"non-numeric": 4}
 
 
 class TestParseRecords:
@@ -356,10 +370,10 @@ class TestParseRecords:
         with mock.patch.object(digits, "_CHUNK", 1):
             chunks = _valid_chunks(source, 0, None, ".", {})
             # The comma is sniffed: the first chunk holds the first row's first cell.
-            assert next(chunks) == ["1"]
+            assert next(chunks) == [("1\n", "")]
             # Only the lines up to the first non-blank one are read ahead.
             assert next(source) == "3,4\n"
-            assert list(chunks) == [["5"]]
+            assert list(chunks) == [[("5\n", "")]]
 
 
 class TestDigitCounts:
@@ -931,6 +945,12 @@ def reader_inputs(draw):
     return text, items, column, delimiter, decimal_mark
 
 
+# Rows of TestReaderHeadsOfStrippedAndUnstrippedTokens: a value with
+# something to strip, then 1-9-led values and one more to strip.
+MIXED_RUN = [("12", "", "", ""), ("+5", "", "", ""), ("3", "", "", ""), ("45", "", " x", ""),
+             ("6.5e2", "", "", ""), ("007", "", "", ""), ("81", "", "", "")]
+
+
 class TestReaderHeadsOfStrippedAndUnstrippedTokens:
     @pytest.mark.parametrize("scheme", SCHEMES)
     @given(
@@ -947,11 +967,19 @@ class TestReaderHeadsOfStrippedAndUnstrippedTokens:
         decimal_mark=st.sampled_from([".", ","]),
         chunk=st.integers(min_value=1, max_value=8),
     )
+    # An indented first line with something to strip, and another later.
+    @example(rows=[(".7", "\t ", " x", ""), ("27", "", "", ""), ("-0.0312", " ", "\t7 y", "")],
+             layout="text", decimal_mark=".", chunk=8)
+    # A value with something to strip, then 1-9-led values: in one run at
+    # eight cells a chunk, and across chunk boundaries at two.
+    @example(rows=MIXED_RUN, layout="csv", decimal_mark=".", chunk=8)
+    @example(rows=MIXED_RUN, layout="csv", decimal_mark=".", chunk=2)
+    @example(rows=MIXED_RUN, layout="text", decimal_mark=",", chunk=2)
     def test_ingest_count_digits_and_parse_records(self, scheme, rows, layout, decimal_mark,
                                                     chunk):
-        # Chunks of 1-9-led tokens, counted as they stand, then stripped
-        # chunks from the first that holds a token to strip, among
-        # non-numeric and blank lines.
+        # Runs of 1-9-led tokens, counted as they stand, and runs from a
+        # token with something to strip on through the valid tokens after
+        # it, stripped, among non-numeric and blank lines.
         values = [value for value, *_ in rows]
         delimiter = {"text": " ", "csv": "," if decimal_mark == "." else ";"}[layout]
         text = "".join(f"{blank}{indent}{value.replace('.', decimal_mark)}{delimiter}{later}\n"
