@@ -38,9 +38,10 @@ _LED = r"[1-9][0-9]*+(?:\.[0-9]*+)?+(?:[eE][+-]?+[0-9]++)?+"
 # indentation.  A 1-9-led line matches the first group if it is valid at
 # all, so the second group starts only at a line with something to strip.
 _RUNS = r"(?m)^[^\S\n]*+(?:((?:{led}{end})++|\n)|((?:{numeric}{end})++))|^[^\n]*+\n"
-# A valid cell is the grammar alone.  A valid text line is read by its first
-# field: the grammar at its start, up to whitespace or the line's end.
-_CELL_RUNS_RE = re.compile(_RUNS.format(led=_LED, numeric=_NUMERIC, end=r"\n"))
+# A valid cell is the grammar, padded with whitespace or not: the pattern
+# reads the padding, so no cell is stripped first.  A valid text line is read
+# by its first field: the grammar at its start, up to whitespace or its end.
+_CELL_RUNS_RE = re.compile(_RUNS.format(led=_LED, numeric=_NUMERIC, end=r"[^\S\n]*+\n"))
 _LINE_RUNS_RE = re.compile(_RUNS.format(led=_LED, numeric=_NUMERIC,
                                         end=r"(?:\n|[^\S\n][^\n]*+\n)"))
 # One number written with commas, such as "1,234", "1,5" or "1,234.56".
@@ -171,12 +172,12 @@ def parse_records(
     """Pull numeric tokens out of a delimited text stream.
 
     `column` selects a field by 0-based index or by header name; by default
-    the first field of each row is used.  A header row is consumed
-    automatically when the first row's selected cell is non-empty and
-    non-numeric.  A comma in the first non-blank line makes the input
+    the first field of each row is used.  The first row is the first
+    non-blank line, and it is a header row, consumed, when its selected cell
+    is non-empty and non-numeric.  A comma in it makes the input
     comma-delimited unless `decimal_mark` is ","; if neither `delimiter` nor
-    `column` is given, that line must not be one number written with commas,
-    such as "1,234".  Returns the tokens (as decimal strings) and a map of
+    `column` is given, it must not be one number written with commas, such
+    as "1,234".  Returns the tokens (decimal strings, unpadded) and a map of
     skip reason -> count for cells that were empty or non-numeric.  Zeros
     are not filtered here; they are counted later, at digit extraction.  A
     delimiter or decimal mark that is not one character or is a digit, a
@@ -198,7 +199,7 @@ def parse_records(
     tokens = []
     for found in _valid_chunks(source, column, delimiter, decimal_mark, skip_reasons):
         # Each match holds one run, or one blank line, in input order.  A
-        # valid text line may keep fields after its first.
+        # valid cell may keep its padding, and a text line its later fields.
         lines = "".join(chain.from_iterable(found)).split("\n")
         tokens += [line.split(None, 1)[0] for line in lines if line]
     return tokens, skip_reasons
@@ -214,12 +215,13 @@ def _valid_chunks(
     """Yield parse_records' tokens one chunk at a time, as `_chunks` yields them.
 
     Cells and text lines alike are checked by one regex pass over each
-    chunk's joined text (see `_chunks`), with no Python call per cell or
-    line.  Text read by its first field is read in blocks of whole lines if
-    the source has set `newlines` by the time its first row is read, which a
-    source in universal-newline mode has; a token read from such text is its
-    line, which may keep fields after its first.  Everything else is read by
-    rows, `_CHUNK` cells a chunk.  A str is read through an
+    chunk's joined text (see `_chunks`), which reads a cell's padding as it
+    reads a text line's indentation: no Python call strips or checks a cell
+    or line.  Text read by its first field is read in blocks of whole lines
+    if the source has set `newlines` by the time its first row is read,
+    which a source in universal-newline mode has; a token read from such
+    text is its line, which may keep fields after its first.  Everything
+    else is read by rows, `_CHUNK` cells a chunk.  A str is read through an
     io.StringIO(newline="") made here, as the command line opens a file.
     Each chunk's skip counts are added to `skip_reasons`, whose reasons are
     listed in order of first occurrence.  Nothing here holds a chunk once
@@ -239,28 +241,24 @@ def _valid_chunks(
         raise ValueError(f"the delimiter and the decimal mark are both {delimiter!r}")
     source = io.StringIO(source, newline="") if isinstance(source, str) else source
     lines = iter(source)
-    if delimiter is None:
-        # Read ahead to the first non-blank line, and no further: a comma
-        # there makes the input comma-delimited, unless it is the decimal mark.
-        ahead = []
-        for line in lines:
-            ahead.append(line)
-            if line.strip():
-                if "," in line and decimal_mark != ",":
-                    delimiter = ","
-                    if column is None and _COMMA_NUMBER_RE.fullmatch(line.strip()):
-                        raise ValueError(f"{line.strip()!r} may be one number written with commas;"
-                                         " give --delimiter , or --column, or --decimal-mark ,")
-                break
-        lines = chain(ahead, lines)
+    # Read ahead to the first non-blank line, and no further: it is the first
+    # row, and a comma in it makes the input comma-delimited, unless the
+    # comma is the decimal mark.
+    first = next(filter(str.strip, lines), None)
+    if first is None:
+        return
+    if delimiter is None and "," in first and decimal_mark != ",":
+        delimiter = ","
+        if column is None and _COMMA_NUMBER_RE.fullmatch(first.strip()):
+            raise ValueError(f"{first.strip()!r} may be one number written with commas;"
+                             " give --delimiter , or --column, or --decimal-mark ,")
     try:
+        rows = chain((first,), lines)
         if delimiter is None:
-            rows = filter(None, map(str.split, lines))
+            rows = filter(None, map(str.split, rows))
         else:
-            rows = filter(None, csv.reader(lines, delimiter=delimiter))
-        first_row = next(rows, None)
-        if first_row is None:
-            return
+            rows = filter(None, csv.reader(rows, delimiter=delimiter))
+        first_row = next(rows)
         index, is_header = _resolve_column(column, first_row, decimal_mark)
         # A universal-newline source has set `newlines` by now, and its line
         # ends are the ones `_blocks` ends lines at.
@@ -276,7 +274,7 @@ def _valid_chunks(
             # Chunks hold cells, never row lists: tens of thousands of live
             # lists make the cyclic garbage collector's passes slow.
             cells = (row[index] if index < len(row) else "" for row in rows)
-            blocks = _batches(map(str.strip, cells))
+            blocks = _batches(cells)
             runs, marks = _CELL_RUNS_RE, {("", ""): SKIP_NON_NUMERIC, ("\n", ""): SKIP_EMPTY}
         if decimal_mark != ".":
             blocks = map(methodcaller("replace", decimal_mark, "."), blocks)
@@ -303,8 +301,8 @@ def _blocks(source: TextIO) -> Iterator[str]:
 def _batches(items: Iterator[str]) -> Iterator[str]:
     """`items`, `_CHUNK` at a time, each batch as one text with a line break after each item.
 
-    The items are cells or values.  A line break inside one becomes a
-    space, so a cell or value that holds one stays non-numeric.
+    The items are cells, padding and all, or values.  A line break inside
+    one becomes a space, so it pads the item or keeps it non-numeric.
     """
     while batch := list(islice(items, _CHUNK)):
         text = "\n".join(batch) + "\n"
@@ -394,7 +392,7 @@ def _tally(
         heads.update(map(cut, map(str.lstrip, to_strip, repeat("+-0."))))
     labels: Counter[int | None] = Counter()
     for head, count in heads.items():
-        # The head's mantissa, cut at any field after a text line's first, is
+        # The head's mantissa, cut at padding or a text line's later fields, is
         # a valid token with the same leading digits; it is empty for a zero.
         labels[system.extract(re.split(r"[eE\s]", head)[0] or "0")] += count
     skips = {SKIP_ZERO: labels.pop(None)} if None in labels else {}
@@ -420,8 +418,8 @@ def ingest(
     by head in C, with no second check and no Python call per token.  That
     pass tells a run of tokens that start with 1-9, counted as they stand,
     from a run that starts at a token with a sign, a leading zero or a
-    point, whose tokens are stripped of them first.  A token read from a
-    text line may keep the line's later fields; its head is cut at
+    point, whose tokens are stripped of them first.  A token may keep a
+    cell's padding or a text line's later fields; its head is cut at
     whitespace when it is tallied.  Zero-value is listed first, then the
     skips of parse_records.
     """

@@ -138,6 +138,16 @@ class TestAnalyze:
         assert report["n"] == 2
         assert report["skip_reasons"] == {"non-numeric": 1, "zero-value": 1}
 
+    def test_whitespace_only_first_line_does_not_hide_the_header(self, tmp_path, capsys):
+        f = tmp_path / "table.csv"
+        f.write_text("  \nid,amount\n1,5\n2,6\n")
+        for column in ("amount", "1"):
+            code, out, err = run_cli(capsys, "analyze", str(f), "--column", column,
+                                     "--format", "json")
+            assert code == 0, err
+            report = json.loads(out)
+            assert report["n"] == 2 and report["skip_reasons"] == {}
+
     def test_missing_column_is_config_error(self, tmp_path, capsys):
         f = tmp_path / "table.csv"
         f.write_text("id,amt\n1,19.5\n")

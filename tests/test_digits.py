@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from contextlib import nullcontext
 from functools import partial
+from itertools import dropwhile
 from pathlib import Path
 from unittest import mock
 
@@ -365,6 +366,16 @@ class TestParseRecords:
         assert parse_records("5 1\r6 2\r", column=1) == (["1", "2"], {})
         assert parse_records("a,b\r1,2\r3,4\r", column="b") == (["2", "4"], {})
 
+    @pytest.mark.parametrize("delimiter", [None, ",", ";"])
+    @pytest.mark.parametrize("column", ["amount", 1])
+    def test_whitespace_only_first_line_is_not_a_row(self, column, delimiter):
+        # The first row, and so the header, is the first non-blank line.
+        text = "  \nid,amount\n1,5\n2,6\n".replace(",", delimiter or ",")
+        for source in (lambda: text, lambda: io.StringIO(text)):
+            assert parse_records(source(), column, delimiter=delimiter) == (["5", "6"], {})
+            result = ingest(source(), FIRST_DIGIT, column, delimiter=delimiter)
+            assert result.counts == (0, 0, 0, 0, 1, 1, 0, 0, 0) and result.skip_reasons == {}
+
     def test_sniff_reads_lazily(self):
         source = iter(["\n", "1,2\n", "3,4\n", "5,6\n"])
         with mock.patch.object(digits, "_CHUNK", 1):
@@ -619,6 +630,10 @@ def sniff_comma(nonblank, column, decimal_mark):
     return True
 
 
+def is_blank(line):
+    return not line.strip()
+
+
 def reference_ingest(text, system, column=None, delimiter=None, decimal_mark="."):
     """Per-row ingestion of `text` with full row splits and per-cell extraction."""
     lines = list(io.StringIO(text))
@@ -628,7 +643,8 @@ def reference_ingest(text, system, column=None, delimiter=None, decimal_mark="."
     if delimiter is None:
         rows = [line.split() for line in nonblank]
     else:
-        rows = [row for row in csv.reader(lines, delimiter=delimiter) if row]
+        # Rows start at the first non-blank line.
+        rows = [row for row in csv.reader(dropwhile(is_blank, lines), delimiter=delimiter) if row]
     if not rows:
         return [0] * system.k, {}
 
@@ -769,6 +785,9 @@ class TestBatchedIngestionMatchesPerTokenLoop:
         header=st.booleans(),
         chunk=st.integers(min_value=1, max_value=8),
     )
+    # A whitespace-only first line is not a row, and the row after it can be a header.
+    @example(rows=[[" "]], column=None, header=False, chunk=8)
+    @example(rows=[["\t"], ["amount", "1"], ["5", "0.7"]], column=None, header=False, chunk=1)
     def test_ingest_csv(self, scheme, rows, column, header, chunk):
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -852,7 +871,8 @@ def old_parse_records(source, column=None, delimiter=None, decimal_mark="."):
     if delimiter is None:
         rows = [line.split() for line in nonblank]
     else:
-        rows = [row for row in csv.reader(lines, delimiter=delimiter) if row]
+        # Rows start at the first non-blank line.
+        rows = [row for row in csv.reader(dropwhile(is_blank, lines), delimiter=delimiter) if row]
     if not rows:
         return [], {}
 
@@ -1007,6 +1027,26 @@ class TestReaderHeadsOfStrippedAndUnstrippedTokens:
         assert list(result.counts) == counts
         assert list(result.skip_reasons.items()) == sorted(
             skips.items(), key=lambda item: item[0] != "zero-value")
+
+
+# Every character that str.strip removes, which the regex class \s matches.
+WHITESPACE = [chr(code) for code in range(sys.maxunicode + 1) if chr(code).isspace()]
+
+
+class TestReaderReadsPaddingAsStrStripRemovesIt:
+    @pytest.mark.parametrize("pad", WHITESPACE, ids=lambda pad: f"U+{ord(pad):04X}")
+    def test_padded_cells_read_as_stripped_tokens(self, pad):
+        assert re.fullmatch(r"\s", pad)
+        cells = [f"{pad}15{pad}", f"{pad}-0.25{pad}", f"{pad}0{pad}", f"{pad}{pad}7e2", pad]
+        buffer = io.StringIO()
+        csv.writer(buffer, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(
+            [cell] for cell in cells)
+        text = buffer.getvalue()
+        assert parse_records(text, 0, delimiter=",") == (["15", "-0.25", "0", "7e2"], {"empty": 1})
+        for scheme, labels in ((FIRST_DIGIT, (1, 2, 7)), (FIRST_TWO_DIGITS, (15, 25, 70))):
+            result = ingest(text, scheme, 0, delimiter=",")
+            assert result.counts == tuple(int(label in labels) for label in scheme.digit_labels)
+            assert list(result.skip_reasons.items()) == [("zero-value", 1), ("empty", 1)]
 
 
 class TestReaderMatchesTheOldAlgorithm:
