@@ -290,11 +290,14 @@ def _blocks(source: TextIO) -> Iterator[str]:
 
     A block is `4 * _CHUNK` characters completed by `readline`, so it ends
     where a line ends.  "\\n", "\\r\\n" and "\\r" end lines, as they do in
-    the source: "\\r\\n" and "\\r" become "\\n".
+    the source: "\\r\\n" and "\\r" become "\\n".  A block with no "\\r" is
+    left as read.
     """
     while block := source.read(4 * _CHUNK) + source.readline():
-        # "\r\n" first: it ends one line, not a line and a blank one.
-        block = block.replace("\r\n", "\n").replace("\r", "\n")
+        # The "\r" scan is far cheaper than a "\r\n" search, which stops at
+        # every "\n".  "\r\n" first: it ends one line, not a line and a blank one.
+        if "\r" in block:
+            block = block.replace("\r\n", "\n").replace("\r", "\n")
         yield block if block.endswith("\n") else block + "\n"
 
 
@@ -375,20 +378,28 @@ def _tally(
     extraction.  Only a token that starts with "+", "-", "0" or "." has
     anything to strip.  The run pattern puts a run of tokens that start
     with 1-9 in a match's first group, and such a run is counted as it
-    stands: a one-digit head is a token's first character.  Its second
+    stands: a one-digit head is a token's first character, so the first
+    digits of a chunk's run tokens are counted by str.count over one string
+    of their first characters, with no object made per token.  Its second
     group, a run from a token with something to strip on through the valid
     tokens after it, is stripped first.  Zero-value is listed first, then
     the reasons that reading the chunks added to `skip_reasons`.
     """
     cut = itemgetter(slice(None, 2 * system.digits - 1))
-    first = itemgetter(0) if system.digits == 1 else cut
     heads: Counter[str] = Counter()
     for found in chunks:
         led, to_strip = ("".join(map(itemgetter(group), found)).split("\n") for group in (0, 1))
         led.pop()  # the empty string after the last line break
         to_strip.pop()
         # A blank line leaves an empty string among the 1-9-led tokens.
-        heads.update(map(first, filter(None, led) if ("\n", "") in found else led))
+        tokens = filter(None, led) if ("\n", "") in found else led
+        if system.digits == 1:
+            # One string of first characters, counted in C digit by digit;
+            # a digit that does not occur adds no head to extract.
+            firsts = "".join(map(itemgetter(0), tokens))
+            heads.update({d: n for d in "123456789" if (n := firsts.count(d))})
+        else:
+            heads.update(map(cut, tokens))
         heads.update(map(cut, map(str.lstrip, to_strip, repeat("+-0."))))
     labels: Counter[int | None] = Counter()
     for head, count in heads.items():

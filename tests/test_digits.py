@@ -496,8 +496,9 @@ class TestIngest:
         # count_digits checks its values as cells are checked, with no header.
         assert len(calls) <= 2
 
-    @pytest.mark.parametrize("newline", ["str", "str-crlf", "str-cr", "StringIO", "\n", "", None],
-                             ids=["str", "str-crlf", "str-cr", "StringIO", "newline-lf",
+    @pytest.mark.parametrize("newline",
+                             ["str", "str-crlf", "str-cr", "str-mixed", "StringIO", "\n", "", None],
+                             ids=["str", "str-crlf", "str-cr", "str-mixed", "StringIO", "newline-lf",
                                   "newline-empty", "newline-none"])
     def test_each_text_line_is_matched_once(self, monkeypatch, tmp_path, newline):
         calls = []
@@ -528,13 +529,26 @@ class TestIngest:
         for i, pair in enumerate(zip(clean, multi)):
             lines += [*pair, "", " \t"] if i % 10 == 0 else pair
         text = "".join(line + "\n" for line in lines)
-        # The source: a str, a str with "\r\n" or "\r" line ends, a default
-        # StringIO, or a file opened with `newline`.
+        # The source: a str, a str with "\r\n" or "\r" line ends, or with
+        # both, a default StringIO, or a file opened with `newline`.
         if newline == "str":
             source = nullcontext("amount id\n" + text)
         elif newline in ("str-crlf", "str-cr"):
             end = "\r\n" if newline == "str-crlf" else "\r"
             source = nullcontext(("amount id\n" + text).replace("\n", end))
+        elif newline == "str-mixed":
+            # "\r\n" ends a few lines, so a few blocks hold a "\r" and most
+            # do not.  A lone "\r" ends the line that readline() completes
+            # after the first block's read(4 * 64): the read holds no "\r".
+            mixed = "".join(line + ("\r\n" if i % 150 == 70 else "\n")
+                            for i, line in enumerate(lines))
+            cut = mixed.index("\n", 4 * 64)
+            mixed = mixed[:cut] + "\r" + mixed[cut + 1:]
+            raw = io.StringIO(mixed, newline="")
+            blocks = list(iter(lambda: raw.read(4 * 64) + raw.readline(), ""))
+            assert blocks[0].endswith("\r") and blocks[0].count("\r") == 1
+            assert 1 < sum("\r" in block for block in blocks) < len(blocks) / 4
+            source = nullcontext("amount id\n" + mixed)
         elif newline == "StringIO":
             source = io.StringIO("amount id\n" + text)
         else:
@@ -768,6 +782,9 @@ class TestBatchedIngestionMatchesPerTokenLoop:
         ),
         chunk=st.integers(min_value=1, max_value=8),
     )
+    # Chunks of the tally's shapes: a blank among 1-9-led tokens, no 1-9-led
+    # token, and only blank and non-numeric tokens.
+    @example(tokens=["12", "", "3.5", "-5", "0.3", ".7", "", "n/a", None], chunk=3)
     def test_count_digits(self, scheme, tokens, chunk):
         with small_chunks(chunk):
             result = count_digits(tokens, scheme)
@@ -788,6 +805,11 @@ class TestBatchedIngestionMatchesPerTokenLoop:
     # A whitespace-only first line is not a row, and the row after it can be a header.
     @example(rows=[[" "]], column=None, header=False, chunk=8)
     @example(rows=[["\t"], ["amount", "1"], ["5", "0.7"]], column=None, header=False, chunk=1)
+    # A blank cell among 1-9-led cells; a chunk with no 1-9-led cell; a chunk
+    # of only blank and non-numeric cells.
+    @example(rows=[["12"], [""], ["3.5"], ["7"]], column=None, header=False, chunk=8)
+    @example(rows=[["-5"], ["0.3"], [".7"]], column=None, header=False, chunk=8)
+    @example(rows=[["5"], ["n/a"], [""], ["x"]], column=None, header=False, chunk=2)
     def test_ingest_csv(self, scheme, rows, column, header, chunk):
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -810,6 +832,11 @@ class TestBatchedIngestionMatchesPerTokenLoop:
         decimal_mark=st.sampled_from([".", ","]),
         chunk=st.integers(min_value=1, max_value=8),
     )
+    # A blank line among 1-9-led lines, which the row reader drops; no 1-9-led
+    # line; after the first row, only blank and non-numeric lines.
+    @example(lines=["12", "", "3.5", "7"], header=False, column=None, decimal_mark=".", chunk=8)
+    @example(lines=["-5", "0.3", ".7"], header=False, column=None, decimal_mark=".", chunk=8)
+    @example(lines=["5", "n/a", "", "abc"], header=False, column=None, decimal_mark=".", chunk=1)
     def test_ingest_sniffed_text(self, scheme, lines, header, column, decimal_mark, chunk):
         if header:
             lines = ["amount\t id", *lines]
