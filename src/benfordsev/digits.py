@@ -24,11 +24,13 @@ SKIP_ZERO = "zero-value"
 # the regex class \d would also admit other scripts' digits.  No two
 # repeats can share a run of digits, so every quantifier can be possessive:
 # a match never gives characters back, and a failed one takes linear time.
-_NUMERIC = r"[+-]?+(?:[0-9]++(?:\.[0-9]*+)?+|\.[0-9]++)(?:[eE][+-]?+[0-9]++)?+"
+_FRACTION = r"(?:\.[0-9]*+)?+"
+_EXPONENT = r"(?:[eE][+-]?+[0-9]++)?+"
+_NUMERIC = rf"[+-]?+(?:[0-9]++{_FRACTION}|\.[0-9]++){_EXPONENT}"
 _NUMERIC_RE = re.compile(_NUMERIC)
 # The grammar's tokens that start with 1-9: the only ones whose leading
 # digits are their first characters, with no sign, zero or point to strip.
-_LED = r"[1-9][0-9]*+(?:\.[0-9]*+)?+(?:[eE][+-]?+[0-9]++)?+"
+_LED = rf"[1-9][0-9]*+{_FRACTION}{_EXPONENT}"
 # The runs of a block of lines, each ended by "\n", for a line's end after
 # the grammar.  findall returns one pair per match, in order, whose groups
 # are: a run of lines that start with 1-9, or "\n" for a blank line; or
@@ -44,8 +46,9 @@ _RUNS = r"(?m)^[^\S\n]*+(?:((?:{led}{end})++|\n)|((?:{numeric}{end})++))|^[^\n]*
 _CELL_RUNS_RE = re.compile(_RUNS.format(led=_LED, numeric=_NUMERIC, end=r"[^\S\n]*+\n"))
 _LINE_RUNS_RE = re.compile(_RUNS.format(led=_LED, numeric=_NUMERIC,
                                         end=r"(?:\n|[^\S\n][^\n]*+\n)"))
-# One number written with commas, such as "1,234", "1,5" or "1,234.56".
-_COMMA_NUMBER_RE = re.compile(r"[+-]?[0-9]+(?:,[0-9]+)+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?")
+# A first line that may be numbers written with commas (see parse_records).
+_COMMA_NUMBER = rf"[+-]?+[0-9]++(?:,[0-9]++)*+{_FRACTION}{_EXPONENT}"
+_COMMA_NUMBERS_RE = re.compile(rf"{_COMMA_NUMBER}(?:[\s;]++{_COMMA_NUMBER})*+")
 # Cells per chunk read by parse_records, ingest and count_digits; text read
 # in blocks (see `_blocks`) comes in blocks of 4 * _CHUNK characters.
 _CHUNK = 16384
@@ -175,11 +178,13 @@ def parse_records(
     the first field of each row is used.  The first row is the first
     non-blank line, and it is a header row, consumed, when its selected cell
     is non-empty and non-numeric.  A comma in it makes the input
-    comma-delimited unless `decimal_mark` is ","; if neither `delimiter` nor
-    `column` is given, it must not be one number written with commas, such
-    as "1,234".  Returns the tokens (decimal strings, unpadded) and a map of
-    skip reason -> count for cells that were empty or non-numeric.  Zeros
-    are not filtered here; they are counted later, at digit extraction.  A
+    comma-delimited unless `decimal_mark` is ",", even beside a ";" as in
+    "id;amount,x".  Unless `delimiter` or `column` is given, it must not be
+    numbers written with commas, one or a row of them split by whitespace or
+    ";", such as "1,234", "1,5;2,25" or "1,5 7"; a `column` reads such a
+    comma as a field break.  Returns the tokens (decimal strings, unpadded)
+    and a map of skip reason -> count for cells that were empty or
+    non-numeric.  Zeros are kept here and counted at digit extraction.  A
     delimiter or decimal mark that is not one character or is a digit, a
     sign, "e" or "E", a whitespace decimal mark, a delimiter equal to the
     decimal mark, or such a first line raises ValueError.
@@ -241,15 +246,13 @@ def _valid_chunks(
         raise ValueError(f"the delimiter and the decimal mark are both {delimiter!r}")
     source = io.StringIO(source, newline="") if isinstance(source, str) else source
     lines = iter(source)
-    # Read ahead to the first non-blank line, and no further: it is the first
-    # row, and a comma in it makes the input comma-delimited, unless the
-    # comma is the decimal mark.
+    # Read ahead to the first non-blank line, and no further: it is the first row.
     first = next(filter(str.strip, lines), None)
     if first is None:
         return
     if delimiter is None and "," in first and decimal_mark != ",":
         delimiter = ","
-        if column is None and _COMMA_NUMBER_RE.fullmatch(first.strip()):
+        if column is None and _COMMA_NUMBERS_RE.fullmatch(first.strip()):
             raise ValueError(f"{first.strip()!r} may be one number written with commas;"
                              " give --delimiter , or --column, or --decimal-mark ,")
     try:

@@ -239,12 +239,19 @@ class TestAnalyze:
         assert [row[0] for row in report["digit_table"] if row[1]] == [15, 25, 50]
 
     @pytest.mark.parametrize("text, readings", [
-        ("1,234\n5,678\n98,100\n", {"--delimiter": [10, 50, 98], "--decimal-mark": [12, 56, 98],
-                                     "--column": [10, 23, 67]}),
-        ("1,5\n2,75\n3,25\n", {"--delimiter": [10, 20, 30], "--decimal-mark": [15, 27, 32],
-                                "--column": [25, 50, 75]}),
-        ("1,234.56\n5,678.9\n", {"--delimiter": [10, 50], "--decimal-mark": None,
-                                 "--column": [23, 67]}),
+        ("1,234\n5,678\n98,100\n", {"--delimiter ,": [10, 50, 98],
+                                     "--decimal-mark ,": [12, 56, 98], "--column 1": [10, 23, 67]}),
+        ("1,5\n2,75\n3,25\n", {"--delimiter ,": [10, 20, 30], "--decimal-mark ,": [15, 27, 32],
+                                "--column 1": [25, 50, 75]}),
+        ("1,234.56\n5,678.9\n", {"--delimiter ,": [10, 50], "--decimal-mark ,": None,
+                                 "--column 1": [23, 67]}),
+        ("1,5;2,25\n2,75;3,5\n3,25;4,1\n", {"--delimiter ,": [10, 20, 30],
+                                            "--decimal-mark ,": None, "--column 1": None,
+                                            "--delimiter ; --decimal-mark ,": [15, 27, 32]}),
+        ("1,5\t7\n2,75\t8\n3,25\t9\n", {"--delimiter ,": [10, 20, 30],
+                                         "--decimal-mark ,": [15, 27, 32], "--column 1": None}),
+        ("1,5 7\n2,75 8\n3,25 9\n", {"--delimiter ,": [10, 20, 30],
+                                      "--decimal-mark ,": [15, 27, 32], "--column 1": None}),
     ])
     def test_sniffed_comma_inside_a_number_is_config_error(self, tmp_path, capsys, text, readings):
         f = tmp_path / "numbers.txt"
@@ -254,17 +261,17 @@ class TestAnalyze:
         assert out == ""
         assert repr(text.split("\n")[0]) in err and "written with commas" in err
         # Each option removes the guess; the file is then read as it says.
-        for option, value in (("--delimiter", ","), ("--decimal-mark", ","), ("--column", "1")):
+        for options, labels in readings.items():
             code, out, err = run_cli(capsys, "analyze", str(f), "--digits", "2", "--format",
-                                     "json", option, value)
-            if readings[option] is None:
-                # "1.234.56" is not a number.
+                                     "json", *options.split(" "))
+            if labels is None:
+                # "1.234.56", "1.5;2.25", "5;2" and "5\t7" are not numbers.
                 assert code == 2 and "no usable numeric records" in err
                 continue
             assert code == 0
             report = json.loads(out)
             assert report["skipped"] == 0
-            assert [row[0] for row in report["digit_table"] if row[1]] == readings[option]
+            assert [row[0] for row in report["digit_table"] if row[1]] == labels
 
     def test_delimiter_equal_to_decimal_mark_is_config_error(self, tmp_path, capsys):
         f = tmp_path / "comma.txt"

@@ -291,10 +291,12 @@ class TestParseRecords:
 
     @pytest.mark.parametrize("text", [
         "1,234\n5,678\n98,100\n", "1,5\n2,75\n3,25\n", "1,234.56\n5,678.9\n",
-        "\n \n -1,2e5\t\n7\n",
+        "\n \n -1,2e5\t\n7\n", "1,5;2,25\n2,75;3,5\n3,25;4,1\n", "1,5\t7\n2,75\t8\n3,25\t9\n",
+        "1,5 7\n2,75 8\n3,25 9\n",
     ])
     def test_sniffed_comma_inside_a_number_is_refused(self, text):
-        # Thousands separators, a decimal comma, or two fields: the comma's role is a guess.
+        # Thousands separators, a decimal comma, or two fields: the comma's role
+        # is a guess, in one number or in a row of them split by whitespace or ";".
         first = text.strip().split("\n")[0].strip()
         for read in (parse_records, partial(ingest, system=FIRST_TWO_DIGITS)):
             with pytest.raises(ValueError, match="may be one number written with commas") as raised:
@@ -303,8 +305,9 @@ class TestParseRecords:
                 assert quoted in str(raised.value)
 
     def test_sniffed_comma_after_a_decimal_point_is_a_field_break(self):
-        # Not one number written with commas: read as CSV.
+        # Not numbers written with commas: read as CSV, as is a comma before a space.
         assert parse_records("1.5,2.5\n3.5,1\n") == (["1.5", "3.5"], {})
+        assert parse_records("1, 2\n3, 4\n") == (["1", "3"], {})
 
     @pytest.mark.parametrize("mark", [",", ";"])
     def test_delimiter_equal_to_decimal_mark_is_refused(self, mark):
@@ -625,21 +628,23 @@ def reference_count(tokens, system):
     return counts, skips
 
 
-# A first line that is one number written with commas, which the reader
-# refuses to split at a sniffed comma.
-COMMA_NUMBER = r"[+-]?[0-9]+(?:,[0-9]+)+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?"
+# A number whose whole part may hold commas.  A first line whose fields,
+# split at whitespace and ";", are all such numbers, one of them at least
+# with a comma, is one that the reader refuses to split at a sniffed comma.
+COMMA_NUMBER = r"[+-]?[0-9]+(?:,[0-9]+)*(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?"
 
 
 class AmbiguousComma(Exception):
     """The oracles' refusal: the comma was sniffed, no column was given, and
-    the first non-blank line is one number written with commas."""
+    the first non-blank line is numbers written with commas, one or a row."""
 
 
 def sniff_comma(nonblank, column, decimal_mark):
     """Whether the oracles read the input as comma-delimited; raises AmbiguousComma."""
     if not nonblank or "," not in nonblank[0] or decimal_mark == ",":
         return False
-    if column is None and re.fullmatch(COMMA_NUMBER, nonblank[0].strip()):
+    fields = re.split(r"[\s;]+", nonblank[0].strip())
+    if column is None and all(re.fullmatch(COMMA_NUMBER, field) for field in fields):
         raise AmbiguousComma(nonblank[0])
     return True
 
@@ -712,7 +717,8 @@ def numeric_texts(draw):
 
 
 JUNK = ["", "n/a", "abc", "1.2.3", "1e", "inf", "nan", "1_000", "0x10",
-        "\u0665", "\u0660.\u0665", "\u00bd", "1,234", '"q"', "1.e5", "0e5", ".5", "00.05"]
+        "\u0665", "\u0660.\u0665", "\u00bd", "1,234", '"q"', "1.e5", "0e5", ".5", "00.05",
+        "1,5", "1,5;2,25"]
 padding = st.sampled_from(["", " ", "\t", "  "])
 cell_texts = st.tuples(padding, st.one_of(numeric_texts(), st.sampled_from(JUNK)), padding).map(
     "".join
@@ -843,17 +849,28 @@ class TestBatchedIngestionMatchesPerTokenLoop:
         elif column == "amount":
             column = None
         text = "".join(line + "\n" for line in lines)
-        read = partial(ingest, io.StringIO(text), scheme, column, decimal_mark=decimal_mark)
+        # Text read by its first field is read in blocks from a str or another
+        # universal-newline source, and by rows from a default StringIO or a
+        # list of lines.  splitlines would also split at "\x0c" and "\x1c".
+        nonblank = [line for line in lines if line.strip()]
+        first_field = bool(nonblank) and column in (None, 0, "amount") and (
+            "," not in nonblank[0] or decimal_mark == ",")
+        sources = [(text, first_field), (io.StringIO(text, newline=""), first_field),
+                   (io.StringIO(text), False), (list(io.StringIO(text)), False)]
         try:
             counts, skips = reference_ingest(text, scheme, column, decimal_mark=decimal_mark)
         except AmbiguousComma:
-            with small_chunks(chunk), pytest.raises(ValueError, match="written with commas"):
-                read()
+            for source, _ in sources:
+                with small_chunks(chunk), pytest.raises(ValueError, match="written with commas"):
+                    ingest(source, scheme, column, decimal_mark=decimal_mark)
             return
-        with small_chunks(chunk):
-            result = read()
-        assert list(result.counts) == counts
-        assert list(result.skip_reasons.items()) == list(skips.items())
+        for source, in_blocks in sources:
+            with small_chunks(chunk), mock.patch.object(digits, "_blocks",
+                                                        wraps=digits._blocks) as blocks:
+                result = ingest(source, scheme, column, decimal_mark=decimal_mark)
+            assert blocks.called == in_blocks
+            assert list(result.counts) == counts
+            assert list(result.skip_reasons.items()) == list(skips.items())
 
     @given(
         rows=st.lists(
