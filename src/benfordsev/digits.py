@@ -46,9 +46,11 @@ _RUNS = r"(?m)^[^\S\n]*+(?:((?:{led}{end})++|\n)|((?:{numeric}{end})++))|^[^\n]*
 _CELL_RUNS_RE = re.compile(_RUNS.format(led=_LED, numeric=_NUMERIC, end=r"[^\S\n]*+\n"))
 _LINE_RUNS_RE = re.compile(_RUNS.format(led=_LED, numeric=_NUMERIC,
                                         end=r"(?:\n|[^\S\n][^\n]*+\n)"))
-# A first line that may be numbers written with commas (see parse_records).
-_COMMA_NUMBER = rf"[+-]?+[0-9]++(?:,[0-9]++)*+{_FRACTION}{_EXPONENT}"
-_COMMA_NUMBERS_RE = re.compile(rf"{_COMMA_NUMBER}(?:[\s;]++{_COMMA_NUMBER})*+")
+# A first line that may be numbers written with commas (see parse_records):
+# the grammar, with commas between the digits of a whole part, split and
+# perhaps ended by whitespace or ";".
+_COMMA_NUMBER = rf"[+-]?+(?:[0-9]++(?:,[0-9]++)*+{_FRACTION}|\.[0-9]++){_EXPONENT}"
+_COMMA_NUMBERS_RE = re.compile(rf"{_COMMA_NUMBER}(?:[\s;]++{_COMMA_NUMBER})*+[\s;]*+")
 # Cells per chunk read by parse_records, ingest and count_digits; text read
 # in blocks (see `_blocks`) comes in blocks of 4 * _CHUNK characters.
 _CHUNK = 16384
@@ -180,14 +182,15 @@ def parse_records(
     is non-empty and non-numeric.  A comma in it makes the input
     comma-delimited unless `decimal_mark` is ",", even beside a ";" as in
     "id;amount,x".  Unless `delimiter` or `column` is given, it must not be
-    numbers written with commas, one or a row of them split by whitespace or
-    ";", such as "1,234", "1,5;2,25" or "1,5 7"; a `column` reads such a
-    comma as a field break.  Returns the tokens (decimal strings, unpadded)
-    and a map of skip reason -> count for cells that were empty or
-    non-numeric.  Zeros are kept here and counted at digit extraction.  A
-    delimiter or decimal mark that is not one character or is a digit, a
-    sign, "e" or "E", a whitespace decimal mark, a delimiter equal to the
-    decimal mark, or such a first line raises ValueError.
+    numbers written with commas, one or a row of them split (and perhaps
+    ended) by whitespace or ";", such as "1,234", "1,5;2,25", "1,5;" or
+    "1,5 .7"; a `column` reads such a comma as a field break.  Returns the
+    tokens (decimal strings, unpadded) and a map of skip reason -> count for
+    cells that were empty or non-numeric.  Zeros are kept here and counted
+    at digit extraction.  A delimiter or decimal mark that is not one
+    character or is a digit, a sign, "e" or "E", a whitespace decimal mark,
+    a delimiter equal to the decimal mark, or such a first line raises
+    ValueError.
 
     Every source is split at its own line ends.  A str is split at "\\n",
     "\\r\\n" or a lone "\\r", as a file opened with newline="" is, and an

@@ -2,25 +2,20 @@
 
 Samples digit counts from the exact digit law and compares the empirical
 behaviour of the MAD and its standardized form against the theoretical
-moments.  Each replication draws from its own PCG64 stream, derived from the
-seed and the replication index, so a run is reproducible bit for bit.  The
+moments.  The replications are successive draws from one
+`default_rng(seed)` stream, so a run is reproducible bit for bit and a run of
+R replications is the first R of any longer run with the same seed.  The
 counts are kept in the narrowest unsigned integer type that holds n, and the
 statistics are computed from them in two passes over blocks of replications,
 so no float64 array of every replication's k cells is ever held.  numpy is
 imported inside the functions that use it, so no other command loads it.
-
-The streams are numpy's `SeedSequence(seed, spawn_key=(r,))` -> `PCG64`
-(O'Neill 2014), but building those objects per replication costs more than
-the draw itself.  `replication_states` instead computes the PCG64 states of
-replications 0 ... reps - 1 directly, a block at a time, following numpy's
-SeedSequence mixing and PCG64 seeding.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .asymptotics import build_constants, mad_moments, standardized
 from .benford import benford_probs
@@ -29,15 +24,8 @@ from .digits import DigitCounts, DigitSystem
 if TYPE_CHECKING:
     import numpy as np
 
-# numpy's SeedSequence hash and mix constants, and PCG64's 128-bit LCG multiplier.
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# Replications whose states are derived, and whose statistics are formed,
-# together; larger blocks only raise peak memory.
+# Replications drawn, and whose statistics are formed, together; larger
+# blocks only raise peak memory.
 _BLOCK = 512
 
 
@@ -63,49 +51,6 @@ class SimulationReport(NamedTuple):
         return json.dumps(self._asdict(), indent=2)
 
 
-def replication_states(seed: int, reps: int) -> Iterator[tuple[int, int]]:
-    """The PCG64 `(state, inc)` of each replication r in 0 ... reps - 1.
-
-    Replication r of a run seeded `seed` draws from
-    `PCG64(SeedSequence(seed, spawn_key=(r,)))`, for r below 2**32.  Every
-    replication shares the entropy pool of `SeedSequence(seed)`; only r, a
-    single 32-bit spawn-key word, is mixed into it, across a block at once in
-    uint32 arithmetic.  The pool's hash constant has by then been stepped once per
-    pool word, once per ordered pair of pool words, and four times per seed
-    word beyond the pool's four.
-    """
-    import numpy as np
-
-    pool = np.random.SeedSequence(seed).pool.tolist()
-    seed_words = max(1, -(-seed.bit_length() // 32))
-    steps = 4 + 12 + 4 * max(seed_words - 4, 0)
-    key_hash_const = _INIT_A * pow(_MULT_A, steps, 1 << 32) & _MASK32
-    for start in range(0, reps, _BLOCK):
-        key = np.arange(start, min(start + _BLOCK, reps), dtype=np.uint32)
-        mixer = [np.full(len(key), word, dtype=np.uint32) for word in pool]
-        hash_const = key_hash_const
-        for i in range(len(mixer)):
-            value = key ^ hash_const
-            hash_const = hash_const * _MULT_A & _MASK32
-            value *= hash_const
-            value ^= value >> 16
-            mixed = _MIX_MULT_L * mixer[i] - _MIX_MULT_R * value
-            mixer[i] = mixed ^ (mixed >> 16)
-        # generate_state(4, uint64): eight uint32 outputs, low word first.
-        out = []
-        hash_const = _INIT_B
-        for i in range(8):
-            value = mixer[i % 4] ^ hash_const
-            hash_const = hash_const * _MULT_B & _MASK32
-            value *= hash_const
-            value ^= value >> 16
-            out.append(value.astype(np.uint64))
-        words = [(out[2 * j + 1] << np.uint64(32) | out[2 * j]).tolist() for j in range(4)]
-        for s_hi, s_lo, q_hi, q_lo in zip(*words):
-            inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-            yield (((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) & _MASK128, inc
-
-
 def sample_benford_counts(system: DigitSystem, n: int, rng: np.random.Generator) -> DigitCounts:
     """One multinomial draw of n records from the exact digit law."""
     if n < 1:
@@ -122,7 +67,7 @@ def simulate(system: DigitSystem, n: int, reps: int, seed: int) -> SimulationRep
     if reps < 2:
         raise ValueError("reps must be at least 2: the standard deviations need two samples")
     if reps > 2**32:
-        raise ValueError(f"reps must be at most 2**32, one 32-bit spawn key each, got {reps}")
+        raise ValueError(f"reps must be at most 2**32, got {reps}")
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     import numpy as np
@@ -131,17 +76,12 @@ def simulate(system: DigitSystem, n: int, reps: int, seed: int) -> SimulationRep
     # The counts, in the narrowest unsigned type that holds n.  Allocated
     # before the first draw, so a run that cannot fit fails at once.
     counts = np.empty((reps, system.k), dtype=np.min_scalar_type(n))
-    # One generator, reset to each replication's state before its draw.
-    bit_generator = np.random.PCG64()
-    rng = np.random.Generator(bit_generator)
-    for r, (state, inc) in enumerate(replication_states(seed, reps)):
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        counts[r] = rng.multinomial(n, b)
+    # A block of draws gives the rows that as many single draws would, so the
+    # stream does not depend on _BLOCK.  The int64 block is the only temporary.
+    rng = np.random.default_rng(seed)
+    for start in range(0, reps, _BLOCK):
+        m = min(_BLOCK, reps - start)
+        counts[start : start + m] = rng.multinomial(n, b, size=m)
     d = build_constants(system).d_vec
     mads = np.empty(reps)
     # Row 0 is a running column sum; rows 1.. take one block of replications.

@@ -252,6 +252,12 @@ class TestAnalyze:
                                          "--decimal-mark ,": [15, 27, 32], "--column 1": None}),
         ("1,5 7\n2,75 8\n3,25 9\n", {"--delimiter ,": [10, 20, 30],
                                       "--decimal-mark ,": [15, 27, 32], "--column 1": None}),
+        # A row that ends in its separator, and one with a point-led number.
+        ("1,5;\n2,75;\n3,25;\n", {"--delimiter ,": [10, 20, 30], "--decimal-mark ,": None,
+                                  "--column 1": None,
+                                  "--delimiter ; --decimal-mark ,": [15, 27, 32]}),
+        ("1,5 .7\n2,75 .8\n3,25 .9\n", {"--delimiter ,": [10, 20, 30],
+                                         "--decimal-mark ,": [15, 27, 32], "--column 1": None}),
     ])
     def test_sniffed_comma_inside_a_number_is_config_error(self, tmp_path, capsys, text, readings):
         f = tmp_path / "numbers.txt"
@@ -265,7 +271,8 @@ class TestAnalyze:
             code, out, err = run_cli(capsys, "analyze", str(f), "--digits", "2", "--format",
                                      "json", *options.split(" "))
             if labels is None:
-                # "1.234.56", "1.5;2.25", "5;2" and "5\t7" are not numbers.
+                # "1.234.56", "1.5;2.25", "5;2", "5\t7", "1.5;", "5;" and
+                # "5 .7" are not numbers.
                 assert code == 2 and "no usable numeric records" in err
                 continue
             assert code == 0
@@ -453,8 +460,7 @@ class TestSimulate:
 
     def test_reps_beyond_any_memory_is_config_error(self, capsys):
         # 10^13 replications of 90 cells need 818 TiB even at 1 byte a count.
-        # Replication indices are 32-bit spawn keys, so any count above 2**32
-        # is refused before the counts are allocated.
+        # Any count above 2**32 is refused before the counts are allocated.
         code, out, err = run_cli(
             capsys, "simulate", "--digits", "2", "--n", "10", "--reps", str(10**13)
         )

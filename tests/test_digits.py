@@ -292,11 +292,12 @@ class TestParseRecords:
     @pytest.mark.parametrize("text", [
         "1,234\n5,678\n98,100\n", "1,5\n2,75\n3,25\n", "1,234.56\n5,678.9\n",
         "\n \n -1,2e5\t\n7\n", "1,5;2,25\n2,75;3,5\n3,25;4,1\n", "1,5\t7\n2,75\t8\n3,25\t9\n",
-        "1,5 7\n2,75 8\n3,25 9\n",
+        "1,5 7\n2,75 8\n3,25 9\n", "1,5;\n2,75;\n3,25;\n", "1,5 .7\n2,75 .8\n3,25 .9\n",
     ])
     def test_sniffed_comma_inside_a_number_is_refused(self, text):
         # Thousands separators, a decimal comma, or two fields: the comma's role
-        # is a guess, in one number or in a row of them split by whitespace or ";".
+        # is a guess, in one number or in a row of them split, and perhaps
+        # ended, by whitespace or ";".
         first = text.strip().split("\n")[0].strip()
         for read in (parse_records, partial(ingest, system=FIRST_TWO_DIGITS)):
             with pytest.raises(ValueError, match="may be one number written with commas") as raised:
@@ -307,6 +308,7 @@ class TestParseRecords:
     def test_sniffed_comma_after_a_decimal_point_is_a_field_break(self):
         # Not numbers written with commas: read as CSV, as is a comma before a space.
         assert parse_records("1.5,2.5\n3.5,1\n") == (["1.5", "3.5"], {})
+        assert parse_records(".5,.7\n.25,1\n") == ([".5", ".25"], {})
         assert parse_records("1, 2\n3, 4\n") == (["1", "3"], {})
 
     @pytest.mark.parametrize("mark", [",", ";"])
@@ -629,9 +631,10 @@ def reference_count(tokens, system):
 
 
 # A number whose whole part may hold commas.  A first line whose fields,
-# split at whitespace and ";", are all such numbers, one of them at least
-# with a comma, is one that the reader refuses to split at a sniffed comma.
-COMMA_NUMBER = r"[+-]?[0-9]+(?:,[0-9]+)*(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?"
+# split at whitespace and ";" and perhaps ended by them, are all such
+# numbers, one of them at least with a comma, is one that the reader refuses
+# to split at a sniffed comma.
+COMMA_NUMBER = r"[+-]?(?:[0-9]+(?:,[0-9]+)*(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 
 
 class AmbiguousComma(Exception):
@@ -644,6 +647,8 @@ def sniff_comma(nonblank, column, decimal_mark):
     if not nonblank or "," not in nonblank[0] or decimal_mark == ",":
         return False
     fields = re.split(r"[\s;]+", nonblank[0].strip())
+    if fields[-1] == "":
+        fields.pop()
     if column is None and all(re.fullmatch(COMMA_NUMBER, field) for field in fields):
         raise AmbiguousComma(nonblank[0])
     return True
@@ -718,7 +723,7 @@ def numeric_texts(draw):
 
 JUNK = ["", "n/a", "abc", "1.2.3", "1e", "inf", "nan", "1_000", "0x10",
         "\u0665", "\u0660.\u0665", "\u00bd", "1,234", '"q"', "1.e5", "0e5", ".5", "00.05",
-        "1,5", "1,5;2,25"]
+        "1,5", "1,5;2,25", "1,5;", "1,5 .7"]
 padding = st.sampled_from(["", " ", "\t", "  "])
 cell_texts = st.tuples(padding, st.one_of(numeric_texts(), st.sampled_from(JUNK)), padding).map(
     "".join
