@@ -240,3 +240,22 @@ class TestVectorisedSimulateMatchesPerReplicationLoop:
         for reps in (2, 511, 512, 513, 1100):
             got = simulate(system, n, reps, seed).to_json()
             assert got == report_of_draws(system, n, seed, draws[:reps]).to_json()
+
+    @pytest.mark.parametrize("system", [FIRST_DIGIT, FIRST_TWO_DIGITS], ids=["k9", "k90"])
+    @pytest.mark.parametrize("n", [1, 50, 20000, 2**40])
+    def test_block_draw_gives_the_rows_of_single_draws(self, system, n):
+        # simulate relies on this: a size=m multinomial draw consumes the
+        # stream as m single draws do, so its rows do not depend on _BLOCK.
+        b = benford_probs(system)
+        block = np.random.default_rng(11).multinomial(n, b, size=7)
+        rng = np.random.default_rng(11)
+        singles = np.array([rng.multinomial(n, b) for _ in range(7)])
+        assert np.array_equal(block, singles)
+
+    @pytest.mark.parametrize("block", [1, 7, 512, 2000])
+    def test_report_does_not_depend_on_block_size(self, monkeypatch, block):
+        # Draws, MADs and the running column sums are all formed block by
+        # block; the report must be the per-replication loop's at any size.
+        monkeypatch.setattr("benfordsev.mc._BLOCK", block)
+        args = (FIRST_TWO_DIGITS, 300, 1025, 5)
+        assert simulate(*args).to_json() == reference_simulate(*args).to_json()
