@@ -13,6 +13,7 @@ import io
 import json
 import math
 import sys
+import warnings
 from typing import Callable, NamedTuple
 
 from . import __version__
@@ -138,15 +139,18 @@ def _parse_grid(spec: str) -> list[float]:
 def _ingest_file(args) -> DigitCounts:
     """Digit counts of `args.file`; a file with no usable record is an error."""
     # utf-8-sig drops the byte-order mark that spreadsheet exports often start with.
-    # A CSV that csv.reader refuses raises a ValueError that names the file.
-    with open(args.file, "r", encoding="utf-8-sig", newline="") as fh:
-        counts = ingest(
-            fh,
-            DigitSystem(args.digits),
-            column=_parse_column(args.column),
-            delimiter=args.delimiter,
-            decimal_mark=args.decimal_mark,
-        )
+    # Text that is not UTF-8, or a CSV that csv.reader refuses, is a ValueError naming the file.
+    try:
+        with open(args.file, "r", encoding="utf-8-sig", newline="") as fh:
+            counts = ingest(
+                fh,
+                DigitSystem(args.digits),
+                column=_parse_column(args.column),
+                delimiter=args.delimiter,
+                decimal_mark=args.decimal_mark,
+            )
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{args.file!r} is not UTF-8 text: {exc}") from exc
     if counts.n == 0:
         raise ValueError(f"no usable numeric records in {args.file!r}")
     return counts
@@ -197,18 +201,20 @@ def build_report(args, counts) -> Report:
     return Report(fields, csv_rows, _analysis_text)
 
 
-def _analysis_text(fields: dict) -> str:
-    def row(label, value):
-        text = f"{value:.8g}" if isinstance(value, float) else str(value)
-        return f"  {label:<19s}: {text}"
+def _row(label: str, value, width: int = 19, indent: str = "  ") -> str:
+    """One `label: value` line of a text report; a float prints at 8 significant digits."""
+    text = f"{value:.8g}" if isinstance(value, float) else str(value)
+    return f"{indent}{label:<{width}s}: {text}"
 
+
+def _analysis_text(fields: dict) -> str:
     scheme = "first digit" if fields["digits"] == 1 else "first-two digits"
     skips = ", ".join(f"{r}: {c}" for r, c in sorted(fields["skip_reasons"].items()))
     lines = [
         f"Benford conformity analysis: {fields['label']}",
-        row("digit scheme", f"{scheme} (k={fields['k']})"),
-        row("records counted", fields["n"]),
-        row("records skipped", f"{fields['skipped']}  ({skips})" if fields["skipped"] else 0),
+        _row("digit scheme", f"{scheme} (k={fields['k']})"),
+        _row("records counted", fields["n"]),
+        _row("records skipped", f"{fields['skipped']}  ({skips})" if fields["skipped"] else 0),
     ]
     if fields["small_sample"]:
         lines.append(
@@ -217,24 +223,24 @@ def _analysis_text(fields: dict) -> str:
         )
     lines += [
         "",
-        row("MAD", fields["mad"]),
-        row("E(MAD) under law", fields["expected_mad"]),
-        row("SD(MAD) under law", fields["sd_mad"]),
-        row("excess delta", fields["excess_delta"]),
-        row("tilde delta", fields["tilde_delta"]),
-        row("p-value", fields["p_value"]),
+        _row("MAD", fields["mad"]),
+        _row("E(MAD) under law", fields["expected_mad"]),
+        _row("SD(MAD) under law", fields["sd_mad"]),
+        _row("excess delta", fields["excess_delta"]),
+        _row("tilde delta", fields["tilde_delta"]),
+        _row("p-value", fields["p_value"]),
         "",
-        row("delta* benchmark", fields["delta_star"]),
-        row("severity[δ > δ*]", fields["severity_exceeds"]),
-        row("severity[δ ≤ δ*]", fields["severity_at_most"]),
+        _row("delta* benchmark", fields["delta_star"]),
+        _row("severity[δ > δ*]", fields["severity_exceeds"]),
+        _row("severity[δ ≤ δ*]", fields["severity_at_most"]),
         "",
-        row(f"chi-square (df={fields['k'] - 1})", fields["chi_square"]),
-        row("chi-square p-value", fields["chi_square_p"]),
+        _row(f"chi-square (df={fields['k'] - 1})", fields["chi_square"]),
+        _row("chi-square p-value", fields["chi_square_p"]),
     ]
     if fields["psi_star"] is not None:
         lines += [
-            row("psi* benchmark", fields["psi_star"]),
-            row("severity[ψ > ψ*]", fields["chi_square_severity"]),
+            _row("psi* benchmark", fields["psi_star"]),
+            _row("severity[ψ > ψ*]", fields["chi_square_severity"]),
         ]
     lines += ["", "  digit  observed      benford"]
     for digit, observed, expected in fields["digit_table"]:
@@ -261,12 +267,13 @@ def cmd_calibrate(args) -> None:
 
 
 def _calibration_text(fields: dict) -> str:
-    return (
-        f"digit scheme : {fields['digits']} (k={fields['k']})\n"
-        f"threshold t  : {fields['threshold']:.8g}\n"
-        f"n range      : [{fields['n_min']}, {fields['n_max']}]\n"
-        f"delta*       : {fields['delta_star']:.8g}\n"
-    )
+    lines = [
+        _row("digit scheme", f"{fields['digits']} (k={fields['k']})", 13, ""),
+        _row("threshold t", fields["threshold"], 13, ""),
+        _row("n range", f"[{fields['n_min']}, {fields['n_max']}]", 13, ""),
+        _row("delta*", fields["delta_star"], 13, ""),
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def cmd_simulate(args) -> None:
@@ -400,7 +407,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
+        # Warning filters still choose what shows; what shows is one stderr line, as an error is.
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda msg, *_: print(
+                f"benfordsev: warning: {msg}", file=sys.stderr)
+            args.func(args)
     except (OSError, ValueError, MemoryError, argparse.ArgumentTypeError) as exc:
         print(f"benfordsev: error: {exc}", file=sys.stderr)
         return 2

@@ -196,21 +196,3 @@ def chi_square_severity(x_obs: float, psi_star: float, system: DigitSystem) -> f
         raise ValueError("psi_star must be nonnegative")
     return specialfn.noncentral_chi2_cdf(x_obs, system.k - 1, psi_star)
 
-
-__all__ = [
-    "CalibrationWarning",
-    "DEFAULT_DELTA_STAR",
-    "DEFAULT_N_MAX",
-    "MIN_EXPECTED_COUNT",
-    "SmallSampleWarning",
-    "TestOutcome",
-    "chi_square_severity",
-    "default_delta_star",
-    "delta_star",
-    "generic_normal_severity",
-    "n_min_for",
-    "run_test",
-    "run_test_from_proportions",
-    "severity_of_acceptance",
-    "severity_of_rejection",
-]

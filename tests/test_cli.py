@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from benfordsev.benford import benford_probs
 from benfordsev.cli import Report, build_report, main
 from benfordsev.digits import FIRST_DIGIT, DigitCounts
+from benfordsev.severity import CalibrationWarning, delta_star
 
 
 def write_benford_like_file(path, n=2000):
@@ -175,6 +177,15 @@ class TestAnalyze:
         assert code == 2
         assert out == ""
         assert err.startswith("benfordsev: error:") and str(f) in err
+        assert "Traceback" not in err
+
+    def test_text_that_is_not_utf8_is_config_error(self, tmp_path, capsys):
+        f = tmp_path / "latin.txt"
+        f.write_bytes(b"1\n\xff\n3\n")
+        code, out, err = run_cli(capsys, "analyze", str(f))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("benfordsev: error:") and repr(str(f)) in err
         assert "Traceback" not in err
 
     def test_line_ends_and_byte_order_mark_leave_the_report_unchanged(self, tmp_path, monkeypatch,
@@ -414,6 +425,36 @@ class TestCalibrate:
         assert code == 2 and out == ""
         assert "largest float" in err
 
+    def test_warning_is_one_line_on_stderr(self, capsys):
+        argv = ("calibrate", "--threshold", "0.001")
+        with pytest.warns(CalibrationWarning) as record:
+            delta_star(FIRST_DIGIT, 0.001, 110, 25000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CalibrationWarning)
+            _, quiet_out, quiet_err = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert quiet_err == ""
+        assert out == quiet_out
+        assert err == f"benfordsev: warning: {record[0].message}\n"
+
+    def test_warning_filters_still_decide(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CalibrationWarning)
+            with pytest.raises(CalibrationWarning):
+                main(["calibrate", "--threshold", "0.001"])
+
+    def test_warning_in_a_fresh_interpreter_is_one_line(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-m", "benfordsev.cli", "calibrate", "--threshold", "0.001"],
+            capture_output=True, text=True, timeout=30, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 0
+        assert result.stdout.startswith("digit scheme : 1 (k=9)\n")
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("benfordsev: warning: calibrated discrepancy")
+
 
 class TestSimulate:
     def test_json_fields_and_determinism(self, capsys):
@@ -542,6 +583,17 @@ class TestPlotdata:
         assert code != 0
         assert not dest.exists()
         assert err.strip()
+
+    def test_text_that_is_not_utf8_writes_nothing(self, tmp_path, capsys):
+        f = tmp_path / "latin.txt"
+        f.write_bytes(b"1\n\xff\n3\n")
+        dest = tmp_path / "plot.csv"
+        code, out, err = run_cli(capsys, "plotdata", str(f), "--out", str(dest))
+        assert code == 2
+        assert out == ""
+        assert not dest.exists()
+        assert err.startswith("benfordsev: error:") and repr(str(f)) in err
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

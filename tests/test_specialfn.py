@@ -83,6 +83,15 @@ class TestRegularizedLowerGamma:
     def test_monotone_in_x(self, s, x, step):
         assert regularized_lower_gamma(s, x) <= regularized_lower_gamma(s, x + step) + 1e-14
 
+    def test_series_converges_at_a_million(self):
+        # The series stops after 10**4 terms; near x = s it still converges
+        # at s = 1e6, above the largest shape noncentral_chi2_cdf passes.
+        assert 89 / 2 + MAX_NONCENTRALITY // 2 < 1e6
+        s = 1e6
+        values = [regularized_lower_gamma(s, x) for x in (s - 1.0, s, s + 0.5)]
+        assert all(0.0 < v < 1.0 for v in values)
+        assert values[0] < values[1] < values[2]
+
 
 class TestCentralChi2:
     def test_at_zero(self):
