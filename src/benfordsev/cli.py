@@ -407,12 +407,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # Warning filters still choose what shows; what shows is one stderr line, as an error is.
+        # Warning filters still choose what shows; what shows is one stderr line, as an error
+        # is, and a warning that a filter turns into an error is reported as one.
         with warnings.catch_warnings():
             warnings.showwarning = lambda msg, *_: print(
                 f"benfordsev: warning: {msg}", file=sys.stderr)
             args.func(args)
-    except (OSError, ValueError, MemoryError, argparse.ArgumentTypeError) as exc:
+    except (OSError, ValueError, MemoryError, argparse.ArgumentTypeError, Warning) as exc:
         print(f"benfordsev: error: {exc}", file=sys.stderr)
         return 2
     return 0

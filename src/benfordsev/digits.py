@@ -56,6 +56,24 @@ _COMMA_NUMBERS_RE = re.compile(rf"{_COMMA_NUMBER}(?:[\s;]++{_COMMA_NUMBER})*+[\s
 _CHUNK = 16384
 
 
+def _plain(block: str) -> bool:
+    """Whether every line of `block` is ASCII digits that start with 1-9, with at most one point.
+
+    Such a line is `_LED` with no exponent, unpadded and alone on its line,
+    so both run patterns read such a block as one run of 1-9-led lines:
+    findall returns [(block, "")].  A blank line, or a block not ended by
+    "\\n", is not plain.  The cheap tests come first; no character but a
+    digit, a point or "\\n" survives the translate, and two points of one
+    line meet once the digits between them are deleted.
+    """
+    if not block.isascii() or " " in block or "\t" in block or not block.endswith("\n"):
+        return False
+    if re.search(r"\n[^1-9]", "\n" + block):
+        return False
+    rest = block.encode().translate(None, b"0123456789")
+    return rest.count(b".") + rest.count(b"\n") == len(rest) and b".." not in rest
+
+
 class ColumnError(ValueError):
     """A requested column does not exist in the input."""
 
@@ -225,10 +243,12 @@ def _valid_chunks(
     Cells and text lines alike are checked by one regex pass over each
     chunk's joined text (see `_chunks`), which reads a cell's padding as it
     reads a text line's indentation: no Python call strips or checks a cell
-    or line.  Text read by its first field is read in blocks of whole lines
-    if the source has set `newlines` by the time its first row is read,
-    which a source in universal-newline mode has; a token read from such
-    text is its line, which may keep fields after its first.  Everything
+    or line.  A plain chunk, every line of it 1-9-led digits with at most
+    one point, is accepted without that pass (see `_plain`).  Text read by
+    its first field is read in blocks of whole lines if the source has set
+    `newlines` by the time its first row is read, which a source in
+    universal-newline mode has; a token read from such text is its line,
+    which may keep fields after its first.  Everything
     else is read by rows, `_CHUNK` cells a chunk.  A str is read through an
     io.StringIO(newline="") made here, as the command line opens a file.
     Each chunk's skip counts are added to `skip_reasons`, whose reasons are
@@ -331,11 +351,16 @@ def _chunks(
 
     One findall pass of `runs`, a `_RUNS` pattern, reads a block's lines in
     order, as pairs of a run that starts with 1-9 or a blank line, and a run
-    that starts with a sign, a zero or a point.  `marks` maps the pair it
-    returns for a non-numeric line, and for a blank line if blank lines are
-    records (CSV cells, not text lines), to the line's skip reason.
+    that starts with a sign, a zero or a point.  A plain block (see
+    `_plain`) is accepted without that pass, as the one run findall would
+    return.  `marks` maps the pair it returns for a non-numeric line, and
+    for a blank line if blank lines are records (CSV cells, not text lines),
+    to the line's skip reason.
     """
     for block in blocks:
+        if _plain(block):
+            yield [(block, "")]
+            continue
         found = runs.findall(block)
         # Skip reasons are listed in order of first occurrence.
         for mark in sorted(filter(found.__contains__, marks), key=found.index):
@@ -363,8 +388,9 @@ def count_digits(tokens: Iterable[str | float | int], system: DigitSystem) -> Di
 
     Values are read as their decimal text, as DigitSystem.extract reads
     them, and checked as CSV cells are, by one regex pass over each chunk's
-    joined text.  Zero values and non-numeric tokens, None and "" among
-    them, go to skip_reasons, zero-value first.
+    joined text, or none for a plain chunk (see `_plain`).  Zero values and
+    non-numeric tokens, None and "" among them, go to skip_reasons,
+    zero-value first.
     """
     skip_reasons: dict[str, int] = {}
     marks = {("", ""): SKIP_NON_NUMERIC, ("\n", ""): SKIP_NON_NUMERIC}
@@ -431,14 +457,14 @@ def ingest(
     each chunk's heads are counted before the next is read, so memory holds
     about one chunk of cells, or one block of text lines, however long the
     input is.  Cells and text lines are checked alike, by one regex pass
-    over each chunk's joined text, and `_tally` counts the tokens that pass
-    by head in C, with no second check and no Python call per token.  That
-    pass tells a run of tokens that start with 1-9, counted as they stand,
-    from a run that starts at a token with a sign, a leading zero or a
-    point, whose tokens are stripped of them first.  A token may keep a
-    cell's padding or a text line's later fields; its head is cut at
-    whitespace when it is tallied.  Zero-value is listed first, then the
-    skips of parse_records.
+    over each chunk's joined text, or none for a plain chunk (see `_plain`),
+    and `_tally` counts the tokens that pass by head in C, with no second
+    check and no Python call per token.  That pass tells a run of tokens
+    that start with 1-9, counted as they stand, from a run that starts at a
+    token with a sign, a leading zero or a point, whose tokens are stripped
+    of them first.  A token may keep a cell's padding or a text line's
+    later fields; its head is cut at whitespace when it is tallied.
+    Zero-value is listed first, then the skips of parse_records.
     """
     skip_reasons: dict[str, int] = {}
     chunks = _valid_chunks(source, column, delimiter, decimal_mark, skip_reasons)

@@ -438,11 +438,28 @@ class TestCalibrate:
         assert out == quiet_out
         assert err == f"benfordsev: warning: {record[0].message}\n"
 
-    def test_warning_filters_still_decide(self):
+    def test_warning_filters_still_decide(self, capsys):
+        with pytest.warns(CalibrationWarning) as record:
+            delta_star(FIRST_DIGIT, 0.001, 110, 25000)
         with warnings.catch_warnings():
             warnings.simplefilter("error", CalibrationWarning)
-            with pytest.raises(CalibrationWarning):
-                main(["calibrate", "--threshold", "0.001"])
+            code, out, err = run_cli(capsys, "calibrate", "--threshold", "0.001")
+        # The filter makes the warning an error, reported as every error is.
+        assert code == 2
+        assert out == ""
+        assert err == f"benfordsev: error: {record[0].message}\n"
+
+    def test_warning_made_an_error_in_a_fresh_interpreter_is_one_line(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-W", "error::UserWarning", "-m", "benfordsev.cli",
+             "calibrate", "--threshold", "0.001"],
+            capture_output=True, text=True, timeout=30, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("benfordsev: error: calibrated discrepancy")
 
     def test_warning_in_a_fresh_interpreter_is_one_line(self):
         src = Path(__file__).resolve().parents[1] / "src"

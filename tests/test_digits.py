@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import io
 import json
 import os
@@ -1148,3 +1149,89 @@ class TestReaderMatchesTheOldAlgorithm:
             zeros.update(skips)  # ingest lists zero values before the parse skips
             assert list(result.counts) == counts
             assert list(result.skip_reasons.items()) == list(zeros.items())
+
+
+# Lines that `_plain` accepts: ASCII digits that start with 1-9, with at most
+# one point.  Every other shape below makes a block that holds it not plain.
+plain_lines = st.from_regex(r"[1-9][0-9]{0,5}(?:\.[0-9]{0,4})?", fullmatch=True)
+NOT_PLAIN_SHAPES = {
+    "sign": "-{}", "plus": "+{}", "zero": "0{}", "point": ".{}", "blank": "",
+    "exponent": "{}e5", "signed-exponent": "{}E-3", "later-field": "{} 7", "tab-field": "{}\t7",
+    "indent": " {}", "padding": "{} ", "form-feed": "{}\x0c", "two-points": "{}.5.5",
+    "carriage-return": "{}\r", "letter": "{}x", "comma": "{},5", "non-ascii-digit": "{}\u0663",
+    "non-ascii-lead": "\u0663{}",
+}
+not_plain_lines = st.tuples(st.sampled_from(sorted(NOT_PLAIN_SHAPES.values())), plain_lines).map(
+    lambda shape_value: shape_value[0].format(shape_value[1]))
+
+
+@st.composite
+def plain_or_not_blocks(draw):
+    """A block of plain lines with up to two other lines put in, and whether it is plain."""
+    lines = draw(st.lists(plain_lines, min_size=1, max_size=20))
+    others = draw(st.lists(not_plain_lines, max_size=2))
+    for line in others:
+        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), line)
+    return "".join(line + "\n" for line in lines), not others
+
+
+class TestReaderAcceptsPlainBlocksWithoutTheRunPass:
+    @given(case=plain_or_not_blocks())
+    @example(case=("1\n0.5\n", False))
+    @example(case=("12\n3.4.5\n", False))
+    @example(case=("7\n1e5\n", False))
+    def test_plain_blocks_are_the_one_run_both_patterns_find(self, case):
+        block, plain = case
+        assert digits._plain(block) == plain
+        if plain:
+            runs = [(block, "")]
+            assert digits._CELL_RUNS_RE.findall(block) == digits._LINE_RUNS_RE.findall(block) == runs
+
+    @given(lines=st.lists(plain_lines, min_size=1, max_size=40))
+    def test_a_block_of_plain_lines_is_plain(self, lines):
+        assert digits._plain("".join(line + "\n" for line in lines))
+
+    @pytest.mark.parametrize("shape", NOT_PLAIN_SHAPES.values(), ids=NOT_PLAIN_SHAPES.keys())
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_one_other_line_makes_a_block_not_plain(self, shape, where):
+        lines = ["12", "3.5", "40.", "678"]
+        lines.insert({"first": 0, "middle": 2, "last": 4}[where], shape.format("91.2"))
+        assert not digits._plain("".join(line + "\n" for line in lines))
+
+    def test_a_block_not_ended_by_a_line_break_is_not_plain(self):
+        assert not digits._plain("")
+        assert not digits._plain("12\n34")
+
+    def test_benchmark_text_never_reaches_the_run_pass(self, monkeypatch, tmp_path):
+        # The text that perfbench/inputs.py writes for analyze_text_1m, at
+        # fewer lines: one %.6g value a line, read as the command line opens
+        # a file, is read in plain blocks only.
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py")
+        inputs = importlib.util.module_from_spec(spec)
+        dont_write = sys.dont_write_bytecode
+        sys.dont_write_bytecode = True  # leave perfbench/ as it is
+        try:
+            spec.loader.exec_module(inputs)
+        finally:
+            sys.dont_write_bytecode = dont_write
+        path = tmp_path / "values.txt"
+        expected = inputs.write_text(path, seed=1, rows=30_000)
+        found = []
+
+        class CountingRunsPattern:
+            def findall(self, text):
+                found.append(text)
+                return runs.findall(text)
+
+        runs = digits._LINE_RUNS_RE
+        monkeypatch.setattr(digits, "_LINE_RUNS_RE", CountingRunsPattern())
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            counts = ingest(fh, FIRST_DIGIT)
+        assert list(counts.counts) == expected["counts"] and counts.skip_reasons == {}
+        assert found == []
+        # The stand-in counts: a block with a later field does reach it.
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            lines = [line.replace("\n", " 7\n") for line in fh]
+        assert list(ingest("".join(lines), FIRST_DIGIT).counts) == expected["counts"]
+        assert len(found) >= 3
