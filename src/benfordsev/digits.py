@@ -213,13 +213,11 @@ def parse_records(
     Every source is split at its own line ends.  A str is split at "\\n",
     "\\r\\n" or a lone "\\r", as a file opened with newline="" is, and an
     iterable's items are read as one line each.  Whitespace-delimited text
-    from a source in universal-newline mode (it sets `newlines` once it has
-    read a line end), a str among them, is read by its first field in blocks
-    of characters, not split into rows: the grammar is read at each line's
-    start, after any indentation, up to whitespace or the line's end, so a
-    line of one field and a line of several are read alike.  Every other
-    source, and every other column, is read by rows, with the same result.
-    A CSV that csv.reader refuses raises ValueError.
+    is read by its first field, whatever the source, and not split into
+    rows: the grammar is read at each line's start, after any indentation,
+    up to whitespace or the line's end, so a line of one field and a line of
+    several are read alike.  Every other column is read by rows.  A CSV
+    that csv.reader refuses raises ValueError.
     """
     skip_reasons: dict[str, int] = {}
     tokens = []
@@ -245,11 +243,12 @@ def _valid_chunks(
     reads a text line's indentation: no Python call strips or checks a cell
     or line.  A plain chunk, every line of it 1-9-led digits with at most
     one point, is accepted without that pass (see `_plain`).  Text read by
-    its first field is read in blocks of whole lines if the source has set
-    `newlines` by the time its first row is read, which a source in
-    universal-newline mode has; a token read from such text is its line,
-    which may keep fields after its first.  Everything
-    else is read by rows, `_CHUNK` cells a chunk.  A str is read through an
+    its first field is read by its lines, whatever the source: in blocks of
+    whole lines if the source has set `newlines` by the time its first row
+    is read, as a universal-newline source has, or else `_CHUNK` lines a
+    chunk, each stripped of its line end and trailing whitespace; a token
+    is its line, which may keep later fields.  Every other column is read
+    by rows, `_CHUNK` cells a chunk.  A str is read through an
     io.StringIO(newline="") made here, as the command line opens a file.
     Each chunk's skip counts are added to `skip_reasons`, whose reasons are
     listed in order of first occurrence.  Nothing here holds a chunk once
@@ -286,11 +285,11 @@ def _valid_chunks(
             rows = filter(None, csv.reader(rows, delimiter=delimiter))
         first_row = next(rows)
         index, is_header = _resolve_column(column, first_row, decimal_mark)
-        # A universal-newline source has set `newlines` by now, and its line
-        # ends are the ones `_blocks` ends lines at.
-        if delimiter is None and index == 0 and getattr(source, "newlines", None):
-            # The rest of the text follows the first row in `source`.
-            blocks = _blocks(source)
+        if delimiter is None and index == 0:
+            # The rest of the text follows the first row.  `_blocks` ends lines
+            # where a universal-newline source does; any other's items are lines.
+            blocks = (_blocks(source) if getattr(source, "newlines", None)
+                      else _batches(map(str.rstrip, lines)))
             if not is_header:
                 blocks = chain((first_row[0] + "\n",), blocks)
             runs, marks = _LINE_RUNS_RE, {("", ""): SKIP_NON_NUMERIC}
@@ -330,8 +329,9 @@ def _blocks(source: TextIO) -> Iterator[str]:
 def _batches(items: Iterator[str]) -> Iterator[str]:
     """`items`, `_CHUNK` at a time, each batch as one text with a line break after each item.
 
-    The items are cells, padding and all, or values.  A line break inside
-    one becomes a space, so it pads the item or keeps it non-numeric.
+    The items are cells, values or text lines, padding and all.  A line
+    break inside one becomes a space, which pads a cell or value or keeps it
+    non-numeric, and ends a text line's first field.
     """
     while batch := list(islice(items, _CHUNK)):
         text = "\n".join(batch) + "\n"
@@ -372,8 +372,9 @@ def _resolve_column(column, first_row, decimal_mark) -> tuple[int, bool]:
     """Return (index, whether first_row is a header row)."""
     if isinstance(column, str):
         names = [cell.strip() for cell in first_row]
-        if column not in names:
-            raise ColumnError(f"column {column!r} not found in header {names!r}")
+        if names.count(column) != 1:
+            found = f"appears {names.count(column)} times" if column in names else "not found"
+            raise ColumnError(f"column {column!r} {found} in header {names!r}")
         return names.index(column), True
     index = 0 if column is None else int(column)
     if index < 0:
@@ -456,15 +457,17 @@ def ingest(
     The input is read as parse_records reads it, one chunk at a time, and
     each chunk's heads are counted before the next is read, so memory holds
     about one chunk of cells, or one block of text lines, however long the
-    input is.  Cells and text lines are checked alike, by one regex pass
-    over each chunk's joined text, or none for a plain chunk (see `_plain`),
-    and `_tally` counts the tokens that pass by head in C, with no second
-    check and no Python call per token.  That pass tells a run of tokens
-    that start with 1-9, counted as they stand, from a run that starts at a
-    token with a sign, a leading zero or a point, whose tokens are stripped
-    of them first.  A token may keep a cell's padding or a text line's
-    later fields; its head is cut at whitespace when it is tallied.
-    Zero-value is listed first, then the skips of parse_records.
+    input is.  Text read by its first field is read by its lines, whatever
+    the source, and every other column by rows.  Cells and text lines are
+    checked alike, by one regex pass over each chunk's joined text, or none
+    for a plain chunk (see `_plain`), and `_tally` counts the tokens that
+    pass by head in C, with no second check and no Python call per token.
+    That pass tells a run of tokens that start with 1-9, counted as they
+    stand, from a run that starts at a token with a sign, a leading zero or
+    a point, whose tokens are stripped of them first.  A token may keep a
+    cell's padding or a text line's later fields; its head is cut at
+    whitespace when it is tallied.  Zero-value is listed first, then the
+    skips of parse_records.
     """
     skip_reasons: dict[str, int] = {}
     chunks = _valid_chunks(source, column, delimiter, decimal_mark, skip_reasons)

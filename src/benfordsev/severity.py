@@ -12,12 +12,11 @@ actual one does, were the claim false.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from typing import NamedTuple, Sequence
 
 from . import specialfn
-from .asymptotics import mad_moments, standardized
+from .asymptotics import _check_sample_size, mad_moments, standardized
 from .benford import benford_probs, mad, proportions
 from .digits import DigitCounts, DigitSystem
 
@@ -144,10 +143,8 @@ def delta_star(system: DigitSystem, threshold: float, n_min: int, n_max: int) ->
         raise ValueError("threshold must be positive")
     if n_min > n_max:
         raise ValueError(f"n_min={n_min} exceeds n_max={n_max}")
-    if n_max > sys.float_info.max:
-        raise ValueError("n_max exceeds the largest float, about 1.8e308")
-    if n_min < 1:
-        raise ValueError(f"sample size must be at least 1, got {n_min!r}")
+    _check_sample_size(n_min)
+    _check_sample_size(n_max)
     mean_inv_sqrt = _sum_inv_sqrt(n_min, n_max) / (n_max - n_min + 1)
     value = threshold - mad_moments(system, 1).mean * mean_inv_sqrt
     if value < 0.0:

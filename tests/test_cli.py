@@ -157,6 +157,15 @@ class TestAnalyze:
         assert code != 0
         assert "amount" in err
 
+    def test_a_column_name_given_twice_is_config_error(self, tmp_path, capsys):
+        f = tmp_path / "table.csv"
+        f.write_text("amount,amount\n1,9\n2,9\n3,9\n")
+        code, out, err = run_cli(capsys, "analyze", str(f), "--column", "amount")
+        assert code == 2
+        assert out == ""
+        assert err == ("benfordsev: error: column 'amount' appears 2 times in header"
+                       " ['amount', 'amount']\n")
+
     def test_negative_column_index_is_config_error(self, tmp_path, capsys):
         f = write_benford_like_file(tmp_path / "data.txt")
         code, out, err = run_cli(capsys, "analyze", str(f), "--column", "-1")
@@ -399,7 +408,7 @@ class TestCalibrate:
             capsys, "calibrate", "--threshold", "0.006", "--nmin", "0", "--nmax", "100"
         )
         assert code == 2 and out == ""
-        assert err.strip()
+        assert "sample size must be at least 1" in err
 
     def test_inputs_echoed(self, capsys):
         _, out, _ = run_cli(

@@ -263,6 +263,19 @@ class TestParseRecords:
         with pytest.raises(ColumnError):
             parse_records(io.StringIO("a,b\n1,2\n"), column="amount")
 
+    @pytest.mark.parametrize("text, delimiter", [
+        ("amount,id,amount\n1,5,9\n", None),
+        ("amount;id; amount\n1;5;9\n", ";"),
+        ("amount id\tamount\n1 5 9\n", None),
+        ('" amount ",id,amount\n1,5,9\n', None),
+    ], ids=["comma", "semicolon", "whitespace", "quoted"])
+    def test_named_column_given_twice(self, text, delimiter):
+        # The name is ambiguous once its header cells are stripped.
+        with pytest.raises(ColumnError, match=r"^column 'amount' appears 2 times in header \["):
+            parse_records(io.StringIO(text), column="amount", delimiter=delimiter)
+        # A repeated name that is not the one asked for does not stop it.
+        assert parse_records(io.StringIO(text), column="id", delimiter=delimiter) == (["5"], {})
+
     def test_negative_column_index(self):
         with pytest.raises(ColumnError, match=r"^column index must be nonnegative, got -1$"):
             parse_records(io.StringIO("1\n"), column=-1)
@@ -568,13 +581,13 @@ class TestIngest:
         # or blank.  A universal-newline source is read in blocks of whole
         # lines, 4 * 64 characters read at once and completed to their line's
         # end, with every line end read as "\n"; any other source is read by
-        # rows, its first fields 64 cells a findall.  The cell grammar checks
-        # only the header and one head per distinct head.
+        # its lines, 64 a findall, each without its line end or trailing
+        # whitespace.  The cell grammar checks only the header and one head
+        # per distinct head.
+        assert cell_texts == []
         if newline in ("StringIO", "\n"):
-            assert texts == []
-            first_fields = [line.split()[0] for line in lines if line.split()]
-            assert "".join(cell_texts) == "".join(field + "\n" for field in first_fields)
-            assert all(block.count("\n") == 64 for block in cell_texts[:-1])
+            assert "".join(texts) == "".join(line.rstrip() + "\n" for line in lines)
+            assert all(block.count("\n") == 64 for block in texts[:-1])
         else:
             assert "".join(texts) == text
         if newline in ("str", "", None):
@@ -849,20 +862,36 @@ class TestBatchedIngestionMatchesPerTokenLoop:
     @example(lines=["12", "", "3.5", "7"], header=False, column=None, decimal_mark=".", chunk=8)
     @example(lines=["-5", "0.3", ".7"], header=False, column=None, decimal_mark=".", chunk=8)
     @example(lines=["5", "n/a", "", "abc"], header=False, column=None, decimal_mark=".", chunk=1)
+    # List items that hold a line break, a lone "\r", only whitespace, a
+    # leading NEL or no line end, first or after a header.
+    @example(lines=["1\n2", "-0.5\n7"], header=False, column=None, decimal_mark=".", chunk=1)
+    @example(lines=["1\n2", "-0.5\n7"], header=True, column=None, decimal_mark=".", chunk=1)
+    @example(lines=["1\r2\n", "n/a\r5\n"], header=False, column=None, decimal_mark=".", chunk=8)
+    @example(lines=["1\r2\n", "n/a\r5\n"], header=True, column=None, decimal_mark=".", chunk=8)
+    @example(lines=[" \x1c\n", "3", " \x1c\n"], header=False, column=None, decimal_mark=".",
+             chunk=2)
+    @example(lines=[" \x1c\n", "3", " \x1c\n"], header=True, column=None, decimal_mark=".",
+             chunk=2)
+    @example(lines=["\x855", "\x85.5"], header=False, column=None, decimal_mark=".", chunk=8)
+    @example(lines=["\x855", "\x85.5"], header=True, column=None, decimal_mark=".", chunk=8)
+    @example(lines=["12 x", "0.3"], header=False, column=None, decimal_mark=".", chunk=1)
+    @example(lines=["12 x", "0.3"], header=True, column=None, decimal_mark=".", chunk=1)
     def test_ingest_sniffed_text(self, scheme, lines, header, column, decimal_mark, chunk):
         if header:
             lines = ["amount\t id", *lines]
         elif column == "amount":
             column = None
-        text = "".join(line + "\n" for line in lines)
+        # `lines` are also the items of a list, each one line, with or without
+        # its line end.  In the text, a line break inside an item is a space.
+        text = "".join(re.sub("[\r\n]", " ", line.rstrip("\n")) + "\n" for line in lines)
         # Text read by its first field is read in blocks from a str or another
-        # universal-newline source, and by rows from a default StringIO or a
-        # list of lines.  splitlines would also split at "\x0c" and "\x1c".
+        # universal-newline source, and by its lines from a default StringIO or
+        # a list.  splitlines would also split at "\x0c" and "\x1c".
         nonblank = [line for line in lines if line.strip()]
         first_field = bool(nonblank) and column in (None, 0, "amount") and (
             "," not in nonblank[0] or decimal_mark == ",")
         sources = [(text, first_field), (io.StringIO(text, newline=""), first_field),
-                   (io.StringIO(text), False), (list(io.StringIO(text)), False)]
+                   (io.StringIO(text), False), (list(io.StringIO(text)), False), (lines, False)]
         try:
             counts, skips = reference_ingest(text, scheme, column, decimal_mark=decimal_mark)
         except AmbiguousComma:
@@ -1063,7 +1092,7 @@ class TestReaderHeadsOfStrippedAndUnstrippedTokens:
         parse_skips = {"non-numeric": skipped} if skipped else {}
         counts, skips = reference_count(records, scheme)
         ordered = sorted(skips.items(), key=lambda item: item[0] != "zero-value")
-        # A str is read in blocks, and a default StringIO by rows.
+        # A str is read in blocks, and a default StringIO by its lines.
         for source in (lambda: text, lambda: io.StringIO(text)):
             with small_chunks(chunk):
                 assert parse_records(source(), **options) == (tokens, parse_skips)
@@ -1149,6 +1178,51 @@ class TestReaderMatchesTheOldAlgorithm:
             zeros.update(skips)  # ingest lists zero values before the parse skips
             assert list(result.counts) == counts
             assert list(result.skip_reasons.items()) == list(zeros.items())
+
+
+FIRST_FIELD_SOURCES = ["str", "StringIO-newline-empty", "StringIO", "list", "file-newline-empty",
+                       "file-newline-none", "file-newline-lf"]
+# Reads by rows of cells, from a str: (text, column, delimiter).
+CELL_READS = {"text-column-1": ("id amount\nx 12\ny -0.5\n\n3 n/a\n1\t7\n", 1, None),
+              "csv-column": ("amount,id\n12,x\n-0.5,\n\n n/a,3\n7,1\n", "amount", ",")}
+
+
+class TestReaderReadsEveryFirstFieldByLine:
+    @pytest.mark.parametrize("kind", FIRST_FIELD_SOURCES + list(CELL_READS))
+    def test_only_a_later_text_column_or_a_csv_column_reaches_the_cell_pattern(
+            self, monkeypatch, tmp_path, kind):
+        text, column, delimiter = CELL_READS.get(
+            kind, ("amount id\n12 x\n-0.5\n\n n/a 3\n7\t1\n", None, None))
+        path = tmp_path / "input.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        found = {"_LINE_RUNS_RE": [], "_CELL_RUNS_RE": []}
+
+        class CountingRunsPattern:
+            def __init__(self, runs, texts):
+                self.runs, self.texts = runs, texts
+
+            def findall(self, text):
+                self.texts.append(text)
+                return self.runs.findall(text)
+
+        for name, texts in found.items():
+            monkeypatch.setattr(digits, name, CountingRunsPattern(getattr(digits, name), texts))
+        sources = {
+            "StringIO-newline-empty": lambda: io.StringIO(text, newline=""),
+            "StringIO": lambda: io.StringIO(text),
+            "list": lambda: nullcontext(list(io.StringIO(text))),
+            "file-newline-empty": partial(open, path, encoding="utf-8", newline=""),
+            "file-newline-none": partial(open, path, encoding="utf-8", newline=None),
+            "file-newline-lf": partial(open, path, encoding="utf-8", newline="\n"),
+        }
+        with sources.get(kind, lambda: nullcontext(text))() as source:
+            counts = ingest(source, FIRST_DIGIT, column, delimiter=delimiter)
+        assert counts.counts == (1, 0, 0, 0, 1, 0, 1, 0, 0)
+        assert counts.skip_reasons == {"non-numeric": 1}
+        if kind in FIRST_FIELD_SOURCES:
+            assert found["_CELL_RUNS_RE"] == [] and found["_LINE_RUNS_RE"]
+        else:
+            assert found["_LINE_RUNS_RE"] == [] and found["_CELL_RUNS_RE"]
 
 
 # Lines that `_plain` accepts: ASCII digits that start with 1-9, with at most

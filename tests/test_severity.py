@@ -208,8 +208,9 @@ class TestDeltaStar:
             delta_star(system=FIRST_DIGIT, threshold=0.006, n_min=200, n_max=100)
 
     def test_rejects_sample_sizes_below_one(self):
-        with pytest.raises(ValueError):
-            delta_star(system=FIRST_DIGIT, threshold=0.006, n_min=0, n_max=100)
+        for n_min, n_max in ((0, 100), (-5, -1)):
+            with pytest.raises(ValueError, match=f"^sample size must be at least 1, got {n_min}$"):
+                delta_star(system=FIRST_DIGIT, threshold=0.006, n_min=n_min, n_max=n_max)
 
     def test_threshold_is_checked_before_the_range(self):
         for threshold in (0.0, math.nan):
