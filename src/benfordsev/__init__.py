@@ -28,12 +28,12 @@ from .severity import (
     chi_square_severity,
     default_delta_star,
     delta_star,
-    generic_normal_severity,
     n_min_for,
     run_test,
     run_test_from_proportions,
     severity_of_acceptance,
     severity_of_rejection,
+    tilde_tails,
 )
 from .specialfn import (
     central_chi2_cdf,

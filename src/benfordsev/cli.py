@@ -123,7 +123,11 @@ def _parse_grid(spec: str) -> list[float]:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ValueError(f"grid must be start:stop:count, got {spec!r}")
-        start, stop, count = _finite_float(parts[0]), _finite_float(parts[1]), int(parts[2])
+        start, stop = _finite_float(parts[0]), _finite_float(parts[1])
+        try:
+            count = int(parts[2])
+        except ValueError:
+            raise ValueError(f"grid count must be an integer, got {parts[2]!r}") from None
         if not 2 <= count <= MAX_GRID_POINTS:
             raise ValueError(f"grid count must be from 2 to {MAX_GRID_POINTS}, got {count}")
         step = (stop - start) / (count - 1)

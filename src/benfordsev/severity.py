@@ -32,7 +32,7 @@ class CalibrationWarning(UserWarning):
 class TestOutcome(NamedTuple):
     mad: float
     excess_delta: float   # MAD minus its null expectation
-    tilde_delta: float    # standardized excess MAD, ~N(0,1) under the law
+    tilde_delta: float    # standardized excess MAD, treated as N(0, 1), as in the paper
     p_value: float
 
 
@@ -72,7 +72,7 @@ def run_test_from_proportions(p: Sequence[float], n: int, system: DigitSystem) -
         mad=observed_mad,
         excess_delta=excess,
         tilde_delta=tilde,
-        p_value=specialfn.std_normal_cdf(-tilde),
+        p_value=tilde_tails(tilde, 0.0)[1],
     )
 
 
@@ -95,32 +95,28 @@ def run_test(counts: DigitCounts) -> TestOutcome:
     return run_test_from_proportions(proportions(counts), counts.n, counts.system)
 
 
-def generic_normal_severity(z_obs: float, ncp: float) -> float:
-    """Severity of a one-sided mean claim for a unit-variance normal test.
+def tilde_tails(tilde: float, location: float) -> tuple[float, float]:
+    """Lower and upper tails at tilde of N(location, 1), the law of the test statistic.
 
-    Under the benchmark alternative the statistic is N(ncp, 1), so the
-    probability of a result agreeing less with the claim than z_obs is
-    Phi(z_obs - ncp).
+    The location is 0 under the digit law and the noncentrality under the
+    benchmark delta*.  Each tail is computed as its own normal tail, never as
+    1 minus the other, so each keeps its accuracy where it is near 0.
     """
-    return specialfn.std_normal_cdf(z_obs - ncp)
+    return specialfn.std_normal_cdf(tilde - location), specialfn.std_normal_cdf(location - tilde)
 
 
 def severity_of_rejection(
     tilde_delta_obs: float, delta_star: float, n: int, system: DigitSystem
 ) -> float:
-    """Severity of the claim "excess MAD exceeds delta_star" after a rejection."""
-    return generic_normal_severity(tilde_delta_obs, _noncentrality(delta_star, n, system))
+    """Severity of the claim "excess MAD exceeds delta_star" after a rejection: the lower tail."""
+    return tilde_tails(tilde_delta_obs, _noncentrality(delta_star, n, system))[0]
 
 
 def severity_of_acceptance(
     tilde_delta_obs: float, delta_star: float, n: int, system: DigitSystem
 ) -> float:
-    """Severity of the mirror claim "excess MAD is at most delta_star".
-
-    The complement of severity_of_rejection, computed as its own normal tail
-    Phi(ncp - tilde) so that it keeps its accuracy where it is near 0.
-    """
-    return specialfn.std_normal_cdf(_noncentrality(delta_star, n, system) - tilde_delta_obs)
+    """Severity of the mirror claim "excess MAD is at most delta_star": the upper tail."""
+    return tilde_tails(tilde_delta_obs, _noncentrality(delta_star, n, system))[1]
 
 
 def _noncentrality(delta_star: float, n: int, system: DigitSystem) -> float:

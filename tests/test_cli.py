@@ -572,7 +572,9 @@ class TestSeverityCurve:
         )
         assert code != 0 and err.strip()
 
-    @pytest.mark.parametrize("grid", [",", " , ", "0:1:1000000000000", "0:1:100001"])
+    @pytest.mark.parametrize(
+        "grid", [",", " , ", "0:1:1000000000000", "0:1:100001", "0:1:2.5", "0:1:ten"]
+    )
     def test_empty_or_oversized_grid_is_config_error(self, capsys, grid):
         code, out, err = run_cli(
             capsys, "severity-curve", "--n", "1000", "--tilde-delta", "2.0", "--grid", grid,

@@ -1,12 +1,16 @@
+import contextlib
+import io
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from benfordsev import severity
-from benfordsev.asymptotics import build_constants, mad_moments
+from benfordsev.asymptotics import build_constants, mad_moments, standardized
 from benfordsev.benford import benford_probs
+from benfordsev.cli import main
 from benfordsev.digits import DigitCounts, FIRST_DIGIT, FIRST_TWO_DIGITS
 from benfordsev.severity import (
     CalibrationWarning,
@@ -14,12 +18,12 @@ from benfordsev.severity import (
     chi_square_severity,
     default_delta_star,
     delta_star,
-    generic_normal_severity,
     n_min_for,
     run_test,
     run_test_from_proportions,
     severity_of_acceptance,
     severity_of_rejection,
+    tilde_tails,
 )
 from benfordsev.specialfn import central_chi2_cdf, std_normal_cdf
 
@@ -64,16 +68,45 @@ class TestRunTest:
             run_test_from_proportions(benford_probs(FIRST_DIGIT), 10**309, FIRST_DIGIT)
 
 
-class TestGenericNormalSeverity:
+class TestTildeTails:
     def test_mean_shift_example_small_sample(self):
         # statistic 2, benchmark mean 0.2, sigma 2: ncp = sqrt(n) * 0.1
-        assert generic_normal_severity(2.0, math.sqrt(100) * 0.1) == pytest.approx(0.841, abs=1e-3)
+        assert tilde_tails(2.0, math.sqrt(100) * 0.1)[0] == pytest.approx(0.841, abs=1e-3)
 
     def test_mean_shift_example_large_sample(self):
-        assert generic_normal_severity(2.0, math.sqrt(1000) * 0.1) == pytest.approx(0.123, abs=1e-3)
+        assert tilde_tails(2.0, math.sqrt(1000) * 0.1)[0] == pytest.approx(0.123, abs=1e-3)
 
     def test_zero_ncp_is_p_value_complement(self):
-        assert generic_normal_severity(1.7, 0.0) == std_normal_cdf(1.7)
+        assert tilde_tails(1.7, 0.0)[0] == std_normal_cdf(1.7)
+
+    @given(
+        st.sampled_from([FIRST_DIGIT, FIRST_TWO_DIGITS]),
+        st.floats(min_value=-60.0, max_value=60.0),
+        st.lists(st.floats(min_value=0.0, max_value=0.02), min_size=1, max_size=4),
+        st.integers(min_value=1, max_value=10**9),
+        st.lists(st.integers(min_value=0, max_value=10**6), min_size=90, max_size=90),
+    )
+    def test_p_value_severities_and_curve_are_its_tails(self, system, tilde, grid, n, counts):
+        # The p-value, both severities and every severity-curve point are
+        # the seam's normal tails bit for bit.
+        counts = counts[: system.k]
+        assume(sum(counts) > 0)
+        outcome = run_test_from_proportions([c / sum(counts) for c in counts], n, system)
+        assert outcome.p_value == tilde_tails(outcome.tilde_delta, 0.0)[1]
+        argv = [
+            "severity-curve", "--digits", str(system.digits), "--n", str(n),
+            f"--tilde-delta={tilde!r}", "--grid", ",".join(map(repr, grid)), "--format", "json",
+        ]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(argv) == 0
+        points = json.loads(out.getvalue())["points"]
+        assert [point["delta_star"] for point in points] == grid
+        for ds, point in zip(grid, points):
+            lower, upper = tilde_tails(tilde, standardized(ds, n, system))
+            assert severity_of_rejection(tilde, ds, n, system) == lower
+            assert severity_of_acceptance(tilde, ds, n, system) == upper
+            assert point["severity"] == lower
+            assert abs(lower + upper - 1.0) <= 2.0**-53
 
 
 class TestSeverityOfRejection:
@@ -98,7 +131,7 @@ class TestSeverityOfRejection:
         c = build_constants(FIRST_DIGIT)
         result = severity_of_rejection(1.0, 0.004, 2500, FIRST_DIGIT)
         assert result == pytest.approx(
-            generic_normal_severity(1.0, 9 * 50 * 0.004 / math.sqrt(c.quad_form)), rel=1e-12
+            tilde_tails(1.0, 9 * 50 * 0.004 / math.sqrt(c.quad_form))[0], rel=1e-12
         )
 
     def test_decreasing_in_delta_star(self):
