@@ -38,7 +38,7 @@ from .severity import (
 from .specialfn import (
     central_chi2_cdf,
     central_chi2_sf,
+    gamma_tails,
     noncentral_chi2_cdf,
-    regularized_lower_gamma,
     std_normal_cdf,
 )

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 import warnings
 from typing import Callable, NamedTuple
@@ -354,6 +355,9 @@ def _add_input_options(parser) -> None:
 def _add_command(sub, name: str, func, help: str, report: bool = True):
     """A subcommand with the options every command takes; `report` adds --format/--output."""
     p = sub.add_parser(name, help=help)
+    # No option name starts with "-" and a digit or a point, so every such argument is a value:
+    # argparse's own pattern, on Python 3.11, takes "-2" for one but "-1e-05" for an option.
+    p._negative_number_matcher = re.compile(r"-[\d.].*", re.DOTALL)
     p.set_defaults(func=func)
     p.add_argument("--digits", type=int, choices=(1, 2), default=1)
     if report:

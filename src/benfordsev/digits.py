@@ -84,9 +84,10 @@ class DigitSystem(namedtuple("DigitSystem", "digits")):
     __slots__ = ()
 
     def __new__(cls, digits: int):
-        if digits not in (1, 2):
+        value = as_integer(digits) if hasattr(digits, "__index__") else None
+        if value not in (1, 2):
             raise ValueError(f"digits must be 1 or 2, got {digits!r}")
-        return super().__new__(cls, digits)
+        return super().__new__(cls, value)
 
     @classmethod
     def _make(cls, fields):

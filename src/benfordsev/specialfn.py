@@ -34,23 +34,28 @@ def std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
-def regularized_lower_gamma(s: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(s, x) for 0 < s < 2**53 and x >= 0.
+def gamma_tails(s: float, x: float) -> tuple[float, float]:
+    """Regularized incomplete gamma tails (P(s, x), Q(s, x)) for 0 < s < 2**53 and x >= 0.
 
-    The series used below x = s + 1 stops after 10**4 terms: for x in
-    [s - 1, s + 0.5] it converges at s = 1.5e6 and raises ArithmeticError at
-    2e6.  From x = s + 1 the continued fraction converges to s = 1e7 at least.
-    noncentral_chi2_cdf asks for shapes up to 44.5 + MAX_NONCENTRALITY // 2.
+    Below x = s + 1, P is its power series; from s + 1 on, Q is its continued
+    fraction.  The other tail, 1 minus it, is above 0.08 for s >= 1/2, so each
+    tail that can be small is computed as its own tail.  The series stops
+    after 10**4 terms: for x in [s - 1, s + 0.5] it converges at s = 1.5e6 and
+    raises ArithmeticError at 2e6.  The continued fraction converges to
+    s = 1e7 at least.  noncentral_chi2_cdf asks for shapes up to
+    44.5 + MAX_NONCENTRALITY // 2.
     """
     if not 0.0 < s < s + 1.0:  # s + 1.0 rounds to s from 2**53 up
         raise ValueError(f"shape parameter must be positive and below 2**53, got {s!r}")
     if not x >= 0.0:
         raise ValueError(f"argument must be nonnegative, got {x!r}")
     if x == 0.0:
-        return 0.0
+        return 0.0, 1.0
     if x < s + 1.0:
-        return _lower_gamma_series(s, x)
-    return 1.0 - _upper_gamma_cf(s, x)
+        p = _lower_gamma_series(s, x)
+        return p, 1.0 - p
+    q = _upper_gamma_cf(s, x)
+    return 1.0 - q, q
 
 
 def _lower_gamma_series(s: float, x: float) -> float:
@@ -154,23 +159,13 @@ def _check_df(df: int) -> int:
 
 
 def central_chi2_cdf(x: float, df: int) -> float:
-    """Chi-square CDF with integer degrees of freedom."""
-    df = _check_df(df)
-    return regularized_lower_gamma(df / 2.0, x / 2.0)
+    """Chi-square CDF with integer degrees of freedom: P(df/2, x/2) of gamma_tails."""
+    return gamma_tails(_check_df(df) / 2.0, x / 2.0)[0]
 
 
 def central_chi2_sf(x: float, df: int) -> float:
-    """Chi-square upper tail, 1 - CDF, with integer degrees of freedom.
-
-    Computed as Q(df/2, x/2) from its continued fraction where x/2 >= df/2 + 1,
-    so that it keeps its relative accuracy far out in the tail; as 1 - P
-    below that, where it is above 0.08.
-    """
-    s = _check_df(df) / 2.0
-    y = x / 2.0
-    if y >= s + 1.0:
-        return _upper_gamma_cf(s, y)
-    return 1.0 - regularized_lower_gamma(s, y)
+    """Chi-square upper tail, 1 - CDF, with integer degrees of freedom: Q(df/2, x/2)."""
+    return gamma_tails(_check_df(df) / 2.0, x / 2.0)[1]
 
 
 def noncentral_chi2_cdf(x: float, df: int, lam: float) -> float:
@@ -209,7 +204,7 @@ def noncentral_chi2_cdf(x: float, df: int, lam: float) -> float:
     # neighbouring term, (a+j)/y, can overflow for extreme arguments.
     log_y = math.log(y)
     w_m = math.exp(_log_poisson(m, h))
-    c_m = regularized_lower_gamma(a + m, y)
+    c_m = gamma_tails(a + m, y)[0]
     log_t_m = _log_poisson(a + m, y)
 
     total = w_m * c_m

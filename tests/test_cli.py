@@ -590,6 +590,14 @@ class TestSeverityCurve:
         assert code == 2 and out == ""
         assert "largest float" in err
 
+    @pytest.mark.parametrize("value", ["-1e-05", "-2e0", "-1E+3", "-.5e1"])
+    def test_negative_number_in_exponent_form_is_a_value(self, capsys, value):
+        # argparse's own pattern, on Python 3.11, takes "-2" and "-2.5" for numbers, but not these.
+        argv = ["severity-curve", "--n", "1000", "--grid", "0.001", "--format", "json"]
+        code, out, err = run_cli(capsys, *argv, "--tilde-delta", value)
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, *argv, f"--tilde-delta={value}")[1]
+
 
 class TestPlotdata:
     def test_writes_digit_table(self, tmp_path, capsys):
@@ -648,6 +656,18 @@ def test_non_finite_number_is_config_error(tmp_path, capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert "finite" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "FILE", "--delta-star", "-1e-3"], "delta_star must be nonnegative"),
+    (["analyze", "FILE", "--psi-star", "-1E+1"], "psi_star must be nonnegative"),
+    (["calibrate", "--threshold", "-6e-3"], "threshold must be positive"),
+])
+def test_negative_number_in_exponent_form_reaches_the_library(tmp_path, capsys, argv, message):
+    f = write_benford_like_file(tmp_path / "data.txt")
+    code, out, err = run_cli(capsys, *[str(f) if arg == "FILE" else arg for arg in argv])
+    assert code == 2 and out == ""
+    assert err == f"benfordsev: error: {message}\n"
 
 
 IMPORT_GUARD_SCRIPT = """

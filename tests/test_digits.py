@@ -13,6 +13,7 @@ from itertools import dropwhile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -48,6 +49,17 @@ class TestDigitSystem:
         assert DigitSystem(2) == FIRST_TWO_DIGITS
         with pytest.raises(ValueError):
             DigitSystem(3)
+
+    @pytest.mark.parametrize("digits", [2.0, 1.0, "2"])
+    def test_digits_that_are_not_integers_are_refused(self, digits):
+        # 2.0 would equal FIRST_TWO_DIGITS, and share its cache entries, with k = 90.0.
+        with pytest.raises(ValueError, match="digits must be 1 or 2"):
+            DigitSystem(digits)
+
+    @pytest.mark.parametrize("digits, expected", [(True, 1), (np.int64(2), 2)])
+    def test_integer_likes_are_stored_as_int(self, digits, expected):
+        system = DigitSystem(digits)
+        assert system.digits == expected and type(system.digits) is int
 
 
 class TestFirstDigit:

@@ -15,8 +15,8 @@ from benfordsev.specialfn import (
     MAX_NONCENTRALITY,
     central_chi2_cdf,
     central_chi2_sf,
+    gamma_tails,
     noncentral_chi2_cdf,
-    regularized_lower_gamma,
     std_normal_cdf,
 )
 
@@ -53,18 +53,18 @@ class TestStdNormalCdf:
         assert 0.0 <= std_normal_cdf(x) <= 1.0
 
 
-class TestRegularizedLowerGamma:
+class TestGammaTails:
     def test_at_zero(self):
-        assert regularized_lower_gamma(3.7, 0.0) == 0.0
+        assert gamma_tails(3.7, 0.0)[0] == 0.0
 
     @pytest.mark.parametrize("x", [0.01, 0.5, 1.0, 2.5, 10.0, 40.0])
     def test_exponential_special_case(self, x):
-        assert regularized_lower_gamma(1.0, x) == pytest.approx(
+        assert gamma_tails(1.0, x)[0] == pytest.approx(
             -math.expm1(-x), rel=1e-12
         )
 
     def test_half_shape(self):
-        assert regularized_lower_gamma(0.5, 2.0) == pytest.approx(P_HALF_2, rel=1e-10)
+        assert gamma_tails(0.5, 2.0)[0] == pytest.approx(P_HALF_2, rel=1e-10)
 
     @pytest.mark.parametrize("s,x", [
         (0.0, 1.0), (-1.0, 1.0), (2.0, -0.5), (math.nan, 1.0), (2.0, math.nan),
@@ -73,7 +73,7 @@ class TestRegularizedLowerGamma:
     ])
     def test_domain_errors(self, s, x):
         with pytest.raises(ValueError):
-            regularized_lower_gamma(s, x)
+            gamma_tails(s, x)
 
     @given(
         st.floats(min_value=0.1, max_value=50.0),
@@ -81,16 +81,43 @@ class TestRegularizedLowerGamma:
         st.floats(min_value=0.0, max_value=5.0),
     )
     def test_monotone_in_x(self, s, x, step):
-        assert regularized_lower_gamma(s, x) <= regularized_lower_gamma(s, x + step) + 1e-14
+        assert gamma_tails(s, x)[0] <= gamma_tails(s, x + step)[0] + 1e-14
 
     def test_series_converges_at_a_million(self):
         # The series stops after 10**4 terms; near x = s it still converges
         # at s = 1e6, above the largest shape noncentral_chi2_cdf passes.
         assert 89 / 2 + MAX_NONCENTRALITY // 2 < 1e6
         s = 1e6
-        values = [regularized_lower_gamma(s, x) for x in (s - 1.0, s, s + 0.5)]
+        values = [gamma_tails(s, x)[0] for x in (s - 1.0, s, s + 0.5)]
         assert all(0.0 < v < 1.0 for v in values)
         assert values[0] < values[1] < values[2]
+
+    @given(
+        st.integers(min_value=1, max_value=2000),
+        st.one_of(
+            st.floats(min_value=0.0, max_value=3.0),
+            st.floats(min_value=1.0 - 1e-12, max_value=1.0 + 1e-12),
+            st.just(math.inf),
+        ),
+    )
+    def test_chi2_cdf_sf_and_mixture_are_its_tails(self, df, scale):
+        # x / (df + 2) on both sides of 1: x / 2 on both sides of the switch at s + 1.
+        x = scale * (df + 2.0)
+        lower, upper = gamma_tails(df / 2.0, x / 2.0)
+        assert central_chi2_cdf(x, df) == lower
+        assert central_chi2_sf(x, df) == upper
+        assert noncentral_chi2_cdf(x, df, 0.0) == lower
+        assert abs(lower + upper - 1.0) <= 2**-53
+
+    @pytest.mark.parametrize("s", [50.0, 200.0, 1000.0])
+    def test_far_left_lower_tail_matches_mpmath(self, s):
+        # From just below the switch at s + 1 out to where P underflows, ~1e-300,
+        # or to s / 10: a P taken as 1 - Q would read 0 from P < 1e-17 on.
+        mpmath = pytest.importorskip("mpmath")
+        x = s - 1.0
+        while x >= s / 10.0 and (expected := mpmath.gammainc(s, 0, x, regularized=True)) > 1e-300:
+            assert gamma_tails(s, x)[0] == pytest.approx(float(expected), rel=1e-12, abs=0.0)
+            x /= 1.1
 
 
 class TestCentralChi2:
@@ -242,7 +269,7 @@ class TestNoncentralChi2:
 
 
 @pytest.mark.parametrize("cdf_or_sf, limit", [
-    (functools.partial(regularized_lower_gamma, 2.0), 1.0),
+    (lambda x: gamma_tails(2.0, x)[0], 1.0),
     (lambda x: central_chi2_cdf(x, 8), 1.0),
     (lambda x: central_chi2_sf(x, 8), 0.0),
     (lambda x: noncentral_chi2_cdf(x, 8, 5.0), 1.0),
