@@ -10,11 +10,15 @@ from __future__ import annotations
 
 import csv
 import io
+import marshal
+import os
 import re
+import threading
 from collections import Counter, namedtuple
+from contextlib import contextmanager
 from itertools import chain, islice, repeat
 from operator import index as as_integer, itemgetter, methodcaller
-from typing import Iterable, Iterator, TextIO
+from typing import BinaryIO, Iterable, Iterator, TextIO
 
 SKIP_EMPTY = "empty"
 SKIP_NON_NUMERIC = "non-numeric"
@@ -222,7 +226,7 @@ def parse_records(
     """
     skip_reasons: dict[str, int] = {}
     tokens = []
-    for found in _valid_chunks(source, column, delimiter, decimal_mark, skip_reasons):
+    for found in _chunks(*_valid_blocks(source, column, delimiter, decimal_mark), skip_reasons):
         # Each match holds one run, or one blank line, in input order.  A
         # valid cell may keep its padding, and a text line its later fields.
         lines = "".join(chain.from_iterable(found)).split("\n")
@@ -230,32 +234,31 @@ def parse_records(
     return tokens, skip_reasons
 
 
-def _valid_chunks(
+def _valid_blocks(
     source: TextIO | Iterable[str],
     column: int | str | None,
     delimiter: str | None,
     decimal_mark: str,
-    skip_reasons: dict[str, int],
-) -> Iterator[list[tuple[str, str]]]:
-    """Yield parse_records' tokens one chunk at a time, as `_chunks` yields them.
+) -> tuple[Iterator[str], re.Pattern, dict[tuple[str, str], str]]:
+    """The column as blocks of lines, and the run pattern and marks that `_chunks` reads them by.
 
-    Cells and text lines alike are checked by one regex pass over each
-    chunk's joined text (see `_chunks`), which reads a cell's padding as it
-    reads a text line's indentation: no Python call strips or checks a cell
-    or line.  A plain chunk, every line of it 1-9-led digits with at most
-    one point, is accepted without that pass (see `_plain`).  Text read by
-    its first field is read by its lines, whatever the source: in blocks of
-    whole lines if the source has set `newlines` by the time its first row
-    is read, as a universal-newline source has, or else `_CHUNK` lines a
-    chunk, each stripped of its line end and trailing whitespace; a token
-    is its line, which may keep later fields.  Every other column is read
-    by rows, `_CHUNK` cells a chunk.  A str is read through an
+    The first row is read here, and the blocks as they are iterated.
+    Cells and text lines alike are checked later by one regex pass over
+    each block (see `_chunks`), which reads a cell's padding as it reads a
+    text line's indentation: no Python call strips or checks a cell or
+    line.  Text read by its first field is read by its lines, whatever the
+    source, with `_LINE_RUNS_RE`: in blocks of whole lines if the source
+    has set `newlines` by the time its first row is read, as a
+    universal-newline source has, or else `_CHUNK` lines a block, each
+    stripped of its line end and trailing whitespace; a token is its line,
+    which may keep later fields.  Every other column is read by rows,
+    `_CHUNK` cells a block, with `_CELL_RUNS_RE`.  A decimal mark other
+    than "." is replaced by "." in each block.  A str is read through an
     io.StringIO(newline="") made here, as the command line opens a file.
-    Each chunk's skip counts are added to `skip_reasons`, whose reasons are
-    listed in order of first occurrence.  Nothing here holds a chunk once
-    the next is read, so a caller that counts each chunk as it comes keeps
-    memory flat however long the input is.  A CSV that csv.reader refuses
-    raises ValueError, which names the source's file if it has a `name`.
+    Nothing here holds a block once the next is read, so a caller that
+    counts each block as it comes keeps memory flat however long the input
+    is.  A CSV that csv.reader refuses raises ValueError, here or from the
+    blocks, which names the source's file if it has a `name`.
     """
     for name, mark in (("delimiter", delimiter), ("decimal mark", decimal_mark)):
         if mark is not None and len(mark) != 1:
@@ -272,43 +275,56 @@ def _valid_chunks(
     # Read ahead to the first non-blank line, and no further: it is the first row.
     first = next(filter(str.strip, lines), None)
     if first is None:
-        return
+        return iter(()), _LINE_RUNS_RE, {}
     if delimiter is None and "," in first and decimal_mark != ",":
         delimiter = ","
         if column is None and _COMMA_NUMBERS_RE.fullmatch(first.strip()):
             raise ValueError(f"{first.strip()!r} may be one number written with commas;"
                              " give --delimiter , or --column, or --decimal-mark ,")
-    try:
-        rows = chain((first,), lines)
-        if delimiter is None:
-            rows = filter(None, map(str.split, rows))
-        else:
-            rows = filter(None, csv.reader(rows, delimiter=delimiter))
+    rows = chain((first,), lines)
+    if delimiter is None:
+        rows = filter(None, map(str.split, rows))
+    else:
+        rows = filter(None, csv.reader(rows, delimiter=delimiter))
+    with _csv_errors(source):
         first_row = next(rows)
-        index, is_header = _resolve_column(column, first_row, decimal_mark)
-        if delimiter is None and index == 0:
-            # The rest of the text follows the first row.  `_blocks` ends lines
-            # where a universal-newline source does; any other's items are lines.
-            blocks = (_blocks(source) if getattr(source, "newlines", None)
-                      else _batches(map(str.rstrip, lines)))
-            if not is_header:
-                blocks = chain((first_row[0] + "\n",), blocks)
-            runs, marks = _LINE_RUNS_RE, {("", ""): SKIP_NON_NUMERIC}
-        else:
-            if not is_header:
-                rows = chain((first_row,), rows)
-            # Chunks hold cells, never row lists: tens of thousands of live
-            # lists make the cyclic garbage collector's passes slow.
-            cells = (row[index] if index < len(row) else "" for row in rows)
-            blocks = _batches(cells)
-            runs, marks = _CELL_RUNS_RE, {("", ""): SKIP_NON_NUMERIC, ("\n", ""): SKIP_EMPTY}
-        if decimal_mark != ".":
-            blocks = map(methodcaller("replace", decimal_mark, "."), blocks)
-        yield from _chunks(blocks, runs, marks, skip_reasons)
+    index, is_header = _resolve_column(column, first_row, decimal_mark)
+    if delimiter is None and index == 0:
+        # The rest of the text follows the first row.  `_blocks` ends lines
+        # where a universal-newline source does; any other's items are lines.
+        blocks = (_blocks(source) if getattr(source, "newlines", None)
+                  else _batches(map(str.rstrip, lines)))
+        if not is_header:
+            blocks = chain((first_row[0] + "\n",), blocks)
+        runs, marks = _LINE_RUNS_RE, {("", ""): SKIP_NON_NUMERIC}
+    else:
+        if not is_header:
+            rows = chain((first_row,), rows)
+        # Batches hold cells, never row lists: tens of thousands of live
+        # lists make the cyclic garbage collector's passes slow.
+        cells = (row[index] if index < len(row) else "" for row in rows)
+        blocks = _batches(cells)
+        runs, marks = _CELL_RUNS_RE, {("", ""): SKIP_NON_NUMERIC, ("\n", ""): SKIP_EMPTY}
+    if decimal_mark != ".":
+        blocks = map(methodcaller("replace", decimal_mark, "."), blocks)
+    return _csv_checked(blocks, source), runs, marks
+
+
+@contextmanager
+def _csv_errors(source: TextIO | Iterable[str]) -> Iterator[None]:
+    """Raise a csv.Error as ValueError, which names the source's file if it has a `name`."""
+    try:
+        yield
     except csv.Error as exc:
         name = getattr(source, "name", None)
         where = "" if name is None else f" in {name!r}"
         raise ValueError(f"malformed CSV{where}: {exc}") from exc
+
+
+def _csv_checked(blocks: Iterator[str], source: TextIO | Iterable[str]) -> Iterator[str]:
+    """`blocks`, with a csv.Error raised as `_csv_errors` raises it."""
+    with _csv_errors(source):
+        yield from blocks
 
 
 def _blocks(source: TextIO) -> Iterator[str]:
@@ -394,10 +410,16 @@ def count_digits(tokens: Iterable[str | float | int], system: DigitSystem) -> Di
     non-numeric tokens, None and "" among them, go to skip_reasons,
     zero-value first.
     """
-    skip_reasons: dict[str, int] = {}
     marks = {("", ""): SKIP_NON_NUMERIC, ("\n", ""): SKIP_NON_NUMERIC}
-    chunks = _chunks(_batches(map(_text, tokens)), _CELL_RUNS_RE, marks, skip_reasons)
-    return _tally(chunks, system, skip_reasons)
+    return _count(_batches(map(_text, tokens)), _CELL_RUNS_RE, marks, system)
+
+
+def _count(
+    blocks: Iterable[str], runs: re.Pattern, marks: dict[tuple[str, str], str], system: DigitSystem
+) -> DigitCounts:
+    """Tally the tokens of `blocks`, read by `_chunks` with `runs` and `marks`."""
+    skip_reasons: dict[str, int] = {}
+    return _tally(_chunks(blocks, runs, marks, skip_reasons), system, skip_reasons)
 
 
 def _tally(
@@ -456,20 +478,101 @@ def ingest(
     """Full ingestion pipeline: parse a stream, count digits, merge skip maps.
 
     The input is read as parse_records reads it, one chunk at a time, and
-    each chunk's heads are counted before the next is read, so memory holds
-    about one chunk of cells, or one block of text lines, however long the
-    input is.  Text read by its first field is read by its lines, whatever
-    the source, and every other column by rows.  Cells and text lines are
-    checked alike, by one regex pass over each chunk's joined text, or none
-    for a plain chunk (see `_plain`), and `_tally` counts the tokens that
-    pass by head in C, with no second check and no Python call per token.
-    That pass tells a run of tokens that start with 1-9, counted as they
-    stand, from a run that starts at a token with a sign, a leading zero or
-    a point, whose tokens are stripped of them first.  A token may keep a
-    cell's padding or a text line's later fields; its head is cut at
-    whitespace when it is tallied.  Zero-value is listed first, then the
-    skips of parse_records.
+    each chunk's heads are counted as it comes, so memory holds about one
+    chunk of cells (a few, with the helper below), or one block of text
+    lines, however long the input is.  Text read by its first field is read
+    by its lines, whatever the source, and every other column by rows.
+    Cells and text lines are checked alike, by one regex pass over each
+    chunk's joined text, or none for a plain chunk (see `_plain`), and
+    `_tally` counts the tokens that pass by head in C, with no second check
+    and no Python call per token.  That pass tells a run of tokens that
+    start with 1-9, counted as they stand, from a run that starts at a token
+    with a sign, a leading zero or a point, whose tokens are stripped of
+    them first.  A token may keep a cell's padding or a text line's later
+    fields; its head is cut at whitespace when it is tallied.  Zero-value is
+    listed first, then the skips of parse_records.
+
+    A column read by rows that fills more than one chunk is counted in a
+    forked helper process (see `_count_in_helper`), while this process reads
+    the next chunk, if os.fork exists and no other thread is running; the
+    first chunk is held until the second is read.  Every other input is
+    counted here.  The counts and skips are the same either way.
     """
-    skip_reasons: dict[str, int] = {}
-    chunks = _valid_chunks(source, column, delimiter, decimal_mark, skip_reasons)
-    return _tally(chunks, system, skip_reasons)
+    blocks, runs, marks = _valid_blocks(source, column, delimiter, decimal_mark)
+    if runs is _CELL_RUNS_RE and hasattr(os, "fork") and threading.active_count() == 1:
+        held = list(islice(blocks, 2))
+        blocks = chain(held, blocks)
+        if len(held) == 2:
+            return _count_in_helper(blocks, runs, marks, system)
+    return _count(blocks, runs, marks, system)
+
+
+def _count_in_helper(
+    blocks: Iterable[str], runs: re.Pattern, marks: dict[tuple[str, str], str], system: DigitSystem
+) -> DigitCounts:
+    """`_count(blocks, runs, marks, system)`, counted in a forked helper while this process reads.
+
+    This process writes each block to a pipe as it is read, as one
+    unbuffered, length-prefixed write, and goes on to read the next; the
+    helper reads the blocks with a large buffer, counts them, sends back its
+    counts and skip reasons by marshal and leaves by os._exit.  However the
+    reading here ends, even by an error or an interrupt, both pipes are
+    closed and the helper is waited for, so no helper outlives the call.  A
+    helper that fails makes this raise ChildProcessError, never return
+    partial counts.  If the fork itself fails, the blocks are counted here.
+    """
+    fds = os.pipe() + os.pipe()
+    blocks_in, blocks_out, report_in, report_out = fds
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        return _count(blocks, runs, marks, system)
+    if pid == 0:  # the helper
+        code = 1
+        try:
+            os.close(blocks_out)
+            os.close(report_in)
+            with open(blocks_in, "rb", buffering=1 << 20) as pipe, open(report_out, "wb") as out:
+                try:
+                    counted = _count(_received(pipe), runs, marks, system)
+                    report = counted.counts, counted.skip_reasons
+                except Exception as exc:  # sent to the parent, which raises it
+                    report = repr(exc)
+                out.write(marshal.dumps(report))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(blocks_in)
+    os.close(report_out)
+    pipe, out = open(blocks_out, "wb", buffering=0), open(report_in, "rb")
+    try:
+        for block in blocks:
+            data = block.encode("utf-8", "surrogatepass")
+            view = memoryview(len(data).to_bytes(8, "little") + data)
+            try:
+                while view:
+                    view = view[pipe.write(view):]
+            except BrokenPipeError:
+                break  # the helper has stopped, and its report says why
+        pipe.close()  # the end of the blocks
+        report = out.read()
+    finally:
+        # With both pipes closed, a helper still reading or reporting ends.
+        pipe.close()
+        out.close()
+        status = os.waitpid(pid, 0)[1]
+    if status:
+        code = os.waitstatus_to_exitcode(status)
+        raise ChildProcessError(f"the counting helper process ended with status {code}")
+    report = marshal.loads(report)
+    if isinstance(report, str):
+        raise ChildProcessError(f"the counting helper process failed: {report}")
+    return DigitCounts(system, *report)
+
+
+def _received(pipe: BinaryIO) -> Iterator[str]:
+    """The blocks that `_count_in_helper` writes to `pipe`, in order, until the pipe ends."""
+    while size := int.from_bytes(pipe.read(8), "little"):
+        yield pipe.read(size).decode("utf-8", "surrogatepass")

@@ -6,8 +6,9 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from functools import partial
 from itertools import dropwhile
 from pathlib import Path
@@ -18,13 +19,14 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from benfordsev import digits
+from benfordsev.cli import main
 from benfordsev.digits import (
     FIRST_DIGIT,
     FIRST_TWO_DIGITS,
     ColumnError,
     DigitCounts,
     DigitSystem,
-    _valid_chunks,
+    _valid_blocks,
     count_digits,
     first_digit,
     first_two_digits,
@@ -33,6 +35,25 @@ from benfordsev.digits import (
 )
 
 SCHEMES = [FIRST_DIGIT, FIRST_TWO_DIGITS]
+
+
+@contextmanager
+def live_thread():
+    """Keep a second thread alive, which makes ingest count every input in this process."""
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+
+
+def spied_helper():
+    """Spy on `digits._count_in_helper`, which forks the counting helper."""
+    return mock.patch.object(digits, "_count_in_helper", wraps=digits._count_in_helper)
 
 
 class TestDigitSystem:
@@ -410,12 +431,12 @@ class TestParseRecords:
     def test_sniff_reads_lazily(self):
         source = iter(["\n", "1,2\n", "3,4\n", "5,6\n"])
         with mock.patch.object(digits, "_CHUNK", 1):
-            chunks = _valid_chunks(source, 0, None, ".", {})
-            # The comma is sniffed: the first chunk holds the first row's first cell.
-            assert next(chunks) == [("1\n", "")]
+            blocks, runs, _ = _valid_blocks(source, 0, None, ".")
+            # The comma is sniffed: the first block holds the first row's first cell.
+            assert runs is digits._CELL_RUNS_RE and next(blocks) == "1\n"
             # Only the lines up to the first non-blank one are read ahead.
             assert next(source) == "3,4\n"
-            assert list(chunks) == [[("5\n", "")]]
+            assert list(blocks) == ["5\n"]
 
 
 class TestDigitCounts:
@@ -607,18 +628,24 @@ class TestIngest:
         assert len(calls) <= 1 + 9
 
     @pytest.mark.parametrize(
-        "read, column, readable",
-        [(ingest, None, False), (ingest, 1, False), (ingest, None, True), (count_digits, None, False)],
-        ids=["text-first-field", "csv-column", "text-first-field-read", "count-digits"],
+        "read, column, readable, threads",
+        [(ingest, None, False, nullcontext), (ingest, 1, False, nullcontext),
+         (ingest, 1, False, live_thread), (ingest, None, True, nullcontext),
+         (count_digits, None, False, nullcontext)],
+        ids=["text-first-field", "csv-column", "csv-column-in-process", "text-first-field-read",
+             "count-digits"],
     )
-    def test_peak_memory_does_not_grow_with_the_input(self, read, column, readable):
+    def test_peak_memory_does_not_grow_with_the_input(self, read, column, readable, threads):
+        # tracemalloc sees this process alone.  A CSV column is counted in a
+        # forked helper, so "csv-column" pins the reading here, and
+        # "csv-column-in-process", with a live thread, pins the counting too.
         def peak(chunks):
             # Distinct values, made one line at a time as they are read.
             values = (f"{i % 97 + 1}.{i:06d}" for i in range(chunks * 1000))
             lines = (f"{i},{v}\n" if column else f"{v}\n" for i, v in enumerate(values))
             tracemalloc.start()
             try:
-                with small_chunks(1000):
+                with small_chunks(1000), threads():
                     if read is count_digits:
                         counts = count_digits(values, FIRST_TWO_DIGITS)
                     else:
@@ -1321,3 +1348,182 @@ class TestReaderAcceptsPlainBlocksWithoutTheRunPass:
             lines = [line.replace("\n", " 7\n") for line in fh]
         assert list(ingest("".join(lines), FIRST_DIGIT).counts) == expected["counts"]
         assert len(found) >= 3
+
+
+# Differential tests of the counting helper: a column read by rows, over
+# more than one block, is counted in a forked helper unless another thread
+# is alive; the counts and skips must not depend on where they are counted.
+
+# Cells of every kind: 1-9-led, with something to strip, zero, empty,
+# padded, non-numeric, and one that holds the delimiter or a quote.
+HELPER_CELLS = ["12.5", "7", "-0.0312", "+5", ".7", "007", "0", "0e5", "", "  ", " 3e2 ", "n/a",
+                "1,234", '"q"', "a;b", "٥", "99.9", "1.2.3"]
+
+
+@st.composite
+def helper_inputs(draw):
+    """(text, column, delimiter, decimal mark, chunk): a column read by rows, `chunk` cells a block."""
+    chunk = draw(st.integers(min_value=1, max_value=4))
+    decimal_mark = draw(st.sampled_from([".", ","]))
+    cells = draw(st.lists(st.one_of(st.sampled_from(HELPER_CELLS), cell_texts),
+                          min_size=2 * chunk + 1, max_size=40))
+    cells = [cell.replace(".", decimal_mark) for cell in cells]
+    if draw(st.booleans()):
+        # A CSV with a header and quoted cells, one of them a category that
+        # holds the delimiter.
+        delimiter = ";" if decimal_mark == "," else draw(st.sampled_from([",", ";"]))
+        quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, delimiter=delimiter, quoting=quoting, lineterminator="\n")
+        writer.writerow(["id", "amount", "category"])
+        writer.writerows([i, cell, f"c{delimiter}{i}"] for i, cell in enumerate(cells))
+        return buffer.getvalue(), "amount", delimiter, decimal_mark, chunk
+    # A later whitespace column: each line is an id, a value and perhaps a note.
+    cells = [cell.strip() or "n/a" for cell in cells]
+    notes = draw(st.lists(st.sampled_from(["", " x", "\t7 y"]), min_size=len(cells),
+                          max_size=len(cells)))
+    text = "".join(f"r{i} {cell}{note}\n" for i, (cell, note) in enumerate(zip(cells, notes)))
+    return text, 1, None, decimal_mark, chunk
+
+
+class TestReaderCountsInAHelperAsInProcess:
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @given(case=helper_inputs())
+    # Every skip reason, with decimal commas, in three blocks.
+    @example(case=('id;amount;note\n1;"1,5";"a;b"\n2;;x\n3;n/a;y\n4;0,0;z\n5;-0,05;w\n6; 7 ;v\n',
+                   "amount", ";", ",", 2))
+    def test_helper_and_in_process_counts_are_equal(self, scheme, case):
+        text, column, delimiter, decimal_mark, chunk = case
+        options = {"delimiter": delimiter, "decimal_mark": decimal_mark}
+        with small_chunks(chunk), spied_helper() as helper:
+            forked = ingest(io.StringIO(text), scheme, column, **options)
+        assert helper.call_count == 1
+        with small_chunks(chunk), spied_helper() as helper, live_thread():
+            in_process = ingest(io.StringIO(text), scheme, column, **options)
+        assert helper.call_count == 0
+        assert forked.system == in_process.system
+        assert forked.counts == in_process.counts
+        assert list(forked.skip_reasons.items()) == list(in_process.skip_reasons.items())
+        counts, skips = reference_ingest(text, scheme, column, **options)
+        assert list(forked.counts) == counts
+        assert list(forked.skip_reasons.items()) == list(skips.items())
+
+    def test_only_a_column_read_by_rows_in_more_than_one_block_reaches_the_helper(self):
+        cases = {
+            "csv": ("id,amount\n1,5\n2,6\n3,7\n", "amount", True),
+            "csv-one-block": ("id,amount\n1,5\n2,6\n", "amount", False),
+            "later-text-column": ("a 5\nb 6\nc 7\n", 1, True),
+            "first-text-field": ("5\n6\n7\n8\n9\n", None, False),
+        }
+        for text, column, forks in cases.values():
+            with small_chunks(2), spied_helper() as helper:
+                counts = ingest(text, FIRST_DIGIT, column)
+            assert helper.called == forks
+            assert counts.n == text.count("\n") - (column == "amount")
+
+
+def no_child_is_left():
+    """Whether this process has no child process, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class TestReaderHelperFailures:
+    def test_csv_refused_in_the_third_block_leaves_no_helper(self):
+        # csv.reader refuses a field longer than csv.field_size_limit().
+        text = "id,amount\n" + "".join(f"{i},{i + 1}.5\n" for i in range(4))
+        text += '5,"' + "9" * 200_000 + '"\n6,7\n'
+        with small_chunks(2), spied_helper() as helper:
+            with pytest.raises(ValueError, match="malformed CSV") as raised:
+                ingest(io.StringIO(text), FIRST_DIGIT, "amount")
+        assert isinstance(raised.value.__cause__, csv.Error)
+        assert helper.called and no_child_is_left()
+
+    def test_text_that_is_not_utf8_in_the_third_block_leaves_no_helper(self, tmp_path):
+        path = tmp_path / "latin.csv"
+        good = "".join(f"{i},{i + 1}\n" for i in range(8)).encode()
+        path.write_bytes(b"id,amount\n" + good + b"8,\xff9\n9,1\n")
+        with small_chunks(2), spied_helper() as helper, pytest.raises(UnicodeDecodeError):
+            # Decoded 8 bytes at a time, the bad byte is read after two blocks.
+            with open(path, encoding="utf-8", newline="") as fh:
+                fh._CHUNK_SIZE = 8
+                ingest(fh, FIRST_DIGIT, "amount")
+        assert helper.called and no_child_is_left()
+
+    def test_interrupt_while_reading_leaves_no_helper(self):
+        def lines():
+            yield "id,amount\n"
+            for i in range(5):
+                yield f"{i},{i + 1}\n"
+            raise KeyboardInterrupt
+
+        with small_chunks(2), spied_helper() as helper, pytest.raises(KeyboardInterrupt):
+            ingest(lines(), FIRST_DIGIT, "amount")
+        assert helper.called and no_child_is_left()
+
+    def test_a_fork_that_fails_counts_in_process(self, monkeypatch):
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        text = "id,amount\n" + "".join(f"{i},{cell}\n" for i, cell in enumerate(HELPER_CELLS))
+        with small_chunks(2), live_thread():
+            expected = ingest(text, FIRST_TWO_DIGITS, "amount")
+        open_fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else None
+        monkeypatch.setattr(os, "fork", no_fork)
+        with small_chunks(2), spied_helper() as helper:
+            result = ingest(text, FIRST_TWO_DIGITS, "amount")
+        assert helper.called and result.counts == expected.counts
+        assert list(result.skip_reasons.items()) == list(expected.skip_reasons.items())
+        # The pipes made for the helper are closed.
+        assert open_fds is None or os.listdir("/proc/self/fd") == open_fds
+
+    def test_failed_helper_exits_the_command_with_one_error_line(self, tmp_path, monkeypatch,
+                                                                capsys):
+        # The helper inherits the patch, which fails it and nothing here.
+        parent, tally = os.getpid(), digits._tally
+
+        def failing_in_the_helper(*args):
+            if os.getpid() != parent:
+                raise MemoryError("no memory left in the helper")
+            return tally(*args)
+
+        monkeypatch.setattr(digits, "_tally", failing_in_the_helper)
+        path = tmp_path / "amounts.csv"
+        path.write_text("id,amount\n" + "".join(f"{i},{i % 9 + 1}.5\n" for i in range(5000)))
+        with small_chunks(100), spied_helper() as helper:
+            code = main(["analyze", str(path), "--column", "amount"])
+        out, err = capsys.readouterr()
+        assert helper.called and code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("benfordsev: error: ")
+        assert "no memory left in the helper" in err
+        assert no_child_is_left()
+        with live_thread():
+            assert main(["analyze", str(path), "--column", "amount"]) == 0
+
+
+class TestReaderFoldsTwoDigitsToTheFirst:
+    @given(case=reader_inputs(), chunk=st.integers(min_value=1, max_value=7),
+           threads=st.sampled_from([nullcontext, live_thread]))
+    def test_two_digit_counts_folded_by_tens_are_the_first_digit_counts(self, case, chunk,
+                                                                        threads):
+        # The two-digit tally keys heads of three characters in a Counter; the
+        # first-digit tally counts first characters with str.count.
+        text, _, column, delimiter, decimal_mark = case
+        options = {"delimiter": delimiter, "decimal_mark": decimal_mark}
+        with small_chunks(chunk), threads():
+            try:
+                first = ingest(text, FIRST_DIGIT, column, **options)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    ingest(text, FIRST_TWO_DIGITS, column, **options)
+                return
+            two = ingest(text, FIRST_TWO_DIGITS, column, **options)
+        folded = [0] * 9
+        for label, count in zip(FIRST_TWO_DIGITS.digit_labels, two.counts):
+            folded[label // 10 - 1] += count
+        assert tuple(folded) == first.counts
+        assert two.n == first.n
+        assert list(two.skip_reasons.items()) == list(first.skip_reasons.items())
