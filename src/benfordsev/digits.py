@@ -15,7 +15,6 @@ import os
 import re
 import threading
 from collections import Counter, namedtuple
-from contextlib import contextmanager
 from itertools import chain, islice, repeat
 from operator import index as as_integer, itemgetter, methodcaller
 from typing import BinaryIO, Iterable, Iterator, TextIO
@@ -286,8 +285,7 @@ def _valid_blocks(
         rows = filter(None, map(str.split, rows))
     else:
         rows = filter(None, csv.reader(rows, delimiter=delimiter))
-    with _csv_errors(source):
-        first_row = next(rows)
+    first_row = next(_csv_checked(rows, source))
     index, is_header = _resolve_column(column, first_row, decimal_mark)
     if delimiter is None and index == 0:
         # The rest of the text follows the first row.  `_blocks` ends lines
@@ -310,21 +308,17 @@ def _valid_blocks(
     return _csv_checked(blocks, source), runs, marks
 
 
-@contextmanager
-def _csv_errors(source: TextIO | Iterable[str]) -> Iterator[None]:
-    """Raise a csv.Error as ValueError, which names the source's file if it has a `name`."""
+def _csv_checked(items: Iterator, source: TextIO | Iterable[str]) -> Iterator:
+    """`items`, with a csv.Error raised as ValueError.
+
+    The error names the source's file if the source has a `name`.
+    """
     try:
-        yield
+        yield from items
     except csv.Error as exc:
         name = getattr(source, "name", None)
         where = "" if name is None else f" in {name!r}"
         raise ValueError(f"malformed CSV{where}: {exc}") from exc
-
-
-def _csv_checked(blocks: Iterator[str], source: TextIO | Iterable[str]) -> Iterator[str]:
-    """`blocks`, with a csv.Error raised as `_csv_errors` raises it."""
-    with _csv_errors(source):
-        yield from blocks
 
 
 def _blocks(source: TextIO) -> Iterator[str]:
@@ -494,17 +488,31 @@ def ingest(
 
     A column read by rows that fills more than one chunk is counted in a
     forked helper process (see `_count_in_helper`), while this process reads
-    the next chunk, if os.fork exists and no other thread is running; the
-    first chunk is held until the second is read.  Every other input is
-    counted here.  The counts and skips are the same either way.
+    the next chunk, if os.fork exists and no other thread is running (see
+    `_one_thread`); the first chunk is held until the second is read.  Every
+    other input is counted here.  The counts and skips are the same either way.
     """
     blocks, runs, marks = _valid_blocks(source, column, delimiter, decimal_mark)
-    if runs is _CELL_RUNS_RE and hasattr(os, "fork") and threading.active_count() == 1:
+    if runs is _CELL_RUNS_RE and hasattr(os, "fork") and _one_thread():
         held = list(islice(blocks, 2))
         blocks = chain(held, blocks)
         if len(held) == 2:
             return _count_in_helper(blocks, runs, marks, system)
     return _count(blocks, runs, marks, system)
+
+
+def _one_thread() -> bool:
+    """Whether this process runs one thread, as the operating system counts them where it can.
+
+    /proc/self/task counts every thread, as Python's fork-with-threads
+    warning counts them on Linux, so a thread that Python did not start,
+    such as a BLAS worker's, counts too.  Elsewhere only Python's threads
+    are counted.
+    """
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return threading.active_count() == 1
 
 
 def _count_in_helper(
@@ -519,15 +527,21 @@ def _count_in_helper(
     reading here ends, even by an error or an interrupt, both pipes are
     closed and the helper is waited for, so no helper outlives the call.  A
     helper that fails makes this raise ChildProcessError, never return
-    partial counts.  If the fork itself fails, the blocks are counted here.
+    partial counts.  Where a caller ignores SIGCHLD, or reaps children in
+    its handler, the helper's status is gone, and its report alone shows
+    that it finished.  If the fork itself fails, the blocks are counted here.
     """
     fds = os.pipe() + os.pipe()
     blocks_in, blocks_out, report_in, report_out = fds
     try:
         pid = os.fork()
-    except OSError:
+    except BaseException as exc:
+        # A helper forked before an error here, such as a warning raised as
+        # one, reads the end of its closed pipe and leaves.
         for fd in fds:
             os.close(fd)
+        if not isinstance(exc, OSError):
+            raise
         return _count(blocks, runs, marks, system)
     if pid == 0:  # the helper
         code = 1
@@ -562,11 +576,17 @@ def _count_in_helper(
         # With both pipes closed, a helper still reading or reporting ends.
         pipe.close()
         out.close()
-        status = os.waitpid(pid, 0)[1]
+        try:
+            status = os.waitpid(pid, 0)[1]
+        except ChildProcessError:  # reaped already: the report tells
+            status = 0
     if status:
         code = os.waitstatus_to_exitcode(status)
         raise ChildProcessError(f"the counting helper process ended with status {code}")
-    report = marshal.loads(report)
+    try:
+        report = marshal.loads(report)
+    except (EOFError, ValueError, TypeError):
+        report = "it sent no complete report"
     if isinstance(report, str):
         raise ChildProcessError(f"the counting helper process failed: {report}")
     return DigitCounts(system, *report)

@@ -1,22 +1,28 @@
+import _thread
 import csv
 import importlib.util
 import io
 import json
+import marshal
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
+import warnings
 from contextlib import contextmanager, nullcontext
 from functools import partial
 from itertools import dropwhile
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from benfordsev import digits
 from benfordsev.cli import main
@@ -1386,8 +1392,15 @@ def helper_inputs(draw):
     return text, 1, None, decimal_mark, chunk
 
 
+# Most examples of the helper tests fork this whole test process, which
+# costs more than the example itself: the ci profile's 1000 examples a test
+# are cut to 300 for them.
+FORKING = settings(max_examples=min(settings().max_examples, 300))
+
+
 class TestReaderCountsInAHelperAsInProcess:
     @pytest.mark.parametrize("scheme", SCHEMES)
+    @FORKING
     @given(case=helper_inputs())
     # Every skip reason, with decimal commas, in three blocks.
     @example(case=('id;amount;note\n1;"1,5";"a;b"\n2;;x\n3;n/a;y\n4;0,0;z\n5;-0,05;w\n6; 7 ;v\n',
@@ -1421,6 +1434,35 @@ class TestReaderCountsInAHelperAsInProcess:
             assert helper.called == forks
             assert counts.n == text.count("\n") - (column == "amount")
 
+    def test_the_fork_draws_no_warning(self):
+        # Python 3.12 and later warn when a process that runs threads forks.
+        with small_chunks(2), spied_helper() as helper, \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ingest("id,amount\n1,5\n2,6\n3,7\n", FIRST_DIGIT, "amount")
+        assert helper.called and caught == []
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="threads counted by Python")
+    def test_a_thread_that_python_did_not_start_keeps_the_count_here(self):
+        # A thread started by _thread, as a native library starts one, is not
+        # among threading's threads; the operating system counts it.
+        started, release = _thread.allocate_lock(), _thread.allocate_lock()
+        started.acquire()
+        release.acquire()
+        _thread.start_new_thread(lambda: (started.release(), release.acquire()), ())
+        started.acquire()
+        try:
+            assert threading.active_count() == 1
+            with small_chunks(2), spied_helper() as helper:
+                counts = ingest("id,amount\n1,5\n2,6\n3,7\n", FIRST_DIGIT, "amount")
+            assert not helper.called and counts.n == 3
+        finally:
+            release.release()
+        deadline = time.monotonic() + 60
+        while len(os.listdir("/proc/self/task")) > 1 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert len(os.listdir("/proc/self/task")) == 1
+
 
 def no_child_is_left():
     """Whether this process has no child process, running or unreaped."""
@@ -1431,7 +1473,54 @@ def no_child_is_left():
     return False
 
 
+def reap_children(signum, frame):
+    """A SIGCHLD handler that reaps every child that has ended."""
+    try:
+        while os.waitpid(-1, os.WNOHANG)[0]:
+            pass
+    except ChildProcessError:
+        pass
+
+
+@contextmanager
+def sigchld(handler):
+    """Run with `handler` as this process's SIGCHLD disposition."""
+    previous = signal.signal(signal.SIGCHLD, handler)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+
+
+SIGCHLD_HANDLERS = [pytest.param(signal.SIG_DFL, id="default"),
+                    pytest.param(signal.SIG_IGN, id="ignored"),
+                    pytest.param(reap_children, id="reaped-by-a-handler")]
+
+
 class TestReaderHelperFailures:
+    @pytest.mark.parametrize("handler", SIGCHLD_HANDLERS)
+    def test_a_helper_reaped_elsewhere_still_counts(self, handler):
+        text = "id,amount\n" + "".join(f"{i},{cell}\n" for i, cell in enumerate(HELPER_CELLS))
+        with small_chunks(2), live_thread():
+            expected = ingest(text, FIRST_TWO_DIGITS, "amount")
+        with small_chunks(2), spied_helper() as helper, sigchld(handler):
+            result = ingest(text, FIRST_TWO_DIGITS, "amount")
+        assert helper.called and result.counts == expected.counts
+        assert list(result.skip_reasons.items()) == list(expected.skip_reasons.items())
+        assert no_child_is_left()
+
+    @pytest.mark.parametrize("handler", SIGCHLD_HANDLERS)
+    def test_a_report_cut_short_raises(self, handler, monkeypatch):
+        # The helper inherits the patch and sends all but the last bytes.
+        cut = SimpleNamespace(dumps=lambda report: marshal.dumps(report)[:-3],
+                              loads=marshal.loads)
+        monkeypatch.setattr(digits, "marshal", cut)
+        text = "id,amount\n" + "".join(f"{i},{cell}\n" for i, cell in enumerate(HELPER_CELLS))
+        with small_chunks(2), spied_helper() as helper, sigchld(handler):
+            with pytest.raises(ChildProcessError, match="no complete report"):
+                ingest(text, FIRST_TWO_DIGITS, "amount")
+        assert helper.called and no_child_is_left()
+
     def test_csv_refused_in_the_third_block_leaves_no_helper(self):
         # csv.reader refuses a field longer than csv.field_size_limit().
         text = "id,amount\n" + "".join(f"{i},{i + 1}.5\n" for i in range(4))
@@ -1480,6 +1569,31 @@ class TestReaderHelperFailures:
         # The pipes made for the helper are closed.
         assert open_fds is None or os.listdir("/proc/self/fd") == open_fds
 
+    def test_an_error_raised_after_the_fork_closes_the_pipes(self, monkeypatch):
+        # Python 3.12 and later may raise a fork-with-threads warning, as an
+        # error where warnings are errors, in this process after the fork.
+        real_fork, forked = os.fork, []
+
+        def fork_then_warn():
+            pid = real_fork()
+            if pid:
+                forked.append(pid)
+                raise DeprecationWarning("this process is multi-threaded")
+            return pid
+
+        text = "id,amount\n" + "".join(f"{i},{cell}\n" for i, cell in enumerate(HELPER_CELLS))
+        open_fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else None
+        monkeypatch.setattr(os, "fork", fork_then_warn)
+        with small_chunks(2), pytest.raises(DeprecationWarning):
+            ingest(text, FIRST_DIGIT, "amount")
+        assert open_fds is None or os.listdir("/proc/self/fd") == open_fds
+        # The helper finds its pipe closed and leaves.
+        deadline = time.monotonic() + 60
+        while not os.waitpid(forked[0], os.WNOHANG)[0]:
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        assert no_child_is_left()
+
     def test_failed_helper_exits_the_command_with_one_error_line(self, tmp_path, monkeypatch,
                                                                 capsys):
         # The helper inherits the patch, which fails it and nothing here.
@@ -1505,6 +1619,7 @@ class TestReaderHelperFailures:
 
 
 class TestReaderFoldsTwoDigitsToTheFirst:
+    @FORKING
     @given(case=reader_inputs(), chunk=st.integers(min_value=1, max_value=7),
            threads=st.sampled_from([nullcontext, live_thread]))
     def test_two_digit_counts_folded_by_tens_are_the_first_digit_counts(self, case, chunk,
