@@ -8,11 +8,14 @@ non-numeric) are counted and reported, never silently dropped.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import marshal
 import os
 import re
+import select
+import stat
 import threading
 from collections import Counter, namedtuple
 from itertools import chain, islice, repeat
@@ -225,7 +228,8 @@ def parse_records(
     """
     skip_reasons: dict[str, int] = {}
     tokens = []
-    for found in _chunks(*_valid_blocks(source, column, delimiter, decimal_mark), skip_reasons):
+    blocks, runs, marks, _ = _valid_blocks(source, column, delimiter, decimal_mark)
+    for found in _chunks(blocks, runs, marks, skip_reasons):
         # Each match holds one run, or one blank line, in input order.  A
         # valid cell may keep its padding, and a text line its later fields.
         lines = "".join(chain.from_iterable(found)).split("\n")
@@ -238,8 +242,9 @@ def _valid_blocks(
     column: int | str | None,
     delimiter: str | None,
     decimal_mark: str,
-) -> tuple[Iterator[str], re.Pattern, dict[tuple[str, str], str]]:
-    """The column as blocks of lines, and the run pattern and marks that `_chunks` reads them by.
+    split: bool = False,
+) -> tuple[Iterator[str], re.Pattern, dict[tuple[str, str], str], Iterator[str] | None]:
+    """The column as blocks of lines, the run pattern and marks `_chunks` reads them by, and a rest.
 
     The first row is read here, and the blocks as they are iterated.
     Cells and text lines alike are checked later by one regex pass over
@@ -258,6 +263,14 @@ def _valid_blocks(
     counts each block as it comes keeps memory flat however long the input
     is.  A CSV that csv.reader refuses raises ValueError, here or from the
     blocks, which names the source's file if it has a `name`.
+
+    The rest is None unless `split` is true and the text after the first
+    row is read in blocks from a file that `_halves` splits.  Then the
+    blocks stop at a line start near the middle of the rest of the file,
+    and the rest is the blocks from there to the end, which another process
+    can read, as both are read by byte offset; the source is left at its
+    end.  The first row is read by `readline` where the source has it,
+    since `next` turns off a file's `tell`.
     """
     for name, mark in (("delimiter", delimiter), ("decimal mark", decimal_mark)):
         if mark is not None and len(mark) != 1:
@@ -271,10 +284,11 @@ def _valid_blocks(
         raise ValueError(f"the delimiter and the decimal mark are both {delimiter!r}")
     source = io.StringIO(source, newline="") if isinstance(source, str) else source
     lines = iter(source)
+    ahead = iter(source.readline, "") if hasattr(source, "readline") else lines
     # Read ahead to the first non-blank line, and no further: it is the first row.
-    first = next(filter(str.strip, lines), None)
+    first = next(filter(str.strip, ahead), None)
     if first is None:
-        return iter(()), _LINE_RUNS_RE, {}
+        return iter(()), _LINE_RUNS_RE, {}, None
     if delimiter is None and "," in first and decimal_mark != ",":
         delimiter = ","
         if column is None and _COMMA_NUMBERS_RE.fullmatch(first.strip()):
@@ -287,11 +301,16 @@ def _valid_blocks(
         rows = filter(None, csv.reader(rows, delimiter=delimiter))
     first_row = next(_csv_checked(rows, source))
     index, is_header = _resolve_column(column, first_row, decimal_mark)
+    rest = None
     if delimiter is None and index == 0:
         # The rest of the text follows the first row.  `_blocks` ends lines
         # where a universal-newline source does; any other's items are lines.
-        blocks = (_blocks(source) if getattr(source, "newlines", None)
-                  else _batches(map(str.rstrip, lines)))
+        if not getattr(source, "newlines", None):
+            blocks = _batches(map(str.rstrip, lines))
+        elif split and (halves := _halves(source)):
+            blocks, rest = map(_blocks, halves)
+        else:
+            blocks = _blocks(source)
         if not is_header:
             blocks = chain((first_row[0] + "\n",), blocks)
         runs, marks = _LINE_RUNS_RE, {("", ""): SKIP_NON_NUMERIC}
@@ -305,7 +324,8 @@ def _valid_blocks(
         runs, marks = _CELL_RUNS_RE, {("", ""): SKIP_NON_NUMERIC, ("\n", ""): SKIP_EMPTY}
     if decimal_mark != ".":
         blocks = map(methodcaller("replace", decimal_mark, "."), blocks)
-    return _csv_checked(blocks, source), runs, marks
+        rest = rest and map(methodcaller("replace", decimal_mark, "."), rest)
+    return _csv_checked(blocks, source), runs, marks, rest
 
 
 def _csv_checked(items: Iterator, source: TextIO | Iterable[str]) -> Iterator:
@@ -335,6 +355,72 @@ def _blocks(source: TextIO) -> Iterator[str]:
         if "\r" in block:
             block = block.replace("\r\n", "\n").replace("\r", "\n")
         yield block if block.endswith("\n") else block + "\n"
+
+
+def _halves(source: TextIO) -> tuple[TextIO, TextIO] | None:
+    """The rest of a UTF-8 `source` as two texts read from its file by byte offset, or None.
+
+    The first text runs from the source's position to a line start near the
+    middle of the rest, and the second from there to the end of the file as
+    it is now.  Both read the source's file descriptor with os.pread, which
+    moves no file offset, so a forked process can read one while this one
+    reads the other.  None where the source is no text file over a regular file, its
+    encoding is not UTF-8, its position is not a plain byte offset (as
+    after a line that ends in a lone "\\r"), or the rest is no more than
+    two blocks of `_blocks`.  Otherwise the source is left at its end.
+    """
+    raw = getattr(getattr(source, "buffer", None), "raw", None)
+    if not (isinstance(source, io.TextIOWrapper) and isinstance(raw, io.FileIO)
+            and codecs.lookup(source.encoding).name in ("utf-8", "utf-8-sig")):
+        return None
+    try:
+        start, info = source.tell(), os.fstat(raw.fileno())
+    except (OSError, ValueError):  # not seekable, closed, or `tell` turned off by `next`
+        return None
+    # A position that is not a plain byte offset is at least 2**64.
+    if not stat.S_ISREG(info.st_mode) or start >= info.st_size - 2 * 4 * _CHUNK:
+        return None
+    middle = _line_start(raw.fileno(), (start + info.st_size) // 2)
+    if middle is None:
+        return None
+    source.seek(0, os.SEEK_END)
+    return tuple(io.TextIOWrapper(_ByteRange(raw.fileno(), *span), encoding="utf-8",
+                                  errors=source.errors, newline="")
+                 for span in ((start, middle), (middle, info.st_size)))
+
+
+# A line end that a byte follows: "\n", or a "\r" before any byte but "\n".
+_LINE_END_RE = re.compile(rb"\n(?=[\s\S])|\r(?=[^\n])")
+
+
+def _line_start(fd: int, offset: int) -> int | None:
+    """The offset of the first line that starts after `offset` in file `fd`, or None.
+
+    "\\n" and a lone "\\r" end lines, as they do for `_blocks`; neither
+    byte can be part of a UTF-8 character.
+    """
+    while len(window := os.pread(fd, 4 * _CHUNK, offset)) > 1:
+        if found := _LINE_END_RE.search(window):
+            return offset + found.end()
+        offset += len(window) - 1  # the last byte is read again with the byte after it
+    return None
+
+
+class _ByteRange(io.RawIOBase):
+    """The bytes of file descriptor `fd` from `start` up to `stop`, read by os.pread."""
+
+    def __init__(self, fd: int, start: int, stop: int):
+        super().__init__()
+        self.fd, self.position, self.stop = fd, start, stop
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        data = os.pread(self.fd, min(len(buffer), self.stop - self.position), self.position)
+        buffer[:len(data)] = data
+        self.position += len(data)
+        return len(data)
 
 
 def _batches(items: Iterator[str]) -> Iterator[str]:
@@ -488,12 +574,18 @@ def ingest(
 
     A column read by rows that fills more than one chunk is counted in a
     forked helper process (see `_count_in_helper`), while this process reads
-    the next chunk, if os.fork exists and no other thread is running (see
-    `_one_thread`); the first chunk is held until the second is read.  Every
-    other input is counted here.  The counts and skips are the same either way.
+    the next chunk; the first chunk is held until the second is read.  Text
+    read by its first field from a UTF-8 file that `_halves` splits is
+    counted in two halves: the helper reads and counts the second half of
+    the rest of the file while this process counts the first.  Both need
+    os.fork and no other thread running (see `_one_thread`).  Every other
+    input is counted here.  The counts and skips are the same either way.
     """
-    blocks, runs, marks = _valid_blocks(source, column, delimiter, decimal_mark)
-    if runs is _CELL_RUNS_RE and hasattr(os, "fork") and _one_thread():
+    forking = hasattr(os, "fork") and _one_thread()
+    blocks, runs, marks, rest = _valid_blocks(source, column, delimiter, decimal_mark, forking)
+    if rest is not None:
+        return _count_in_helper(blocks, runs, marks, system, rest)
+    if runs is _CELL_RUNS_RE and forking:
         held = list(islice(blocks, 2))
         blocks = chain(held, blocks)
         if len(held) == 2:
@@ -516,20 +608,26 @@ def _one_thread() -> bool:
 
 
 def _count_in_helper(
-    blocks: Iterable[str], runs: re.Pattern, marks: dict[tuple[str, str], str], system: DigitSystem
+    blocks: Iterable[str], runs: re.Pattern, marks: dict[tuple[str, str], str], system: DigitSystem,
+    rest: Iterable[str] | None = None,
 ) -> DigitCounts:
-    """`_count(blocks, runs, marks, system)`, counted in a forked helper while this process reads.
+    """`_count(chain(blocks, rest or ()), runs, marks, system)`, counted in part by a forked helper.
 
-    This process writes each block to a pipe as it is read, as one
-    unbuffered, length-prefixed write, and goes on to read the next; the
-    helper reads the blocks with a large buffer, counts them, sends back its
+    Without `rest`, this process reads `blocks` and writes each to a pipe, as
+    one unbuffered, length-prefixed write, and goes on to read the next; the
+    helper reads the blocks with a large buffer and counts them.  With
+    `rest`, blocks that the helper reads for itself, the helper counts
+    `rest` while this process counts `blocks`, and stops early if this
+    process closes the report pipe first.  The helper sends back its
     counts and skip reasons by marshal and leaves by os._exit.  However the
-    reading here ends, even by an error or an interrupt, both pipes are
-    closed and the helper is waited for, so no helper outlives the call.  A
-    helper that fails makes this raise ChildProcessError, never return
-    partial counts.  Where a caller ignores SIGCHLD, or reaps children in
+    work here ends, even by an error or an interrupt, both pipes are closed
+    and the helper is waited for, so no helper outlives the call.  A helper
+    that fails makes this raise ChildProcessError, never return partial
+    counts; with `rest`, `rest` is counted here instead, which raises the
+    helper's error, such as a UnicodeDecodeError, as counting it here in the
+    first place would.  Where a caller ignores SIGCHLD, or reaps children in
     its handler, the helper's status is gone, and its report alone shows
-    that it finished.  If the fork itself fails, the blocks are counted here.
+    that it finished.  If the fork itself fails, everything is counted here.
     """
     fds = os.pipe() + os.pipe()
     blocks_in, blocks_out, report_in, report_out = fds
@@ -537,12 +635,12 @@ def _count_in_helper(
         pid = os.fork()
     except BaseException as exc:
         # A helper forked before an error here, such as a warning raised as
-        # one, reads the end of its closed pipe and leaves.
+        # one, finds its pipes closed and leaves.
         for fd in fds:
             os.close(fd)
         if not isinstance(exc, OSError):
             raise
-        return _count(blocks, runs, marks, system)
+        return _count(chain(blocks, rest or ()), runs, marks, system)
     if pid == 0:  # the helper
         code = 1
         try:
@@ -550,7 +648,8 @@ def _count_in_helper(
             os.close(report_in)
             with open(blocks_in, "rb", buffering=1 << 20) as pipe, open(report_out, "wb") as out:
                 try:
-                    counted = _count(_received(pipe), runs, marks, system)
+                    blocks = _received(pipe) if rest is None else _while_heard(rest, report_out)
+                    counted = _count(blocks, runs, marks, system)
                     report = counted.counts, counted.skip_reasons
                 except Exception as exc:  # sent to the parent, which raises it
                     report = repr(exc)
@@ -562,14 +661,10 @@ def _count_in_helper(
     os.close(report_out)
     pipe, out = open(blocks_out, "wb", buffering=0), open(report_in, "rb")
     try:
-        for block in blocks:
-            data = block.encode("utf-8", "surrogatepass")
-            view = memoryview(len(data).to_bytes(8, "little") + data)
-            try:
-                while view:
-                    view = view[pipe.write(view):]
-            except BrokenPipeError:
-                break  # the helper has stopped, and its report says why
+        if rest is None:
+            _send(blocks, pipe)
+        else:
+            here = _count(blocks, runs, marks, system)
         pipe.close()  # the end of the blocks
         report = out.read()
     finally:
@@ -580,6 +675,29 @@ def _count_in_helper(
             status = os.waitpid(pid, 0)[1]
         except ChildProcessError:  # reaped already: the report tells
             status = 0
+    try:
+        there = _reported(status, report, system)
+    except ChildProcessError:
+        if rest is None:
+            raise
+        there = _count(rest, runs, marks, system)
+    return there if rest is None else _added(here, there)
+
+
+def _send(blocks: Iterable[str], pipe: BinaryIO) -> None:
+    """Write each of `blocks` to `pipe` as `_received` reads them, until either of them ends."""
+    for block in blocks:
+        data = block.encode("utf-8", "surrogatepass")
+        view = memoryview(len(data).to_bytes(8, "little") + data)
+        try:
+            while view:
+                view = view[pipe.write(view):]
+        except BrokenPipeError:
+            return  # the helper has stopped, and its report says why
+
+
+def _reported(status: int, report: bytes, system: DigitSystem) -> DigitCounts:
+    """The counts that the helper reported, or ChildProcessError if it failed."""
     if status:
         code = os.waitstatus_to_exitcode(status)
         raise ChildProcessError(f"the counting helper process ended with status {code}")
@@ -590,6 +708,29 @@ def _count_in_helper(
     if isinstance(report, str):
         raise ChildProcessError(f"the counting helper process failed: {report}")
     return DigitCounts(system, *report)
+
+
+def _added(first: DigitCounts, second: DigitCounts) -> DigitCounts:
+    """The counts of two parts of one input in order: zero-value first, then by first occurrence."""
+    counts = tuple(map(sum, zip(first.counts, second.counts)))
+    skips = dict(Counter(first.skip_reasons) + Counter(second.skip_reasons))
+    if SKIP_ZERO in skips:
+        skips = {SKIP_ZERO: skips.pop(SKIP_ZERO), **skips}
+    return DigitCounts(first.system, counts, skips)
+
+
+def _while_heard(blocks: Iterable[str], fd: int) -> Iterator[str]:
+    """`blocks`, until the process that reads the pipe written by `fd` has closed it.
+
+    A helper that reads its own blocks so stops at the next block once the
+    calling process has stopped, by an error or an interrupt.
+    """
+    poller = select.poll()
+    poller.register(fd, 0)  # only a hang-up or an error is reported
+    for block in blocks:
+        if poller.poll(0):
+            return
+        yield block
 
 
 def _received(pipe: BinaryIO) -> Iterator[str]:

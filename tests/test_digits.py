@@ -1,5 +1,6 @@
 import _thread
 import csv
+import gzip
 import importlib.util
 import io
 import json
@@ -43,9 +44,15 @@ from benfordsev.digits import (
 SCHEMES = [FIRST_DIGIT, FIRST_TWO_DIGITS]
 
 
+def os_threads():
+    """The threads of this process as the operating system counts them, or None if unknown."""
+    return len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+
+
 @contextmanager
 def live_thread():
     """Keep a second thread alive, which makes ingest count every input in this process."""
+    before = os_threads()
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
@@ -55,6 +62,11 @@ def live_thread():
         stop.set()
         thread.join(timeout=60)
         assert not thread.is_alive()
+        # The operating system's thread may end a moment after join returns,
+        # and ingest counts it until then.
+        deadline = time.monotonic() + 60
+        while before is not None and os_threads() > before and time.monotonic() < deadline:
+            time.sleep(0.001)
 
 
 def spied_helper():
@@ -437,7 +449,7 @@ class TestParseRecords:
     def test_sniff_reads_lazily(self):
         source = iter(["\n", "1,2\n", "3,4\n", "5,6\n"])
         with mock.patch.object(digits, "_CHUNK", 1):
-            blocks, runs, _ = _valid_blocks(source, 0, None, ".")
+            blocks, runs, _, _ = _valid_blocks(source, 0, None, ".")
             # The comma is sniffed: the first block holds the first row's first cell.
             assert runs is digits._CELL_RUNS_RE and next(blocks) == "1\n"
             # Only the lines up to the first non-blank one are read ahead.
@@ -613,7 +625,9 @@ class TestIngest:
             path = tmp_path / "input.txt"
             path.write_text("amount id\n" + text, encoding="utf-8")
             source = open(path, encoding="utf-8", newline=newline)
-        with source as s, small_chunks(64):
+        # A live thread keeps every block in this process, where the patterns
+        # are counted: a file would be counted in halves, one in a helper.
+        with source as s, small_chunks(64), live_thread():
             counts = ingest(s, FIRST_DIGIT)
         assert counts.n == 1000 + 500 and counts.skip_reasons == {"non-numeric": 500}
         # One findall per block reads each line once, clean or not, indented
@@ -1398,6 +1412,56 @@ def helper_inputs(draw):
 FORKING = settings(max_examples=min(settings().max_examples, 300))
 
 
+# First fields of text lines: 1-9-led, to strip, zero, non-numeric, non-ASCII.
+SPLIT_FIELDS = ["12.5", "7", "-0.0312", "+5", ".7", "007", "0", "0e5", "-0.0", "3e2", "99.9",
+                "n/a", "1.2.3", "1e", "\u00e9", "\u0665", "\u00bd"]
+
+
+@st.composite
+def split_texts(draw):
+    """(UTF-8 bytes, decimal mark, chunk, newline, whether `ingest` counts them in two halves).
+
+    Text read by its first field: perhaps blank lines, then a header or a
+    value as the first row, then lines that may be indented, blank or hold
+    later fields, ended by "\n", "\r\n", a lone "\r" or a mix of them,
+    and three short lines.  The file may start with a BOM.  It is counted
+    in halves if the first row does not end in a lone "\r" and more than
+    two blocks of `chunk` follow it.
+    """
+    chunk = draw(st.integers(min_value=1, max_value=4))
+    decimal_mark = draw(st.sampled_from([".", ","]))
+    mode = draw(st.sampled_from([*LINE_ENDS, "mixed"]))
+    blank = st.sampled_from(["", " ", "\t "])
+    indent = st.sampled_from(["", "", " ", "\t"])
+    later = st.sampled_from(["", "", " x", "\t7 y", " \u00e9"])
+    value = st.one_of(st.sampled_from(SPLIT_FIELDS), numeric_texts())
+
+    def end():
+        return draw(st.sampled_from(LINE_ENDS)) if mode == "mixed" else mode
+
+    def line():
+        if draw(st.integers(min_value=0, max_value=6)) == 0:
+            return draw(blank)
+        return draw(indent) + draw(value).replace(".", decimal_mark) + draw(later)
+
+    header = draw(st.booleans())
+    first = "amount id" if header else draw(st.sampled_from(SPLIT_FIELDS)) + draw(later)
+    head = "".join(draw(blank) + end() for _ in range(draw(st.integers(0, 2))))
+    head += first.replace(".", decimal_mark)
+    first_end = end()
+    lines = [line() for _ in range(draw(st.integers(min_value=0, max_value=40)))] + ["7", "8", "9"]
+    rest = "".join(line + end() for line in lines)
+    if draw(st.booleans()):
+        rest = rest.rstrip("\r\n")
+    bom = draw(st.booleans()) * "\ufeff"
+    data = (bom + head + first_end + rest).encode()
+    # A "\r" before a "\n" ends one line with it.
+    lone_cr = first_end == "\r" and not rest.startswith("\n")
+    rest_bytes = len(rest.encode()) - (first_end == "\r" and rest.startswith("\n"))
+    newline = draw(st.sampled_from(["", None]))
+    return data, decimal_mark, chunk, newline, not lone_cr and rest_bytes > 2 * 4 * chunk
+
+
 class TestReaderCountsInAHelperAsInProcess:
     @pytest.mark.parametrize("scheme", SCHEMES)
     @FORKING
@@ -1463,6 +1527,82 @@ class TestReaderCountsInAHelperAsInProcess:
             time.sleep(0.001)
         assert len(os.listdir("/proc/self/task")) == 1
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @FORKING
+    @given(case=split_texts())
+    # A first row ended by a lone "\r", whose position is no plain byte offset,
+    # and one ended by "\n" before lines ended by a lone "\r".
+    @example(case=(b"5\r" + b"7\r" * 20, ".", 1, "", False))
+    @example(case=(b"amount\n" + b"7\r" * 20, ".", 1, "", True))
+    # A BOM, a header and a non-ASCII line across a split of "\r\n" lines.
+    @example(case=(("\ufeffamount id\r\n" + "\u00e9 5\r\n-0,5 x\r\n" * 9 + "7\r\n").encode(),
+                   ",", 2, None, True))
+    def test_a_text_file_counted_in_two_halves_counts_as_in_process(self, scheme, case,
+                                                                    tmp_path_factory):
+        data, decimal_mark, chunk, newline, splits = case
+        path = tmp_path_factory.mktemp("halves") / "values.txt"
+        path.write_bytes(data)
+        results = []
+        for threads in (nullcontext, live_thread):
+            with small_chunks(chunk), spied_helper() as helper, threads(), \
+                    open(path, encoding="utf-8-sig", newline=newline) as fh:
+                results.append(ingest(fh, scheme, decimal_mark=decimal_mark))
+                assert fh.read() == ""  # the source is left at its end
+            assert helper.called == (splits and threads is nullcontext)
+        split, in_process = results
+        assert split.counts == in_process.counts
+        assert list(split.skip_reasons.items()) == list(in_process.skip_reasons.items())
+        text = io.StringIO(data.decode("utf-8-sig"), newline=None).read()
+        counts, skips = reference_ingest(text, scheme, decimal_mark=decimal_mark)
+        assert list(split.counts) == counts
+        assert list(split.skip_reasons.items()) == list(skips.items())
+
+    def test_only_a_utf8_file_of_more_than_two_blocks_is_counted_in_halves(self, tmp_path):
+        # Blocks of 4 * 2 characters: the rest of the text is 40 blocks, and
+        # the short file's is two.
+        text = "amount\n" + "".join(f"{i % 9 + 1}.5\n" for i in range(80))
+        short = "amount\n1.5\n2.5\n3.5\n4.5\n"
+        paths = {}
+        for name, content, encoding in (("text", text, "utf-8"), ("short", short, "utf-8"),
+                                        ("latin", text, "latin-1"),
+                                        ("cr", text.replace("\n", "\r"), "utf-8")):
+            paths[name] = tmp_path / f"{name}.txt"
+            paths[name].write_bytes(content.encode(encoding))
+        with gzip.open(tmp_path / "text.txt.gz", "wt", encoding="utf-8") as fh:
+            fh.write(text)
+
+        @contextmanager
+        def pipe():
+            read_end, write_end = os.pipe()
+            os.write(write_end, text.encode())
+            os.close(write_end)
+            with open(read_end, encoding="utf-8", newline="") as fh:
+                yield fh
+
+        def opened(name, encoding="utf-8-sig", newline=""):
+            return lambda: open(paths[name], encoding=encoding, newline=newline)
+
+        sources = {
+            "file": (opened("text"), True),
+            "file-newline-none": (opened("text", "utf-8", None), True),
+            "file-of-two-blocks": (opened("short"), False),
+            "first-row-ended-by-a-lone-cr": (opened("cr"), False),
+            "latin-1-file": (opened("latin", "latin-1"), False),
+            "gzip-file": (lambda: gzip.open(tmp_path / "text.txt.gz", "rt", encoding="utf-8",
+                                            newline=""), False),
+            "pipe": (pipe, False),
+            "str": (lambda: nullcontext(text), False),
+            "StringIO": (lambda: io.StringIO(text, newline=""), False),
+            "list": (lambda: nullcontext(text.splitlines(keepends=True)), False),
+        }
+        for name, (source, halves) in sources.items():
+            with small_chunks(2), spied_helper() as helper, source() as s:
+                counts = ingest(s, FIRST_DIGIT)
+            assert helper.called == halves, name
+            assert counts.n == (4 if name == "file-of-two-blocks" else 80), name
+        with small_chunks(2), spied_helper() as helper, live_thread(), opened("text")() as s:
+            assert ingest(s, FIRST_DIGIT).n == 80
+        assert not helper.called
 
 def no_child_is_left():
     """Whether this process has no child process, running or unreaped."""
@@ -1617,6 +1757,85 @@ class TestReaderHelperFailures:
         with live_thread():
             assert main(["analyze", str(path), "--column", "amount"]) == 0
 
+
+    @staticmethod
+    def halves_file(tmp_path, bad_line=None):
+        """A text file of 8,000 values after a header, counted in halves in blocks of 4 * 2.
+
+        Line `bad_line`, if given, holds a byte that is not UTF-8.  The file
+        is 32,007 bytes: the first read of a text file, 8,192 bytes, ends in
+        the first half.
+        """
+        lines = [f"{i % 9 + 1}.5\n".encode() for i in range(8000)]
+        if bad_line is not None:
+            lines[bad_line] = b"\xff7\n"
+        path = tmp_path / "values.txt"
+        path.write_bytes(b"amount\n" + b"".join(lines))
+        return path
+
+    @pytest.mark.parametrize("handler", SIGCHLD_HANDLERS)
+    @pytest.mark.parametrize("bad_line", [3000, 7000], ids=["this-half", "helper-half"])
+    def test_text_that_is_not_utf8_in_either_half_raises_it(self, tmp_path, handler, bad_line):
+        path = self.halves_file(tmp_path, bad_line)
+        with small_chunks(2), spied_helper() as helper, sigchld(handler), \
+                pytest.raises(UnicodeDecodeError), open(path, encoding="utf-8-sig") as fh:
+            ingest(fh, FIRST_DIGIT)
+        assert helper.called and no_child_is_left()
+
+    @pytest.mark.parametrize("handler", SIGCHLD_HANDLERS)
+    def test_interrupt_while_counting_this_half_stops_the_helper(self, tmp_path, monkeypatch,
+                                                                 handler):
+        # The helper inherits the patch, which interrupts this process at its
+        # first block and gives the helper 20 ms a block: 40 s for its half.
+        parent, plain = os.getpid(), digits._plain
+
+        def interrupted_here(block):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(0.02)
+            return plain(block)
+
+        monkeypatch.setattr(digits, "_plain", interrupted_here)
+        path = self.halves_file(tmp_path)
+        start = time.monotonic()
+        with small_chunks(2), spied_helper() as helper, sigchld(handler), \
+                pytest.raises(KeyboardInterrupt), open(path, encoding="utf-8", newline="") as fh:
+            ingest(fh, FIRST_DIGIT)
+        assert helper.called and no_child_is_left()
+        assert time.monotonic() - start < 10
+
+    @pytest.mark.parametrize("failure", ["error", "cut-report"])
+    def test_a_failed_text_helper_leaves_its_half_to_be_counted_here(self, tmp_path, monkeypatch,
+                                                                     failure):
+        path = self.halves_file(tmp_path)
+        with small_chunks(2), live_thread(), open(path, encoding="utf-8") as fh:
+            expected = ingest(fh, FIRST_TWO_DIGITS)
+        # The helper inherits the patch, which fails it and nothing here.
+        parent, tally = os.getpid(), digits._tally
+
+        def failing_in_the_helper(*args):
+            if os.getpid() != parent:
+                raise MemoryError("no memory left in the helper")
+            return tally(*args)
+
+        if failure == "error":
+            monkeypatch.setattr(digits, "_tally", failing_in_the_helper)
+        else:
+            monkeypatch.setattr(digits, "marshal", SimpleNamespace(
+                dumps=lambda report: marshal.dumps(report)[:-3], loads=marshal.loads))
+        with small_chunks(2), spied_helper() as helper, open(path, encoding="utf-8") as fh:
+            result = ingest(fh, FIRST_TWO_DIGITS)
+        assert helper.called and result == expected and no_child_is_left()
+
+    def test_text_not_utf8_in_the_helpers_half_exits_the_command_naming_the_file(
+            self, tmp_path, capsys):
+        path = self.halves_file(tmp_path, 7000)
+        with small_chunks(2), spied_helper() as helper:
+            code = main(["analyze", str(path)])
+        out, err = capsys.readouterr()
+        assert helper.called and code == 2 and out == ""
+        assert err.startswith(f"benfordsev: error: {str(path)!r} is not UTF-8 text: ")
+        assert err.count("\n") == 1 and no_child_is_left()
 
 class TestReaderFoldsTwoDigitsToTheFirst:
     @FORKING
