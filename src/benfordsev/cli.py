@@ -8,6 +8,7 @@ nonzero with a diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import io
 import json
@@ -155,10 +156,37 @@ def _ingest_file(args) -> DigitCounts:
                 decimal_mark=args.decimal_mark,
             )
     except UnicodeDecodeError as exc:
-        raise ValueError(f"{args.file!r} is not UTF-8 text: {exc}") from exc
+        where = _not_utf8_at(args.file) or exc
+        raise ValueError(f"{args.file!r} is not UTF-8 text: {where}") from exc
     if counts.n == 0:
         raise ValueError(f"no usable numeric records in {args.file!r}")
     return counts
+
+
+def _not_utf8_at(path: str) -> str | None:
+    """The first byte of file `path` that is not UTF-8, with its byte offset and line, or None.
+
+    A decode error's own position counts bytes within one decode chunk, so
+    the file is read again in binary, 64 KiB at a time to bound memory,
+    through an incremental decoder.  Lines end at "\\n", "\\r\\n" or a lone "\\r".
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    offset, line, previous = 0, 1, b""
+    with open(path, "rb") as fh:
+        while True:
+            block, bad = fh.read(1 << 16), None
+            # An error's start counts from the bytes held since the last block.
+            start = offset - len(decoder.getstate()[0])
+            try:
+                decoder.decode(block, final=not block)
+            except UnicodeDecodeError as exc:
+                bad = exc.object[exc.start], start + exc.start, exc.reason
+                block = block[:max(bad[1] - offset, 0)]
+            line += (block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
+                     - (previous.endswith(b"\r") and block.startswith(b"\n")))
+            if bad or not block:
+                return bad and f"byte {bad[0]:#04x} at byte offset {bad[1]}, line {line}: {bad[2]}"
+            offset, previous = offset + len(block), block
 
 
 def _digit_table(counts: DigitCounts) -> list[tuple[int, float, float]]:

@@ -18,9 +18,10 @@ import select
 import stat
 import threading
 from collections import Counter, namedtuple
+from functools import partial
 from itertools import chain, islice, repeat
 from operator import index as as_integer, itemgetter, methodcaller
-from typing import BinaryIO, Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, TextIO
 
 SKIP_EMPTY = "empty"
 SKIP_NON_NUMERIC = "non-numeric"
@@ -243,8 +244,8 @@ def _valid_blocks(
     delimiter: str | None,
     decimal_mark: str,
     split: bool = False,
-) -> tuple[Iterator[str], re.Pattern, dict[tuple[str, str], str], Iterator[str] | None]:
-    """The column as blocks of lines, the run pattern and marks `_chunks` reads them by, and a rest.
+) -> tuple[Iterator[str], re.Pattern, dict[tuple[str, str], str], list[Iterator[str]]]:
+    """The column as blocks of lines, the run pattern and marks `_chunks` reads them by, and halves.
 
     The first row is read here, and the blocks as they are iterated.
     Cells and text lines alike are checked later by one regex pass over
@@ -264,13 +265,13 @@ def _valid_blocks(
     is.  A CSV that csv.reader refuses raises ValueError, here or from the
     blocks, which names the source's file if it has a `name`.
 
-    The rest is None unless `split` is true and the text after the first
-    row is read in blocks from a file that `_halves` splits.  Then the
-    blocks stop at a line start near the middle of the rest of the file,
-    and the rest is the blocks from there to the end, which another process
-    can read, as both are read by byte offset; the source is left at its
-    end.  The first row is read by `readline` where the source has it,
-    since `next` turns off a file's `tell`.
+    The halves are empty unless `split` is true and `_halves` splits the
+    source's file after the first row.  Then the blocks stop at a line start
+    near the middle of the rest, where a quoted CSV cell may hold it (see
+    `_cells`), and the halves are the blocks from there to the end and the
+    blocks of the whole rest, all read by byte offset.  The first row is
+    read by `readline` where the source has it, since `next` turns off a
+    file's `tell`.
     """
     for name, mark in (("delimiter", delimiter), ("decimal mark", decimal_mark)):
         if mark is not None and len(mark) != 1:
@@ -288,44 +289,40 @@ def _valid_blocks(
     # Read ahead to the first non-blank line, and no further: it is the first row.
     first = next(filter(str.strip, ahead), None)
     if first is None:
-        return iter(()), _LINE_RUNS_RE, {}, None
+        return iter(()), _LINE_RUNS_RE, {}, []
     if delimiter is None and "," in first and decimal_mark != ",":
         delimiter = ","
         if column is None and _COMMA_NUMBERS_RE.fullmatch(first.strip()):
             raise ValueError(f"{first.strip()!r} may be one number written with commas;"
                              " give --delimiter , or --column, or --decimal-mark ,")
-    rows = chain((first,), lines)
-    if delimiter is None:
-        rows = filter(None, map(str.split, rows))
-    else:
-        rows = filter(None, csv.reader(rows, delimiter=delimiter))
-    first_row = next(_csv_checked(rows, source))
+    reader = (partial(map, str.split) if delimiter is None
+              else partial(csv.reader, delimiter=delimiter))
+    # The lines of a first row that a quoted cell carries on are read ahead too.
+    first_row = next(_csv_checked(filter(None, reader(chain((first,), ahead))), source))
     index, is_header = _resolve_column(column, first_row, decimal_mark)
-    rest = None
+    lead = () if is_header else tuple(_batches(_cells([first_row], index)))
+    # The rest follows the first row.  `_blocks` ends lines where a
+    # universal-newline source does; any other's items are lines.
+    universal = bool(getattr(source, "newlines", None))
     if delimiter is None and index == 0:
-        # The rest of the text follows the first row.  `_blocks` ends lines
-        # where a universal-newline source does; any other's items are lines.
-        if not getattr(source, "newlines", None):
-            blocks = _batches(map(str.rstrip, lines))
-        elif split and (halves := _halves(source)):
-            blocks, rest = map(_blocks, halves)
-        else:
-            blocks = _blocks(source)
-        if not is_header:
-            blocks = chain((first_row[0] + "\n",), blocks)
+        def read(text, half=False):
+            return _blocks(text) if universal else _batches(map(str.rstrip, text))
         runs, marks = _LINE_RUNS_RE, {("", ""): SKIP_NON_NUMERIC}
     else:
-        if not is_header:
-            rows = chain((first_row,), rows)
         # Batches hold cells, never row lists: tens of thousands of live
         # lists make the cyclic garbage collector's passes slow.
-        cells = (row[index] if index < len(row) else "" for row in rows)
-        blocks = _batches(cells)
+        def read(text, half=False):
+            return _batches(_cells(reader(chain(text, ("\n",)) if half else text), index, half))
         runs, marks = _CELL_RUNS_RE, {("", ""): SKIP_NON_NUMERIC, ("\n", ""): SKIP_EMPTY}
+    if split and (halves := _halves(source)):
+        here, there, whole = halves
+        parts = [chain(lead, read(here, True)), read(there), chain(lead, read(whole))]
+    else:
+        parts = [chain(lead, read(source if universal else lines))]
     if decimal_mark != ".":
-        blocks = map(methodcaller("replace", decimal_mark, "."), blocks)
-        rest = rest and map(methodcaller("replace", decimal_mark, "."), rest)
-    return _csv_checked(blocks, source), runs, marks, rest
+        parts = [map(methodcaller("replace", decimal_mark, "."), part) for part in parts]
+    blocks, *halves = (_csv_checked(part, source) for part in parts)
+    return blocks, runs, marks, halves
 
 
 def _csv_checked(items: Iterator, source: TextIO | Iterable[str]) -> Iterator:
@@ -357,27 +354,31 @@ def _blocks(source: TextIO) -> Iterator[str]:
         yield block if block.endswith("\n") else block + "\n"
 
 
-def _halves(source: TextIO) -> tuple[TextIO, TextIO] | None:
-    """The rest of a UTF-8 `source` as two texts read from its file by byte offset, or None.
+def _halves(source: TextIO) -> tuple[TextIO, TextIO, TextIO] | None:
+    """The rest of a UTF-8 `source` as three texts read from its file by byte offset, or None.
 
-    The first text runs from the source's position to a line start near the
-    middle of the rest, and the second from there to the end of the file as
-    it is now.  Both read the source's file descriptor with os.pread, which
-    moves no file offset, so a forked process can read one while this one
-    reads the other.  None where the source is no text file over a regular file, its
-    encoding is not UTF-8, its position is not a plain byte offset (as
-    after a line that ends in a lone "\\r"), or the rest is no more than
-    two blocks of `_blocks`.  Otherwise the source is left at its end.
+    The texts run from the source's position to a line start near the
+    middle of the rest, from there to the end of the file as it is now, and
+    over the whole rest.  Each reads the source's file descriptor with
+    os.pread, which moves no file offset, so a forked process can read one
+    while this one reads another.  None unless the source is a UTF-8 text
+    file over a regular file, in a universal-newline mode that has read a
+    line end, at a plain byte offset (not after a lone "\\r" that ends a
+    line before one that is not empty), with more than two blocks of
+    `_blocks` left.  Otherwise the source is left at its end.
     """
     raw = getattr(getattr(source, "buffer", None), "raw", None)
     if not (isinstance(source, io.TextIOWrapper) and isinstance(raw, io.FileIO)
-            and codecs.lookup(source.encoding).name in ("utf-8", "utf-8-sig")):
+            and source.newlines and codecs.lookup(source.encoding).name in ("utf-8", "utf-8-sig")):
         return None
     try:
         start, info = source.tell(), os.fstat(raw.fileno())
     except (OSError, ValueError):  # not seekable, closed, or `tell` turned off by `next`
         return None
-    # A position that is not a plain byte offset is at least 2**64.
+    # A position that is not a plain byte offset is at least 2**64, but 2**64
+    # above the byte after a "\r" held back by the newline decoder is that "\r".
+    if start >> 64 == 1:
+        start -= (1 << 64) + 1
     if not stat.S_ISREG(info.st_mode) or start >= info.st_size - 2 * 4 * _CHUNK:
         return None
     middle = _line_start(raw.fileno(), (start + info.st_size) // 2)
@@ -386,7 +387,7 @@ def _halves(source: TextIO) -> tuple[TextIO, TextIO] | None:
     source.seek(0, os.SEEK_END)
     return tuple(io.TextIOWrapper(_ByteRange(raw.fileno(), *span), encoding="utf-8",
                                   errors=source.errors, newline="")
-                 for span in ((start, middle), (middle, info.st_size)))
+                 for span in ((start, middle), (middle, info.st_size), (start, info.st_size)))
 
 
 # A line end that a byte follows: "\n", or a "\r" before any byte but "\n".
@@ -421,6 +422,33 @@ class _ByteRange(io.RawIOBase):
         buffer[:len(data)] = data
         self.position += len(data)
         return len(data)
+
+
+class _InsideARecord(Exception):
+    """The line start that splits a CSV file's rest is inside a record."""
+
+
+def _cells(rows: Iterable[list[str]], index: int, half: bool = False) -> Iterator[str]:
+    """The cell at `index` of each row that is not empty, or "" where the row is shorter.
+
+    With `half`, `rows` are read from a half of the rest of a file that ends
+    at a line start, and from one blank line after it.  Only a quoted cell
+    carries a record across a line end, so the half ends at a record's end
+    exactly when that blank line is read as an empty row.  Where it is not,
+    or the reader refuses the half (the blank line may lengthen a cell cut
+    at the line start), _InsideARecord is raised after the last cell.
+    """
+    row = None
+    try:
+        for row in rows:
+            if row:
+                yield row[index] if index < len(row) else ""
+    except csv.Error:
+        if not half:
+            raise
+        row = None
+    if half and row != []:
+        raise _InsideARecord
 
 
 def _batches(items: Iterator[str]) -> Iterator[str]:
@@ -559,9 +587,9 @@ def ingest(
 
     The input is read as parse_records reads it, one chunk at a time, and
     each chunk's heads are counted as it comes, so memory holds about one
-    chunk of cells (a few, with the helper below), or one block of text
-    lines, however long the input is.  Text read by its first field is read
-    by its lines, whatever the source, and every other column by rows.
+    chunk of cells, or one block of text lines, in each process however
+    long the input is.  Text read by its first field is read by its lines,
+    whatever the source, and every other column by rows.
     Cells and text lines are checked alike, by one regex pass over each
     chunk's joined text, or none for a plain chunk (see `_plain`), and
     `_tally` counts the tokens that pass by head in C, with no second check
@@ -572,24 +600,17 @@ def ingest(
     fields; its head is cut at whitespace when it is tallied.  Zero-value is
     listed first, then the skips of parse_records.
 
-    A column read by rows that fills more than one chunk is counted in a
-    forked helper process (see `_count_in_helper`), while this process reads
-    the next chunk; the first chunk is held until the second is read.  Text
-    read by its first field from a UTF-8 file that `_halves` splits is
-    counted in two halves: the helper reads and counts the second half of
-    the rest of the file while this process counts the first.  Both need
-    os.fork and no other thread running (see `_one_thread`).  Every other
-    input is counted here.  The counts and skips are the same either way.
+    A column read from a UTF-8 file that `_halves` splits is counted in two
+    halves: a forked helper reads and counts the second half of the rest of
+    the file by byte offset while this process counts the first (see
+    `_count_in_helper`).  That needs os.fork and no other thread running
+    (see `_one_thread`).  Every other input is counted here.  The counts and
+    skips are the same either way.
     """
     forking = hasattr(os, "fork") and _one_thread()
-    blocks, runs, marks, rest = _valid_blocks(source, column, delimiter, decimal_mark, forking)
-    if rest is not None:
-        return _count_in_helper(blocks, runs, marks, system, rest)
-    if runs is _CELL_RUNS_RE and forking:
-        held = list(islice(blocks, 2))
-        blocks = chain(held, blocks)
-        if len(held) == 2:
-            return _count_in_helper(blocks, runs, marks, system)
+    blocks, runs, marks, halves = _valid_blocks(source, column, delimiter, decimal_mark, forking)
+    if halves:
+        return _count_in_helper(blocks, runs, marks, system, *halves)
     return _count(blocks, runs, marks, system)
 
 
@@ -609,105 +630,60 @@ def _one_thread() -> bool:
 
 def _count_in_helper(
     blocks: Iterable[str], runs: re.Pattern, marks: dict[tuple[str, str], str], system: DigitSystem,
-    rest: Iterable[str] | None = None,
+    rest: Iterable[str], whole: Iterable[str],
 ) -> DigitCounts:
-    """`_count(chain(blocks, rest or ()), runs, marks, system)`, counted in part by a forked helper.
+    """`_count(whole, runs, marks, system)`, where `blocks` and `rest` are the halves of `whole`.
 
-    Without `rest`, this process reads `blocks` and writes each to a pipe, as
-    one unbuffered, length-prefixed write, and goes on to read the next; the
-    helper reads the blocks with a large buffer and counts them.  With
-    `rest`, blocks that the helper reads for itself, the helper counts
-    `rest` while this process counts `blocks`, and stops early if this
-    process closes the report pipe first.  The helper sends back its
-    counts and skip reasons by marshal and leaves by os._exit.  However the
-    work here ends, even by an error or an interrupt, both pipes are closed
-    and the helper is waited for, so no helper outlives the call.  A helper
-    that fails makes this raise ChildProcessError, never return partial
-    counts; with `rest`, `rest` is counted here instead, which raises the
-    helper's error, such as a UnicodeDecodeError, as counting it here in the
-    first place would.  Where a caller ignores SIGCHLD, or reaps children in
-    its handler, the helper's status is gone, and its report alone shows
-    that it finished.  If the fork itself fails, everything is counted here.
+    A forked helper counts `rest` while this process counts `blocks`, and
+    sends back its counts and skips by marshal.  However the work here
+    ends, even by an error or an interrupt, the pipe is closed, which stops
+    the helper at its next block, and the helper is waited for.  Where
+    `blocks` raise _InsideARecord, `whole` is counted here and the helper's
+    report is not read.  A helper that fails, by an error, a signal or a
+    report cut short, leaves `rest` to be counted here, which raises the
+    helper's error, such as a UnicodeDecodeError, as counting it here in
+    the first place would.  Where a caller ignores SIGCHLD, or reaps
+    children in its handler, the helper's status is gone, and its report
+    alone shows that it finished.  If the fork fails, `whole` is counted here.
     """
-    fds = os.pipe() + os.pipe()
-    blocks_in, blocks_out, report_in, report_out = fds
+    report_in, report_out = os.pipe()
     try:
         pid = os.fork()
     except BaseException as exc:
         # A helper forked before an error here, such as a warning raised as
-        # one, finds its pipes closed and leaves.
-        for fd in fds:
-            os.close(fd)
+        # one, finds its pipe closed and leaves.
+        os.close(report_in)
+        os.close(report_out)
         if not isinstance(exc, OSError):
             raise
-        return _count(chain(blocks, rest or ()), runs, marks, system)
+        return _count(whole, runs, marks, system)
     if pid == 0:  # the helper
-        code = 1
         try:
-            os.close(blocks_out)
             os.close(report_in)
-            with open(blocks_in, "rb", buffering=1 << 20) as pipe, open(report_out, "wb") as out:
-                try:
-                    blocks = _received(pipe) if rest is None else _while_heard(rest, report_out)
-                    counted = _count(blocks, runs, marks, system)
-                    report = counted.counts, counted.skip_reasons
-                except Exception as exc:  # sent to the parent, which raises it
-                    report = repr(exc)
-                out.write(marshal.dumps(report))
-            code = 0
+            counted = _count(_while_heard(rest, report_out), runs, marks, system)
+            os.write(report_out, marshal.dumps((counted.counts, counted.skip_reasons)))
+            os._exit(0)
         finally:
-            os._exit(code)
-    os.close(blocks_in)
+            os._exit(1)
     os.close(report_out)
-    pipe, out = open(blocks_out, "wb", buffering=0), open(report_in, "rb")
     try:
-        if rest is None:
-            _send(blocks, pipe)
-        else:
-            here = _count(blocks, runs, marks, system)
-        pipe.close()  # the end of the blocks
-        report = out.read()
+        with open(report_in, "rb") as out:
+            here, report = _count(blocks, runs, marks, system), out.read()
+    except _InsideARecord:
+        here = report = None
     finally:
-        # With both pipes closed, a helper still reading or reporting ends.
-        pipe.close()
-        out.close()
+        # With the pipe closed, a helper still counting stops at its next block.
         try:
             status = os.waitpid(pid, 0)[1]
         except ChildProcessError:  # reaped already: the report tells
             status = 0
+    if here is None:
+        return _count(whole, runs, marks, system)
     try:
-        there = _reported(status, report, system)
-    except ChildProcessError:
-        if rest is None:
-            raise
-        there = _count(rest, runs, marks, system)
-    return there if rest is None else _added(here, there)
-
-
-def _send(blocks: Iterable[str], pipe: BinaryIO) -> None:
-    """Write each of `blocks` to `pipe` as `_received` reads them, until either of them ends."""
-    for block in blocks:
-        data = block.encode("utf-8", "surrogatepass")
-        view = memoryview(len(data).to_bytes(8, "little") + data)
-        try:
-            while view:
-                view = view[pipe.write(view):]
-        except BrokenPipeError:
-            return  # the helper has stopped, and its report says why
-
-
-def _reported(status: int, report: bytes, system: DigitSystem) -> DigitCounts:
-    """The counts that the helper reported, or ChildProcessError if it failed."""
-    if status:
-        code = os.waitstatus_to_exitcode(status)
-        raise ChildProcessError(f"the counting helper process ended with status {code}")
-    try:
-        report = marshal.loads(report)
-    except (EOFError, ValueError, TypeError):
-        report = "it sent no complete report"
-    if isinstance(report, str):
-        raise ChildProcessError(f"the counting helper process failed: {report}")
-    return DigitCounts(system, *report)
+        there = None if status else DigitCounts(system, *marshal.loads(report))
+    except (EOFError, ValueError, TypeError):  # a report cut short
+        there = None
+    return _added(here, there or _count(rest, runs, marks, system))
 
 
 def _added(first: DigitCounts, second: DigitCounts) -> DigitCounts:
@@ -722,8 +698,8 @@ def _added(first: DigitCounts, second: DigitCounts) -> DigitCounts:
 def _while_heard(blocks: Iterable[str], fd: int) -> Iterator[str]:
     """`blocks`, until the process that reads the pipe written by `fd` has closed it.
 
-    A helper that reads its own blocks so stops at the next block once the
-    calling process has stopped, by an error or an interrupt.
+    The helper so stops at the next block once the calling process has
+    stopped, by an error, an interrupt or a half that starts inside a record.
     """
     poller = select.poll()
     poller.register(fd, 0)  # only a hang-up or an error is reported
@@ -732,8 +708,3 @@ def _while_heard(blocks: Iterable[str], fd: int) -> Iterator[str]:
             return
         yield block
 
-
-def _received(pipe: BinaryIO) -> Iterator[str]:
-    """The blocks that `_count_in_helper` writes to `pipe`, in order, until the pipe ends."""
-    while size := int.from_bytes(pipe.read(8), "little"):
-        yield pipe.read(size).decode("utf-8", "surrogatepass")

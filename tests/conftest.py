@@ -5,7 +5,7 @@ example for longer than hypothesis's default allows.  The `ci` profile,
 chosen with `--hypothesis-profile=ci`, also runs 1000 examples a test.
 
 numpy's BLAS runs one thread here, so loading numpy starts no worker
-thread: `ingest` counts a long CSV column in a forked helper only in a
+thread: `ingest` counts half of a long file in a forked helper only in a
 process of one thread, and the tests of that helper need it to run.
 """
 

@@ -9,9 +9,11 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from benfordsev import digits
 from benfordsev.benford import benford_probs
 from benfordsev.cli import Report, build_report, main
 from benfordsev.digits import FIRST_DIGIT, DigitCounts
@@ -196,6 +198,22 @@ class TestAnalyze:
         assert out == ""
         assert err.startswith("benfordsev: error:") and repr(str(f)) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_a_byte_that_is_not_utf8_is_named_by_its_offset_and_line(self, tmp_path, capsys, end):
+        # A header and 50,000 values, more than two blocks: but for a first
+        # row ended by a lone "\r", the file is counted in two halves, and
+        # the bad byte is in the helper's half.
+        lines = [b"%d.5" % (i % 9 + 1) for i in range(50_000)]
+        lines[40_000] = b"\xff7"
+        f = tmp_path / "values.txt"
+        f.write_bytes(end.encode().join([b"amount", *lines, b""]))
+        with mock.patch.object(digits, "_count_in_helper", wraps=digits._count_in_helper) as helper:
+            code, out, err = run_cli(capsys, "analyze", str(f))
+        assert helper.called == (end != "\r") and code == 2 and out == ""
+        offset = (len("amount") + len(end)) + (3 + len(end)) * 40_000
+        assert err == (f"benfordsev: error: {str(f)!r} is not UTF-8 text: byte 0xff at byte offset "
+                       f"{offset}, line 40002: invalid start byte\n")
 
     def test_line_ends_and_byte_order_mark_leave_the_report_unchanged(self, tmp_path, monkeypatch,
                                                                       capsys):

@@ -656,9 +656,8 @@ class TestIngest:
              "count-digits"],
     )
     def test_peak_memory_does_not_grow_with_the_input(self, read, column, readable, threads):
-        # tracemalloc sees this process alone.  A CSV column is counted in a
-        # forked helper, so "csv-column" pins the reading here, and
-        # "csv-column-in-process", with a live thread, pins the counting too.
+        # tracemalloc sees this process alone, which reads and counts a
+        # generator of lines, with or without a live thread.
         def peak(chunks):
             # Distinct values, made one line at a time as they are read.
             values = (f"{i % 97 + 1}.{i:06d}" for i in range(chunks * 1000))
@@ -1370,40 +1369,78 @@ class TestReaderAcceptsPlainBlocksWithoutTheRunPass:
         assert len(found) >= 3
 
 
-# Differential tests of the counting helper: a column read by rows, over
-# more than one block, is counted in a forked helper unless another thread
-# is alive; the counts and skips must not depend on where they are counted.
+# Differential tests of the counting helper: a column read from a UTF-8
+# file of more than two blocks is counted in two halves, the second in a
+# forked helper, unless another thread is alive; the counts and skips must
+# not depend on where they are counted.
 
 # Cells of every kind: 1-9-led, with something to strip, zero, empty,
-# padded, non-numeric, and one that holds the delimiter or a quote.
+# padded, non-numeric, and one that holds the delimiter, a quote or a line
+# break.
 HELPER_CELLS = ["12.5", "7", "-0.0312", "+5", ".7", "007", "0", "0e5", "", "  ", " 3e2 ", "n/a",
-                "1,234", '"q"', "a;b", "٥", "99.9", "1.2.3"]
+                "1,234", '"q"', "a;b", "\u0665", "99.9", "1.2.3", "5\n", " 7\r", "1\r\n2"]
+# A CSV row's last cell, which may hold the delimiter ({d}), quotes that a
+# writer doubles, or line breaks that carry the record across line ends.
+HELPER_NOTES = ["", "x", "c{d}1", 'say "5"', "1{d}2\n3{d}4", "a\r\nb\r\n", "\n\n7"]
 
 
 @st.composite
 def helper_inputs(draw):
-    """(text, column, delimiter, decimal mark, chunk): a column read by rows, `chunk` cells a block."""
+    """(UTF-8 bytes, column, delimiter, decimal mark, chunk, newline, whether `ingest` splits them).
+
+    A column read by rows: a CSV column, by name after a header or by
+    index, or a later whitespace column.  A CSV's records end in "\\n",
+    "\\r\\n" or a lone "\\r", blank lines may come between them, and its
+    quoted cells may hold the delimiter, quotes or line breaks.  Three short
+    rows end the file, all in its rest after at least one more row, so a
+    line start follows the middle of the rest; blank lines and a BOM may
+    start it.  It is counted in halves if its first row does not end in a
+    lone "\\r" before a line that is not empty, and more than two blocks
+    of `chunk` follow it.
+    """
     chunk = draw(st.integers(min_value=1, max_value=4))
     decimal_mark = draw(st.sampled_from([".", ","]))
     cells = draw(st.lists(st.one_of(st.sampled_from(HELPER_CELLS), cell_texts),
-                          min_size=2 * chunk + 1, max_size=40))
+                          min_size=1, max_size=40))
     cells = [cell.replace(".", decimal_mark) for cell in cells]
     if draw(st.booleans()):
-        # A CSV with a header and quoted cells, one of them a category that
-        # holds the delimiter.
         delimiter = ";" if decimal_mark == "," else draw(st.sampled_from([",", ";"]))
         quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, delimiter=delimiter, quoting=quoting, lineterminator="\n")
-        writer.writerow(["id", "amount", "category"])
-        writer.writerows([i, cell, f"c{delimiter}{i}"] for i, cell in enumerate(cells))
-        return buffer.getvalue(), "amount", delimiter, decimal_mark, chunk
-    # A later whitespace column: each line is an id, a value and perhaps a note.
-    cells = [cell.strip() or "n/a" for cell in cells]
-    notes = draw(st.lists(st.sampled_from(["", " x", "\t7 y"]), min_size=len(cells),
-                          max_size=len(cells)))
-    text = "".join(f"r{i} {cell}{note}\n" for i, (cell, note) in enumerate(zip(cells, notes)))
-    return text, 1, None, decimal_mark, chunk
+        header = draw(st.booleans())
+        rows = [[i, cell, draw(st.sampled_from(HELPER_NOTES)).format(d=delimiter)]
+                for i, cell in enumerate(cells)]
+        rows = [["id", "amount", "note"]] * header + rows + [[i, i, ""] for i in (7, 8, 9)]
+        column = "amount" if header else 1
+
+        def record(row):
+            # A writer quotes a cell that holds a character of its line end.
+            buffer = io.StringIO()
+            csv.writer(buffer, delimiter=delimiter, quoting=quoting,
+                       lineterminator="\r\n").writerow(row)
+            return buffer.getvalue()[:-2] + draw(st.sampled_from(LINE_ENDS))
+
+        records = [record(row) for row in rows]
+        first = records[0]
+        rest = "".join(draw(st.sampled_from(["", "", "\n", " \r\n"])) + r for r in records[1:])
+    else:
+        # A later whitespace column: each line is an id, a value and perhaps a note.
+        delimiter, column = None, 1
+        notes = st.sampled_from(["", " x", "\t7 y"])
+        lines = [f"r{i} {''.join(cell.split()) or 'n/a'}{draw(notes)}"
+                 for i, cell in enumerate(cells)]
+        lines = [line + draw(st.sampled_from(LINE_ENDS)) for line in [*lines, "r 7", "r 8", "r 9"]]
+        first, rest = lines[0], "".join(lines[1:])
+    if draw(st.booleans()):
+        rest = rest.rstrip("\r\n")
+    head = "".join(draw(st.sampled_from(["\n", " \t\r\n"])) for _ in range(draw(st.integers(0, 2))))
+    data = (draw(st.booleans()) * "\ufeff" + head + first + rest).encode()
+    # A "\r" before a "\n" ends one line with it.  Before an empty line,
+    # `tell` gives the byte after the "\r", with the "\r" held back.
+    lone_cr = first.endswith("\r") and not rest.startswith(("\n", "\r"))
+    rest_bytes = len(rest.encode()) - (first.endswith("\r") and rest.startswith("\n"))
+    newline = draw(st.sampled_from(["", None]))
+    return (data, column, delimiter, decimal_mark, chunk, newline,
+            not lone_cr and rest_bytes > 2 * 4 * chunk)
 
 
 # Most examples of the helper tests fork this whole test process, which
@@ -1419,14 +1456,14 @@ SPLIT_FIELDS = ["12.5", "7", "-0.0312", "+5", ".7", "007", "0", "0e5", "-0.0", "
 
 @st.composite
 def split_texts(draw):
-    """(UTF-8 bytes, decimal mark, chunk, newline, whether `ingest` counts them in two halves).
+    """(UTF-8 bytes, None, None, decimal mark, chunk, newline, whether `ingest` splits them).
 
     Text read by its first field: perhaps blank lines, then a header or a
     value as the first row, then lines that may be indented, blank or hold
     later fields, ended by "\n", "\r\n", a lone "\r" or a mix of them,
     and three short lines.  The file may start with a BOM.  It is counted
-    in halves if the first row does not end in a lone "\r" and more than
-    two blocks of `chunk` follow it.
+    in halves if the first row does not end in a lone "\r" before a
+    line that is not empty, and more than two blocks of `chunk` follow it.
     """
     chunk = draw(st.integers(min_value=1, max_value=4))
     decimal_mark = draw(st.sampled_from([".", ","]))
@@ -1455,61 +1492,84 @@ def split_texts(draw):
         rest = rest.rstrip("\r\n")
     bom = draw(st.booleans()) * "\ufeff"
     data = (bom + head + first_end + rest).encode()
-    # A "\r" before a "\n" ends one line with it.
-    lone_cr = first_end == "\r" and not rest.startswith("\n")
+    # A "\r" before a "\n" ends one line with it.  Before an empty line,
+    # `tell` gives the byte after the "\r", with the "\r" held back.
+    lone_cr = first_end == "\r" and not rest.startswith(("\n", "\r"))
     rest_bytes = len(rest.encode()) - (first_end == "\r" and rest.startswith("\n"))
     newline = draw(st.sampled_from(["", None]))
-    return data, decimal_mark, chunk, newline, not lone_cr and rest_bytes > 2 * 4 * chunk
+    return (data, None, None, decimal_mark, chunk, newline,
+            not lone_cr and rest_bytes > 2 * 4 * chunk)
+
+
+def check_halves(scheme, case, directory):
+    """Check that `ingest` counts `case`'s file alike in two halves, in this process and per row."""
+    data, column, delimiter, decimal_mark, chunk, newline, splits = case
+    options = {"delimiter": delimiter, "decimal_mark": decimal_mark}
+    path = directory / "values.txt"
+    path.write_bytes(data)
+    results = []
+    for threads in (nullcontext, live_thread):
+        with small_chunks(chunk), spied_helper() as helper, threads(), \
+                open(path, encoding="utf-8-sig", newline=newline) as fh:
+            results.append(ingest(fh, scheme, column, **options))
+            assert fh.read() == ""  # the source is left at its end
+        assert helper.called == (splits and threads is nullcontext)
+    split, in_process = results
+    assert split.counts == in_process.counts
+    assert list(split.skip_reasons.items()) == list(in_process.skip_reasons.items())
+    text = io.StringIO(data.decode("utf-8-sig"), newline=None).read()
+    counts, skips = reference_ingest(text, scheme, column, **options)
+    assert list(split.counts) == counts
+    assert list(split.skip_reasons.items()) == list(skips.items())
+
+
+def cell_across_the_middle(middle_of="the cell"):
+    """A CSV whose rest has its middle in a quoted cell of 60 characters.
+
+    The cell is 15 lines of "1,2", each of which a reader that starts
+    inside the cell reads as a row.  The middle falls halfway through the
+    cell, or in its last line, so that the line start after it is the
+    cell's closing quote.  Rows of 9 bytes come before the cell's row and
+    after it.
+    """
+    head = b"id,amount,note\n" + b"".join(b"%d,%d.5,x\n" % (i, i % 9 + 1) for i in range(10, 36))
+    head += b'36,7,"'
+    start, stop = len(head), len(head) + 60
+    middle = (start + stop) // 2 if middle_of == "the cell" else stop - 2
+    # The rest runs from the header's end, 15 bytes, to the file's.
+    after = 2 * middle - 15 - (stop + 2)
+    rows = [b"%d,5.5,x\n" % i for i in range(37, 37 + after // 9 - 1)]
+    data = head + b"1,2\n" * 15 + b'"\n' + b"".join(rows) + b"99,5.5,x" + b"x" * (after % 9) + b"\n"
+    assert (15 + len(data)) // 2 == middle
+    return data
 
 
 class TestReaderCountsInAHelperAsInProcess:
     @pytest.mark.parametrize("scheme", SCHEMES)
     @FORKING
     @given(case=helper_inputs())
-    # Every skip reason, with decimal commas, in three blocks.
-    @example(case=('id;amount;note\n1;"1,5";"a;b"\n2;;x\n3;n/a;y\n4;0,0;z\n5;-0,05;w\n6; 7 ;v\n',
-                   "amount", ";", ",", 2))
-    def test_helper_and_in_process_counts_are_equal(self, scheme, case):
-        text, column, delimiter, decimal_mark, chunk = case
-        options = {"delimiter": delimiter, "decimal_mark": decimal_mark}
-        with small_chunks(chunk), spied_helper() as helper:
-            forked = ingest(io.StringIO(text), scheme, column, **options)
-        assert helper.call_count == 1
-        with small_chunks(chunk), spied_helper() as helper, live_thread():
-            in_process = ingest(io.StringIO(text), scheme, column, **options)
-        assert helper.call_count == 0
-        assert forked.system == in_process.system
-        assert forked.counts == in_process.counts
-        assert list(forked.skip_reasons.items()) == list(in_process.skip_reasons.items())
-        counts, skips = reference_ingest(text, scheme, column, **options)
-        assert list(forked.counts) == counts
-        assert list(forked.skip_reasons.items()) == list(skips.items())
+    # Every skip reason, with decimal commas, after a header of several lines.
+    @example(case=('id;"amount";"a\nnote"\n1;"1,5";"a;b"\n2;;x\n3;n/a;y\n4;0,0;z\n'
+                   '5;-0,05;w\n6; 7 ;v\n7;8;\n'.encode(), "amount", ";", ",", 2, "", True))
+    # A quoted cell of many lines across the middle of the rest.
+    @example(case=(cell_across_the_middle(), "amount", ",", ".", 2, None, True))
+    def test_helper_and_in_process_counts_are_equal(self, scheme, case, tmp_path_factory):
+        check_halves(scheme, case, tmp_path_factory.mktemp("halves"))
 
-    def test_only_a_column_read_by_rows_in_more_than_one_block_reaches_the_helper(self):
-        cases = {
-            "csv": ("id,amount\n1,5\n2,6\n3,7\n", "amount", True),
-            "csv-one-block": ("id,amount\n1,5\n2,6\n", "amount", False),
-            "later-text-column": ("a 5\nb 6\nc 7\n", 1, True),
-            "first-text-field": ("5\n6\n7\n8\n9\n", None, False),
-        }
-        for text, column, forks in cases.values():
-            with small_chunks(2), spied_helper() as helper:
-                counts = ingest(text, FIRST_DIGIT, column)
-            assert helper.called == forks
-            assert counts.n == text.count("\n") - (column == "amount")
-
-    def test_the_fork_draws_no_warning(self):
+    def test_the_fork_draws_no_warning(self, tmp_path):
         # Python 3.12 and later warn when a process that runs threads forks.
         with small_chunks(2), spied_helper() as helper, \
+                open(halves_file(tmp_path), encoding="utf-8") as fh, \
                 warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            ingest("id,amount\n1,5\n2,6\n3,7\n", FIRST_DIGIT, "amount")
+            ingest(fh, FIRST_DIGIT, "amount")
         assert helper.called and caught == []
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="threads counted by Python")
-    def test_a_thread_that_python_did_not_start_keeps_the_count_here(self):
+    def test_a_thread_that_python_did_not_start_keeps_the_count_here(self, tmp_path):
         # A thread started by _thread, as a native library starts one, is not
         # among threading's threads; the operating system counts it.
+        path = halves_file(tmp_path)
         started, release = _thread.allocate_lock(), _thread.allocate_lock()
         started.acquire()
         release.acquire()
@@ -1517,9 +1577,9 @@ class TestReaderCountsInAHelperAsInProcess:
         started.acquire()
         try:
             assert threading.active_count() == 1
-            with small_chunks(2), spied_helper() as helper:
-                counts = ingest("id,amount\n1,5\n2,6\n3,7\n", FIRST_DIGIT, "amount")
-            assert not helper.called and counts.n == 3
+            with small_chunks(2), spied_helper() as helper, open(path, encoding="utf-8") as fh:
+                counts = ingest(fh, FIRST_DIGIT, "amount")
+            assert not helper.called and counts.n == 8000
         finally:
             release.release()
         deadline = time.monotonic() + 60
@@ -1532,36 +1592,45 @@ class TestReaderCountsInAHelperAsInProcess:
     @given(case=split_texts())
     # A first row ended by a lone "\r", whose position is no plain byte offset,
     # and one ended by "\n" before lines ended by a lone "\r".
-    @example(case=(b"5\r" + b"7\r" * 20, ".", 1, "", False))
-    @example(case=(b"amount\n" + b"7\r" * 20, ".", 1, "", True))
+    @example(case=(b"5\r" + b"7\r" * 20, None, None, ".", 1, "", False))
+    @example(case=(b"amount\n" + b"7\r" * 20, None, None, ".", 1, "", True))
     # A BOM, a header and a non-ASCII line across a split of "\r\n" lines.
     @example(case=(("\ufeffamount id\r\n" + "\u00e9 5\r\n-0,5 x\r\n" * 9 + "7\r\n").encode(),
-                   ",", 2, None, True))
+                   None, None, ",", 2, None, True))
+    # A blank line after the first row, before which `tell` may hold back its "\r".
+    @example(case=(b"amount id\r\n\r\n7\r\n8\r\n9\r\n", None, None, ".", 1, None, True))
     def test_a_text_file_counted_in_two_halves_counts_as_in_process(self, scheme, case,
                                                                     tmp_path_factory):
-        data, decimal_mark, chunk, newline, splits = case
-        path = tmp_path_factory.mktemp("halves") / "values.txt"
-        path.write_bytes(data)
-        results = []
-        for threads in (nullcontext, live_thread):
-            with small_chunks(chunk), spied_helper() as helper, threads(), \
-                    open(path, encoding="utf-8-sig", newline=newline) as fh:
-                results.append(ingest(fh, scheme, decimal_mark=decimal_mark))
-                assert fh.read() == ""  # the source is left at its end
-            assert helper.called == (splits and threads is nullcontext)
-        split, in_process = results
-        assert split.counts == in_process.counts
-        assert list(split.skip_reasons.items()) == list(in_process.skip_reasons.items())
-        text = io.StringIO(data.decode("utf-8-sig"), newline=None).read()
-        counts, skips = reference_ingest(text, scheme, decimal_mark=decimal_mark)
-        assert list(split.counts) == counts
-        assert list(split.skip_reasons.items()) == list(skips.items())
+        check_halves(scheme, case, tmp_path_factory.mktemp("halves"))
 
-    def test_only_a_utf8_file_of_more_than_two_blocks_is_counted_in_halves(self, tmp_path):
-        # Blocks of 4 * 2 characters: the rest of the text is 40 blocks, and
-        # the short file's is two.
-        text = "amount\n" + "".join(f"{i % 9 + 1}.5\n" for i in range(80))
-        short = "amount\n1.5\n2.5\n3.5\n4.5\n"
+    @pytest.mark.parametrize("newline", ["", None])
+    @pytest.mark.parametrize("middle_of, limit", [
+        ("the cell", None), ("the cell", 100), ("the last line", 60)],
+        ids=["default-limit", "helper-refused", "cut-at-the-limit"])
+    def test_a_quoted_cell_across_the_middle_is_counted_here(self, tmp_path, newline, middle_of,
+                                                             limit):
+        # The helper's half starts in a quoted cell.  Read from there, the
+        # cell's lines are rows and its closing quote opens a cell that runs
+        # to the end of the file, which a field size limit of 100 or 60
+        # refuses: the helper fails.  Neither its counts nor its error may
+        # reach the result.  Cut at its closing quote, the 60-character cell
+        # and the blank line after this half are 61 characters, which a
+        # limit of 60 refuses in this half alone.
+        old_limit = csv.field_size_limit(limit or csv.field_size_limit())
+        try:
+            check_halves(FIRST_TWO_DIGITS, (cell_across_the_middle(middle_of), "amount", ",", ".",
+                                            2, newline, True), tmp_path)
+        finally:
+            csv.field_size_limit(old_limit)
+
+    @pytest.mark.parametrize("kind", ["text", "csv"])
+    def test_only_a_utf8_file_of_more_than_two_blocks_is_counted_in_halves(self, tmp_path, kind):
+        # Blocks of 4 * 2 characters: the rest of the text is many blocks,
+        # and the short file's is two.
+        column, row = KINDS[kind]
+        header = "amount\n" if column is None else "id,amount\n"
+        text = header + "".join(row(i, f"{i % 9 + 1}.5") for i in range(80))
+        short = header + ("1.5\n2.5\n3.5\n4.5\n" if column is None else "1,5\n2,6\n3,7\n4,8\n")
         paths = {}
         for name, content, encoding in (("text", text, "utf-8"), ("short", short, "utf-8"),
                                         ("latin", text, "latin-1"),
@@ -1585,6 +1654,7 @@ class TestReaderCountsInAHelperAsInProcess:
         sources = {
             "file": (opened("text"), True),
             "file-newline-none": (opened("text", "utf-8", None), True),
+            "file-newline-lf": (opened("text", "utf-8", "\n"), False),
             "file-of-two-blocks": (opened("short"), False),
             "first-row-ended-by-a-lone-cr": (opened("cr"), False),
             "latin-1-file": (opened("latin", "latin-1"), False),
@@ -1597,12 +1667,37 @@ class TestReaderCountsInAHelperAsInProcess:
         }
         for name, (source, halves) in sources.items():
             with small_chunks(2), spied_helper() as helper, source() as s:
-                counts = ingest(s, FIRST_DIGIT)
+                counts = ingest(s, FIRST_DIGIT, column)
             assert helper.called == halves, name
             assert counts.n == (4 if name == "file-of-two-blocks" else 80), name
         with small_chunks(2), spied_helper() as helper, live_thread(), opened("text")() as s:
-            assert ingest(s, FIRST_DIGIT).n == 80
+            assert ingest(s, FIRST_DIGIT, column).n == 80
         assert not helper.called
+
+
+# How each kind of file is read: (the column, a line of the file from its index and value).
+KINDS = {"text": (None, lambda i, value: f"{value}\n"),
+         "csv": ("amount", lambda i, value: f"{i},{value}\n")}
+
+
+def halves_file(tmp_path, kind="csv", bad_line=None, bad="\udcff7"):
+    """A file of 8,000 values after a header, counted in halves in blocks of 4 * 2.
+
+    The values are a text file's first field or a CSV's second column.
+    Line `bad_line`, if given, holds the value `bad`, by default one that
+    starts with a byte that is not UTF-8.  Each half is more than 8,192
+    bytes, the first read of a file.
+    """
+    column, row = KINDS[kind]
+    values = [f"{i % 9 + 1}.5" for i in range(8000)]
+    if bad_line is not None:
+        values[bad_line] = bad
+    path = tmp_path / f"values.{kind}"
+    header = "amount\n" if column is None else "id,amount\n"
+    text = header + "".join(map(row, range(8000), values))
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    return path
+
 
 def no_child_is_left():
     """Whether this process has no child process, running or unreaped."""
@@ -1639,152 +1734,50 @@ SIGCHLD_HANDLERS = [pytest.param(signal.SIG_DFL, id="default"),
 
 class TestReaderHelperFailures:
     @pytest.mark.parametrize("handler", SIGCHLD_HANDLERS)
-    def test_a_helper_reaped_elsewhere_still_counts(self, handler):
-        text = "id,amount\n" + "".join(f"{i},{cell}\n" for i, cell in enumerate(HELPER_CELLS))
-        with small_chunks(2), live_thread():
-            expected = ingest(text, FIRST_TWO_DIGITS, "amount")
-        with small_chunks(2), spied_helper() as helper, sigchld(handler):
-            result = ingest(text, FIRST_TWO_DIGITS, "amount")
-        assert helper.called and result.counts == expected.counts
-        assert list(result.skip_reasons.items()) == list(expected.skip_reasons.items())
+    def test_a_helper_reaped_elsewhere_still_counts(self, handler, tmp_path):
+        path = halves_file(tmp_path)
+        with small_chunks(2), live_thread(), open(path, encoding="utf-8") as fh:
+            expected = ingest(fh, FIRST_TWO_DIGITS, "amount")
+        # One count here, of this process's half: the helper's report is read.
+        with small_chunks(2), spied_helper() as helper, sigchld(handler), \
+                open(path, encoding="utf-8") as fh, \
+                mock.patch.object(digits, "_count", wraps=digits._count) as counted:
+            result = ingest(fh, FIRST_TWO_DIGITS, "amount")
+        assert helper.called and counted.call_count == 1 and result == expected
         assert no_child_is_left()
 
-    @pytest.mark.parametrize("handler", SIGCHLD_HANDLERS)
-    def test_a_report_cut_short_raises(self, handler, monkeypatch):
-        # The helper inherits the patch and sends all but the last bytes.
-        cut = SimpleNamespace(dumps=lambda report: marshal.dumps(report)[:-3],
-                              loads=marshal.loads)
-        monkeypatch.setattr(digits, "marshal", cut)
-        text = "id,amount\n" + "".join(f"{i},{cell}\n" for i, cell in enumerate(HELPER_CELLS))
-        with small_chunks(2), spied_helper() as helper, sigchld(handler):
-            with pytest.raises(ChildProcessError, match="no complete report"):
-                ingest(text, FIRST_TWO_DIGITS, "amount")
-        assert helper.called and no_child_is_left()
-
-    def test_csv_refused_in_the_third_block_leaves_no_helper(self):
-        # csv.reader refuses a field longer than csv.field_size_limit().
-        text = "id,amount\n" + "".join(f"{i},{i + 1}.5\n" for i in range(4))
-        text += '5,"' + "9" * 200_000 + '"\n6,7\n'
-        with small_chunks(2), spied_helper() as helper:
-            with pytest.raises(ValueError, match="malformed CSV") as raised:
-                ingest(io.StringIO(text), FIRST_DIGIT, "amount")
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["unquoted", "quoted"])
+    @pytest.mark.parametrize("bad_line", [3000, 7000], ids=["this-half", "helper-half"])
+    def test_csv_refused_in_either_half_raises_it(self, tmp_path, bad_line, quote):
+        # csv.reader refuses a cell longer than csv.field_size_limit(),
+        # quoted or not; the helper inherits the limit.
+        path = halves_file(tmp_path, "csv", bad_line, quote + "9" * 200 + quote)
+        old_limit = csv.field_size_limit(100)
+        try:
+            with small_chunks(2), spied_helper() as helper, \
+                    open(path, encoding="utf-8", newline="") as fh, \
+                    pytest.raises(ValueError, match="malformed CSV") as raised:
+                ingest(fh, FIRST_DIGIT, "amount")
+        finally:
+            csv.field_size_limit(old_limit)
         assert isinstance(raised.value.__cause__, csv.Error)
         assert helper.called and no_child_is_left()
 
-    def test_text_that_is_not_utf8_in_the_third_block_leaves_no_helper(self, tmp_path):
-        path = tmp_path / "latin.csv"
-        good = "".join(f"{i},{i + 1}\n" for i in range(8)).encode()
-        path.write_bytes(b"id,amount\n" + good + b"8,\xff9\n9,1\n")
-        with small_chunks(2), spied_helper() as helper, pytest.raises(UnicodeDecodeError):
-            # Decoded 8 bytes at a time, the bad byte is read after two blocks.
-            with open(path, encoding="utf-8", newline="") as fh:
-                fh._CHUNK_SIZE = 8
-                ingest(fh, FIRST_DIGIT, "amount")
-        assert helper.called and no_child_is_left()
-
-    def test_interrupt_while_reading_leaves_no_helper(self):
-        def lines():
-            yield "id,amount\n"
-            for i in range(5):
-                yield f"{i},{i + 1}\n"
-            raise KeyboardInterrupt
-
-        with small_chunks(2), spied_helper() as helper, pytest.raises(KeyboardInterrupt):
-            ingest(lines(), FIRST_DIGIT, "amount")
-        assert helper.called and no_child_is_left()
-
-    def test_a_fork_that_fails_counts_in_process(self, monkeypatch):
-        def no_fork():
-            raise BlockingIOError(11, "Resource temporarily unavailable")
-
-        text = "id,amount\n" + "".join(f"{i},{cell}\n" for i, cell in enumerate(HELPER_CELLS))
-        with small_chunks(2), live_thread():
-            expected = ingest(text, FIRST_TWO_DIGITS, "amount")
-        open_fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else None
-        monkeypatch.setattr(os, "fork", no_fork)
-        with small_chunks(2), spied_helper() as helper:
-            result = ingest(text, FIRST_TWO_DIGITS, "amount")
-        assert helper.called and result.counts == expected.counts
-        assert list(result.skip_reasons.items()) == list(expected.skip_reasons.items())
-        # The pipes made for the helper are closed.
-        assert open_fds is None or os.listdir("/proc/self/fd") == open_fds
-
-    def test_an_error_raised_after_the_fork_closes_the_pipes(self, monkeypatch):
-        # Python 3.12 and later may raise a fork-with-threads warning, as an
-        # error where warnings are errors, in this process after the fork.
-        real_fork, forked = os.fork, []
-
-        def fork_then_warn():
-            pid = real_fork()
-            if pid:
-                forked.append(pid)
-                raise DeprecationWarning("this process is multi-threaded")
-            return pid
-
-        text = "id,amount\n" + "".join(f"{i},{cell}\n" for i, cell in enumerate(HELPER_CELLS))
-        open_fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else None
-        monkeypatch.setattr(os, "fork", fork_then_warn)
-        with small_chunks(2), pytest.raises(DeprecationWarning):
-            ingest(text, FIRST_DIGIT, "amount")
-        assert open_fds is None or os.listdir("/proc/self/fd") == open_fds
-        # The helper finds its pipe closed and leaves.
-        deadline = time.monotonic() + 60
-        while not os.waitpid(forked[0], os.WNOHANG)[0]:
-            assert time.monotonic() < deadline
-            time.sleep(0.001)
-        assert no_child_is_left()
-
-    def test_failed_helper_exits_the_command_with_one_error_line(self, tmp_path, monkeypatch,
-                                                                capsys):
-        # The helper inherits the patch, which fails it and nothing here.
-        parent, tally = os.getpid(), digits._tally
-
-        def failing_in_the_helper(*args):
-            if os.getpid() != parent:
-                raise MemoryError("no memory left in the helper")
-            return tally(*args)
-
-        monkeypatch.setattr(digits, "_tally", failing_in_the_helper)
-        path = tmp_path / "amounts.csv"
-        path.write_text("id,amount\n" + "".join(f"{i},{i % 9 + 1}.5\n" for i in range(5000)))
-        with small_chunks(100), spied_helper() as helper:
-            code = main(["analyze", str(path), "--column", "amount"])
-        out, err = capsys.readouterr()
-        assert helper.called and code == 2 and out == ""
-        assert err.count("\n") == 1 and err.startswith("benfordsev: error: ")
-        assert "no memory left in the helper" in err
-        assert no_child_is_left()
-        with live_thread():
-            assert main(["analyze", str(path), "--column", "amount"]) == 0
-
-
-    @staticmethod
-    def halves_file(tmp_path, bad_line=None):
-        """A text file of 8,000 values after a header, counted in halves in blocks of 4 * 2.
-
-        Line `bad_line`, if given, holds a byte that is not UTF-8.  The file
-        is 32,007 bytes: the first read of a text file, 8,192 bytes, ends in
-        the first half.
-        """
-        lines = [f"{i % 9 + 1}.5\n".encode() for i in range(8000)]
-        if bad_line is not None:
-            lines[bad_line] = b"\xff7\n"
-        path = tmp_path / "values.txt"
-        path.write_bytes(b"amount\n" + b"".join(lines))
-        return path
-
+    @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("handler", SIGCHLD_HANDLERS)
     @pytest.mark.parametrize("bad_line", [3000, 7000], ids=["this-half", "helper-half"])
-    def test_text_that_is_not_utf8_in_either_half_raises_it(self, tmp_path, handler, bad_line):
-        path = self.halves_file(tmp_path, bad_line)
+    def test_text_that_is_not_utf8_in_either_half_raises_it(self, tmp_path, handler, bad_line,
+                                                             kind):
+        path = halves_file(tmp_path, kind, bad_line)
         with small_chunks(2), spied_helper() as helper, sigchld(handler), \
                 pytest.raises(UnicodeDecodeError), open(path, encoding="utf-8-sig") as fh:
-            ingest(fh, FIRST_DIGIT)
+            ingest(fh, FIRST_DIGIT, KINDS[kind][0])
         assert helper.called and no_child_is_left()
 
+    @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("handler", SIGCHLD_HANDLERS)
     def test_interrupt_while_counting_this_half_stops_the_helper(self, tmp_path, monkeypatch,
-                                                                 handler):
+                                                                 handler, kind):
         # The helper inherits the patch, which interrupts this process at its
         # first block and gives the helper 20 ms a block: 40 s for its half.
         parent, plain = os.getpid(), digits._plain
@@ -1796,20 +1789,22 @@ class TestReaderHelperFailures:
             return plain(block)
 
         monkeypatch.setattr(digits, "_plain", interrupted_here)
-        path = self.halves_file(tmp_path)
+        path = halves_file(tmp_path, kind)
         start = time.monotonic()
         with small_chunks(2), spied_helper() as helper, sigchld(handler), \
                 pytest.raises(KeyboardInterrupt), open(path, encoding="utf-8", newline="") as fh:
-            ingest(fh, FIRST_DIGIT)
+            ingest(fh, FIRST_DIGIT, KINDS[kind][0])
         assert helper.called and no_child_is_left()
         assert time.monotonic() - start < 10
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("handler", SIGCHLD_HANDLERS)
     @pytest.mark.parametrize("failure", ["error", "cut-report"])
-    def test_a_failed_text_helper_leaves_its_half_to_be_counted_here(self, tmp_path, monkeypatch,
-                                                                     failure):
-        path = self.halves_file(tmp_path)
+    def test_a_failed_helper_leaves_its_half_to_be_counted_here(self, tmp_path, monkeypatch,
+                                                                failure, handler, kind):
+        path, column = halves_file(tmp_path, kind), KINDS[kind][0]
         with small_chunks(2), live_thread(), open(path, encoding="utf-8") as fh:
-            expected = ingest(fh, FIRST_TWO_DIGITS)
+            expected = ingest(fh, FIRST_TWO_DIGITS, column)
         # The helper inherits the patch, which fails it and nothing here.
         parent, tally = os.getpid(), digits._tally
 
@@ -1821,15 +1816,58 @@ class TestReaderHelperFailures:
         if failure == "error":
             monkeypatch.setattr(digits, "_tally", failing_in_the_helper)
         else:
+            # The helper sends all but the last bytes of its report.
             monkeypatch.setattr(digits, "marshal", SimpleNamespace(
                 dumps=lambda report: marshal.dumps(report)[:-3], loads=marshal.loads))
-        with small_chunks(2), spied_helper() as helper, open(path, encoding="utf-8") as fh:
-            result = ingest(fh, FIRST_TWO_DIGITS)
+        with small_chunks(2), spied_helper() as helper, sigchld(handler), \
+                open(path, encoding="utf-8") as fh:
+            result = ingest(fh, FIRST_TWO_DIGITS, column)
         assert helper.called and result == expected and no_child_is_left()
+
+    def test_a_fork_that_fails_counts_in_process(self, monkeypatch, tmp_path):
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        path = halves_file(tmp_path)
+        with small_chunks(2), live_thread(), open(path, encoding="utf-8") as fh:
+            expected = ingest(fh, FIRST_TWO_DIGITS, "amount")
+        monkeypatch.setattr(os, "fork", no_fork)
+        with small_chunks(2), spied_helper() as helper, open(path, encoding="utf-8") as fh:
+            open_fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else None
+            result = ingest(fh, FIRST_TWO_DIGITS, "amount")
+            # The pipe made for the helper is closed.
+            assert open_fds is None or os.listdir("/proc/self/fd") == open_fds
+        assert helper.called and result == expected
+
+    def test_an_error_raised_after_the_fork_closes_the_pipes(self, monkeypatch, tmp_path):
+        # Python 3.12 and later may raise a fork-with-threads warning, as an
+        # error where warnings are errors, in this process after the fork.
+        real_fork, forked = os.fork, []
+
+        def fork_then_warn():
+            pid = real_fork()
+            if pid:
+                forked.append(pid)
+                raise DeprecationWarning("this process is multi-threaded")
+            return pid
+
+        path = halves_file(tmp_path)
+        monkeypatch.setattr(os, "fork", fork_then_warn)
+        with small_chunks(2), open(path, encoding="utf-8") as fh:
+            open_fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else None
+            with pytest.raises(DeprecationWarning):
+                ingest(fh, FIRST_DIGIT, "amount")
+            assert open_fds is None or os.listdir("/proc/self/fd") == open_fds
+        # The helper finds its pipe closed and leaves.
+        deadline = time.monotonic() + 60
+        while not os.waitpid(forked[0], os.WNOHANG)[0]:
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        assert no_child_is_left()
 
     def test_text_not_utf8_in_the_helpers_half_exits_the_command_naming_the_file(
             self, tmp_path, capsys):
-        path = self.halves_file(tmp_path, 7000)
+        path = halves_file(tmp_path, "text", 7000)
         with small_chunks(2), spied_helper() as helper:
             code = main(["analyze", str(path)])
         out, err = capsys.readouterr()
@@ -1837,17 +1875,15 @@ class TestReaderHelperFailures:
         assert err.startswith(f"benfordsev: error: {str(path)!r} is not UTF-8 text: ")
         assert err.count("\n") == 1 and no_child_is_left()
 
+
 class TestReaderFoldsTwoDigitsToTheFirst:
-    @FORKING
-    @given(case=reader_inputs(), chunk=st.integers(min_value=1, max_value=7),
-           threads=st.sampled_from([nullcontext, live_thread]))
-    def test_two_digit_counts_folded_by_tens_are_the_first_digit_counts(self, case, chunk,
-                                                                        threads):
+    @given(case=reader_inputs(), chunk=st.integers(min_value=1, max_value=7))
+    def test_two_digit_counts_folded_by_tens_are_the_first_digit_counts(self, case, chunk):
         # The two-digit tally keys heads of three characters in a Counter; the
         # first-digit tally counts first characters with str.count.
         text, _, column, delimiter, decimal_mark = case
         options = {"delimiter": delimiter, "decimal_mark": decimal_mark}
-        with small_chunks(chunk), threads():
+        with small_chunks(chunk):
             try:
                 first = ingest(text, FIRST_DIGIT, column, **options)
             except ValueError:
