@@ -4,16 +4,17 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
 import warnings
+from contextlib import nullcontext
 from pathlib import Path
-from unittest import mock
 
 import pytest
+from test_digits import live_thread, spied_helper
 
-from benfordsev import digits
 from benfordsev.benford import benford_probs
 from benfordsev.cli import Report, build_report, main
 from benfordsev.digits import FIRST_DIGIT, DigitCounts
@@ -208,7 +209,7 @@ class TestAnalyze:
         lines[40_000] = b"\xff7"
         f = tmp_path / "values.txt"
         f.write_bytes(end.encode().join([b"amount", *lines, b""]))
-        with mock.patch.object(digits, "_count_in_helper", wraps=digits._count_in_helper) as helper:
+        with spied_helper() as helper:
             code, out, err = run_cli(capsys, "analyze", str(f))
         assert helper.called == (end != "\r") and code == 2 and out == ""
         offset = (len("amount") + len(end)) + (3 + len(end)) * 40_000
@@ -217,25 +218,93 @@ class TestAnalyze:
 
     def test_line_ends_and_byte_order_mark_leave_the_report_unchanged(self, tmp_path, monkeypatch,
                                                                       capsys):
-        values = ["1.5", "27", " 3e2", "", " \t", "n/a", "0.00456", "-19451", "7 x"] * 40
-        reports = set()
-        for name, end, bom in [("lf", "\n", ""), ("crlf", "\r\n", ""), ("cr", "\r", ""),
-                               ("bom", "\n", "\ufeff")]:
-            # The same file name in each directory: the report names its input.
+        # Sign-, zero- and point-led values start the runs that the tally
+        # strips, among runs of 1-9-led values, blank lines and a non-numeric one.
+        values = ["1.5", "27", "-0.0312", "+5", " 3e2", "", " \t", "n/a", "0.00456", "-19451",
+                  ".7", "7 x"] * 40
+
+        def rows(delimiter):
+            # A row of an id and a value, and a last row with no value.
+            return [f"r{i}{delimiter}{v}" if v.strip() else v for i, v in enumerate(values)] + ["f"]
+
+        # The first text field is read in blocks; a later text field and a
+        # CSV column are read by rows.
+        files = {"values.txt": ([], values), "pairs.txt": (["--column", "1"], rows(" ")),
+                 "amounts.csv": (["--column", "amount"], ["id,amount", *rows(",")])}
+        reports = {}
+        for name, end, head in [("lf", "\n", ""), ("crlf", "\r\n", ""), ("cr", "\r", ""),
+                                ("bom", "\n", "\ufeff"), ("lead", "\n", " \t\n")]:
+            # The same file names in each directory: the report names its input.
             (tmp_path / name).mkdir()
             monkeypatch.chdir(tmp_path / name)
-            Path("values.txt").write_text(bom + "".join(v + end for v in values), encoding="utf-8",
-                                          newline="")
-            code, out, err = run_cli(capsys, "analyze", "values.txt", "--format", "json")
-            assert code == 0, err
-            reports.add(out)
-        assert len(reports) == 1
-        report = json.loads(reports.pop())
-        assert report["n"] == 6 * 40 and report["skip_reasons"] == {"non-numeric": 40}
+            for file, (options, lines) in files.items():
+                Path(file).write_text(head + "".join(line + end for line in lines),
+                                      encoding="utf-8", newline="")
+                # The tally counts the first digit and the first two apart.
+                for digits_read in ("1", "2"):
+                    code, out, err = run_cli(capsys, "analyze", file, *options,
+                                             "--digits", digits_read, "--format", "json")
+                    assert code == 0, (name, file, err)
+                    reports.setdefault((file, digits_read), set()).add(out)
+        for read, outs in reports.items():
+            assert len(outs) == 1, read
+        report = json.loads(reports["values.txt", "1"].pop())
+        assert report["n"] == 9 * 40 and report["skip_reasons"] == {"non-numeric": 40}
         # Line ends mixed in one file: "\r", "\r\n" and "\n".
         Path("mixed.txt").write_text("1\r2\r\n3\n", newline="")
         code, out, err = run_cli(capsys, "analyze", "mixed.txt", "--format", "json")
         assert code == 0 and json.loads(out)["n"] == 3
+
+    def test_a_file_counted_in_two_halves_reports_as_one_counted_here(self, tmp_path,
+                                                                       monkeypatch, capsys):
+        # Each file is more than two 65,536-character blocks after its first
+        # row, so a forked helper counts the second half of the rest, unless
+        # a live thread keeps the whole count in this process.
+        monkeypatch.chdir(tmp_path)
+        # Each cell kind and skip reason is among the amounts of helper.csv.
+        rng = random.Random(3)
+        odd = ["", "n/a", "0", "-0.05", " 3e2 ", ".7", "007", "+5"]
+        with open("helper.csv", "w") as fh:
+            fh.write("id,amount,category\n")
+            for i in range(40_000):
+                amount = odd[i % 8] if i % 23 == 0 else f"{10 ** rng.uniform(0, 6):.6g}"
+                fh.write(f'{i},"{amount}","a,{i % 7}"\n')
+        # In cell.csv a quoted cell of 800 lines holds the middle of the rest,
+        # where the helper's half would start: the whole rest is counted in
+        # this process, and every row counts once.
+        rng = random.Random(7)
+        header = "id,amount,note\n"
+        rows = [f"{i:05d},{10 ** rng.uniform(0, 6):.6g},a\n" for i in range(30_001)]
+        rows[15_000] = '15000,7,"' + "\n".join(f"{j},{j % 9 + 1}.5" for j in range(800)) + '"\n'
+        data = (header + "".join(rows)).encode()
+        start = len(header) + len("".join(rows[:15_000]))
+        assert start < (len(header) + len(data)) // 2 < start + len(rows[15_000]) - 2
+        Path("cell.csv").write_bytes(data)
+        # helper.txt is read by its first field.  Its lines end in "\n",
+        # "\r\n" and a lone "\r", after a byte-order mark and a header, and
+        # odd lines are among the values.
+        rng = random.Random(5)
+        odd = ["", " \t", "n/a", "0", "-0.05", "  3e2", ".7", "007", "+5", "12 x", "\u00e9 4",
+               "\u0665"]
+        with open("helper.txt", "w", encoding="utf-8", newline="") as fh:
+            fh.write("\ufeffamount note\r\n")
+            for i in range(60_000):
+                value = odd[i % 12] if i % 19 == 0 else f"{10 ** rng.uniform(-2, 6):.6g}"
+                fh.write(value + ["\n", "\r\n", "\r"][i // 1000 % 3])
+        for argv in (["helper.csv", "--column", "amount", "--digits", "2"],
+                     ["cell.csv", "--column", "amount", "--digits", "2"],
+                     ["helper.txt"], ["helper.txt", "--digits", "2"]):
+            reports = []
+            for threads in (nullcontext, live_thread):
+                with spied_helper() as helper, threads():
+                    code, out, err = run_cli(capsys, "analyze", *argv, "--format", "json")
+                assert code == 0, err
+                assert helper.called == (threads is nullcontext), argv
+                reports.append(out)
+            assert reports[0] == reports[1], argv
+            if argv[0] == "cell.csv":
+                report = json.loads(out)
+                assert report["n"] == 30_001 and report["skipped"] == 0
 
     def test_delta_star_override(self, tmp_path, capsys):
         f = write_benford_like_file(tmp_path / "data.txt")

@@ -800,12 +800,14 @@ padding = st.sampled_from(["", " ", "\t", "  "])
 cell_texts = st.tuples(padding, st.one_of(numeric_texts(), st.sampled_from(JUNK)), padding).map(
     "".join
 )
+# The field separators and indents of whitespace-delimited lines.
+separators = st.sampled_from([" ", "\t", "  ", "\x0c", "\x1c"])
+indents = st.sampled_from(["", "", " ", "\t", "\x0c "])
 
 
 @st.composite
 def whitespace_lines(draw):
     """A line of cells joined by mixed whitespace, or a line of whitespace only."""
-    separators = st.sampled_from([" ", "\t", "  ", "\x0c", "\x1c"])
     if draw(st.integers(min_value=0, max_value=5)) == 0:
         return draw(st.lists(separators, max_size=3).map("".join))
     cells = draw(st.lists(cell_texts, min_size=1, max_size=4))
@@ -1067,8 +1069,6 @@ def reader_inputs(draw):
     if draw(st.booleans()):
         # Whitespace-delimited lines, some with trailing fields, some
         # indented, and some blank or whitespace only.
-        separators = st.sampled_from([" ", "\t", "  ", "\x0c", "\x1c"])
-        indents = st.sampled_from(["", "", " ", "\t", "\x0c "])
         lines = ["amount id"] if header else []
         for _ in range(count):
             cells = [cell() for _ in range(draw(st.integers(min_value=0, max_value=3)))]
@@ -1212,30 +1212,36 @@ class TestReaderMatchesTheOldAlgorithm:
             reopened = partial(open, path, encoding="utf-8-sig", newline=newline)
             with reopened() as fh:
                 feeds.append((reopened, list(fh)))
-        for source, lines in feeds:
-            try:
-                tokens, skips = old_parse_records(lines, column, delimiter, decimal_mark)
-            except (csv.Error, AmbiguousComma) as refused:
-                # csv.reader refuses these lines, or the sniffed comma may sit
-                # inside a number: the reader raises ValueError, from
-                # csv.reader's error in the first case.
-                for read in (parse_records, partial(ingest, system=scheme)):
-                    with source() as s, small_chunks(chunk), pytest.raises(ValueError) as raised:
-                        read(s, column=column, **options)
-                    from_csv = isinstance(raised.value.__cause__, csv.Error)
-                    assert from_csv == isinstance(refused, csv.Error)
-                continue
-            with small_chunks(chunk):
-                with source() as s:
-                    parsed, parse_skips = parse_records(s, column, **options)
-                with source() as s:
-                    result = ingest(s, scheme, column, **options)
-            assert parsed == tokens
-            assert list(parse_skips.items()) == list(skips.items())
-            counts, zeros = reference_count(tokens, scheme)
-            zeros.update(skips)  # ingest lists zero values before the parse skips
-            assert list(result.counts) == counts
-            assert list(result.skip_reasons.items()) == list(zeros.items())
+        # Every source is counted in this process.  A file of more than two
+        # blocks would fork the counting helper, which has its own differential
+        # in TestReaderCountsInAHelperAsInProcess.
+        with spied_helper() as helper, live_thread():
+            for source, lines in feeds:
+                try:
+                    tokens, skips = old_parse_records(lines, column, delimiter, decimal_mark)
+                except (csv.Error, AmbiguousComma) as refused:
+                    # csv.reader refuses these lines, or the sniffed comma may
+                    # sit inside a number: the reader raises ValueError, from
+                    # csv.reader's error in the first case.
+                    for read in (parse_records, partial(ingest, system=scheme)):
+                        with source() as s, small_chunks(chunk), \
+                                pytest.raises(ValueError) as raised:
+                            read(s, column=column, **options)
+                        from_csv = isinstance(raised.value.__cause__, csv.Error)
+                        assert from_csv == isinstance(refused, csv.Error)
+                    continue
+                with small_chunks(chunk):
+                    with source() as s:
+                        parsed, parse_skips = parse_records(s, column, **options)
+                    with source() as s:
+                        result = ingest(s, scheme, column, **options)
+                assert parsed == tokens
+                assert list(parse_skips.items()) == list(skips.items())
+                counts, zeros = reference_count(tokens, scheme)
+                zeros.update(skips)  # ingest lists zero values before the parse skips
+                assert list(result.counts) == counts
+                assert list(result.skip_reasons.items()) == list(zeros.items())
+        assert not helper.called
 
 
 FIRST_FIELD_SOURCES = ["str", "StringIO-newline-empty", "StringIO", "list", "file-newline-empty",
@@ -1389,14 +1395,17 @@ def helper_inputs(draw):
     """(UTF-8 bytes, column, delimiter, decimal mark, chunk, newline, whether `ingest` splits them).
 
     A column read by rows: a CSV column, by name after a header or by
-    index, or a later whitespace column.  A CSV's records end in "\\n",
-    "\\r\\n" or a lone "\\r", blank lines may come between them, and its
-    quoted cells may hold the delimiter, quotes or line breaks.  Three short
-    rows end the file, all in its rest after at least one more row, so a
-    line start follows the middle of the rest; blank lines and a BOM may
-    start it.  It is counted in halves if its first row does not end in a
-    lone "\\r" before a line that is not empty, and more than two blocks
-    of `chunk` follow it.
+    index, first or second, or a later whitespace column.  The delimiters
+    and decimal marks are those of `reader_inputs`, and a CSV's comma may
+    be sniffed.  A CSV's records end in "\\n", "\\r\\n" or a lone
+    "\\r", blank lines may come between them, and its quoted cells may
+    hold the delimiter, quotes or line breaks.  A whitespace line may be
+    indented, split by any of the `separators`, lack its value, or be
+    blank.  Three short rows end the file, all in its rest after at least
+    one more row, so a line start follows the middle of the rest; blank
+    lines and a BOM may start it.  It is counted in halves if its first
+    row does not end in a lone "\\r" before a line that is not empty, and
+    more than two blocks of `chunk` follow it.
     """
     chunk = draw(st.integers(min_value=1, max_value=4))
     decimal_mark = draw(st.sampled_from([".", ","]))
@@ -1407,10 +1416,15 @@ def helper_inputs(draw):
         delimiter = ";" if decimal_mark == "," else draw(st.sampled_from([",", ";"]))
         quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
         header = draw(st.booleans())
-        rows = [[i, cell, draw(st.sampled_from(HELPER_NOTES)).format(d=delimiter)]
+        leading = draw(st.booleans())  # whether the values are the first column
+
+        def row(i, cell, note):
+            return [cell, i, note] if leading else [i, cell, note]
+
+        rows = [row(i, cell, draw(st.sampled_from(HELPER_NOTES)).format(d=delimiter))
                 for i, cell in enumerate(cells)]
-        rows = [["id", "amount", "note"]] * header + rows + [[i, i, ""] for i in (7, 8, 9)]
-        column = "amount" if header else 1
+        rows = [row("id", "amount", "note")] * header + rows + [[i, i, ""] for i in (7, 8, 9)]
+        column = "amount" if header else int(not leading)
 
         def record(row):
             # A writer quotes a cell that holds a character of its line end.
@@ -1422,12 +1436,26 @@ def helper_inputs(draw):
         records = [record(row) for row in rows]
         first = records[0]
         rest = "".join(draw(st.sampled_from(["", "", "\n", " \r\n"])) + r for r in records[1:])
+        # The comma is sniffed from the first line, which holds one unless a
+        # value that starts it holds a line break.
+        if delimiter == "," and "," in re.split("[\r\n]", first)[0] and draw(st.booleans()):
+            delimiter = None
     else:
-        # A later whitespace column: each line is an id, a value and perhaps a note.
+        # A later whitespace column: each line is an id, a value and perhaps
+        # a note, an id alone, or after the first, whitespace only.
         delimiter, column = None, 1
         notes = st.sampled_from(["", " x", "\t7 y"])
-        lines = [f"r{i} {''.join(cell.split()) or 'n/a'}{draw(notes)}"
-                 for i, cell in enumerate(cells)]
+
+        def line(i, cell):
+            shape = draw(st.integers(min_value=0, max_value=7))
+            if shape == 0:
+                return f"r{i}"
+            if shape == 1 and i:
+                return draw(indents)
+            value = "".join(cell.split()) or "n/a"
+            return f"{draw(indents)}r{i}{draw(separators)}{value}{draw(notes)}"
+
+        lines = [line(i, cell) for i, cell in enumerate(cells)]
         lines = [line + draw(st.sampled_from(LINE_ENDS)) for line in [*lines, "r 7", "r 8", "r 9"]]
         first, rest = lines[0], "".join(lines[1:])
     if draw(st.booleans()):
