@@ -16,8 +16,6 @@ from .digits import (
     DigitCounts,
     DigitSystem,
     count_digits,
-    first_digit,
-    first_two_digits,
     ingest,
     parse_records,
 )

@@ -1,9 +1,9 @@
 """Reading numeric records and extracting first / first-two significant digits.
 
-Digit extraction works on the decimal text of each value, never on a binary
-float, so boundary values like 0.1 can never flip to a neighbouring digit
-through rounding.  Values that cannot contribute a digit (zero, empty,
-non-numeric) are counted and reported, never silently dropped.
+Digits are read from decimal strings alone, never from a binary float, so
+boundary values like 0.1 can never flip to a neighbouring digit through
+rounding.  Values that cannot contribute a digit (zero, empty, non-numeric)
+are counted and reported, never silently dropped.
 """
 
 from __future__ import annotations
@@ -111,14 +111,17 @@ class DigitSystem(namedtuple("DigitSystem", "digits")):
         """The labels 1-9 or 10-99."""
         return tuple(range(10 ** (self.digits - 1), 10 ** self.digits))
 
-    def extract(self, token: str | float | int) -> int | None:
-        """Leading `digits` significant digits of a number, None for exact zero.
+    def extract(self, token: str) -> int | None:
+        """Leading `digits` significant digits of a decimal string, None for exact zero.
 
-        Values are read as their decimal text (see `_text`), so there is a
-        single extraction pathway.  A significand shorter than `digits` is
-        padded with a zero.  Raises ValueError for non-numeric input.
+        The token is read stripped, by the grammar that `ingest` reads cells
+        with.  A significand shorter than `digits` is padded with a zero.
+        Raises ValueError for a str that is not numeric, and TypeError for
+        a value that is not a str.
         """
-        text = _text(token)
+        if not isinstance(token, str):
+            raise TypeError(f"a token must be a str, got {type(token).__name__}")
+        text = token.strip()
         if not _NUMERIC_RE.fullmatch(text):
             raise ValueError(f"not a numeric token: {token!r}")
         # The mantissa's digits with leading zeros removed: empty for a zero.
@@ -154,43 +157,6 @@ class DigitCounts(namedtuple("DigitCounts", "system counts skip_reasons")):
     def skipped(self) -> int:
         """Records skipped, over every reason."""
         return sum(self.skip_reasons.values())
-
-
-def _text(token: str | float | int) -> str:
-    """The decimal text of a value: a str stripped, an integer exact, repr(float(x)) otherwise.
-
-    Anything with `__index__` (int, bool, numpy integers) is an integer, so
-    an int too long for a float keeps its leading digits exactly.  A value
-    that float() refuses (None, a complex number) reads as "", a non-number.
-    """
-    if isinstance(token, str):
-        return token.strip()
-    try:
-        value = as_integer(token)
-    except TypeError:
-        try:
-            return repr(float(token))
-        except TypeError:
-            return ""
-    # str() refuses ints of more than 4300 digits.  Dividing by a power of ten
-    # at least 19 digits below the leading one drops only trailing digits.
-    shift = max(value.bit_length() * 30103 // 100000 - 20, 0)
-    text = str(abs(value) // 10**shift)
-    return "-" + text if value < 0 else text
-
-
-def first_digit(token: str | float | int) -> int | None:
-    """First significant digit (1-9) of a number, None for exact zero."""
-    return FIRST_DIGIT.extract(token)
-
-
-def first_two_digits(token: str | float | int) -> int | None:
-    """First two significant digits (10-99), None for exact zero.
-
-    A value with a single significant digit d reads as d0 (significand
-    padded with a zero): "5" -> 50.
-    """
-    return FIRST_TWO_DIGITS.extract(token)
 
 
 def parse_records(
@@ -509,17 +475,17 @@ def _resolve_column(column, first_row, decimal_mark) -> tuple[int, bool]:
     return index, bool(cell) and not _NUMERIC_RE.fullmatch(cell)
 
 
-def count_digits(tokens: Iterable[str | float | int], system: DigitSystem) -> DigitCounts:
-    """Tally extracted digits over `tokens` into a DigitCounts.
+def count_digits(tokens: Iterable[str], system: DigitSystem) -> DigitCounts:
+    """Tally extracted digits over `tokens`, decimal strings, into a DigitCounts.
 
-    Values are read as their decimal text, as DigitSystem.extract reads
-    them, and checked as CSV cells are, by one regex pass over each chunk's
-    joined text, or none for a plain chunk (see `_plain`).  Zero values and
-    non-numeric tokens, None and "" among them, go to skip_reasons,
-    zero-value first.
+    The strings are checked as CSV cells are, padding and all, by one regex
+    pass over each chunk's joined text, or none for a plain chunk (see
+    `_plain`), so each reads as DigitSystem.extract reads it.  Zero values
+    and non-numeric tokens, "" among them, go to skip_reasons, zero-value
+    first.  A token that is not a str raises TypeError.
     """
     marks = {("", ""): SKIP_NON_NUMERIC, ("\n", ""): SKIP_NON_NUMERIC}
-    return _count(_batches(map(_text, tokens)), _CELL_RUNS_RE, marks, system)
+    return _count(_batches(iter(tokens)), _CELL_RUNS_RE, marks, system)
 
 
 def _count(
