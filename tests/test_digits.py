@@ -118,6 +118,34 @@ class TestFirstDigit:
     def test_extraction(self, token, expected):
         assert FIRST_DIGIT.extract(token) == expected
 
+    def test_float_input_uses_decimal_text(self):
+        # A caller formats a float as repr(x), exponent forms included.
+        assert FIRST_DIGIT.extract(repr(0.1)) == 1
+        assert FIRST_DIGIT.extract(repr(-0.00456)) == 4
+        assert FIRST_DIGIT.extract(repr(12345.0)) == 1
+        assert FIRST_TWO_DIGITS.extract(repr(1e-7)) == 10
+        assert FIRST_TWO_DIGITS.extract(repr(5e-324)) == 50
+        assert FIRST_TWO_DIGITS.extract(repr(1.7976931348623157e308)) == 17
+
+    @pytest.mark.parametrize("token, first, first_two", [
+        ("199999999999999999", 1, 19),  # float(x) rounds it up to 2e17
+        ("-199999999999999999", 1, 19),
+        ("1" + "0" * 400, 1, 10),  # beyond the float range
+        ("1" + "0" * 5000, 1, 10),  # beyond str(int)'s default limit of 4300 digits
+        ("-19" + "0" * 4999 + "7", 1, 19),
+        ("0", None, None),
+    ], ids=["2e17-1", "-(2e17-1)", "10**400", "10**5000", "-(19e5000+7)", "0"])
+    def test_integers_are_read_exactly(self, token, first, first_two):
+        assert FIRST_DIGIT.extract(token) == first
+        assert FIRST_TWO_DIGITS.extract(token) == first_two
+
+    @given(st.integers(-(10**4000), 10**4000))
+    def test_integers_read_as_their_decimal_text(self, value):
+        text = str(abs(value))
+        for scheme in SCHEMES:
+            expected = int(text[:scheme.digits].ljust(scheme.digits, "0")) if value else None
+            assert scheme.extract(str(value)) == expected
+
     @pytest.mark.parametrize("token", ["abc", "", "1.2.3", "nan", "inf", "1e", "--5"])
     def test_parse_errors(self, token):
         with pytest.raises(ValueError):
@@ -469,6 +497,17 @@ class TestCountDigits:
         counts = count_digits(["7", "bogus"], FIRST_DIGIT)
         assert counts.n == 1
         assert counts.skip_reasons == {"non-numeric": 1}
+
+    def test_integers_are_read_exactly(self):
+        counts = count_digits(["199999999999999999", "1" + "0" * 400, "0"], FIRST_TWO_DIGITS)
+        assert counts.counts[FIRST_TWO_DIGITS.digit_labels.index(19)] == 1
+        assert counts.counts[FIRST_TWO_DIGITS.digit_labels.index(10)] == 1
+        assert counts.n == 2 and counts.skip_reasons == {"zero-value": 1}
+
+    def test_integers_beyond_the_str_limit_are_counted(self):
+        counts = count_digits(["1" + "0" * 5000, "1", "0"], FIRST_DIGIT)
+        assert counts.counts[0] == 2
+        assert counts.n == 2 and counts.skip_reasons == {"zero-value": 1}
 
     @given(st.permutations(["1", "22", "0.3", "47", "5", "0", "61", "7.7", "88", "9"]))
     def test_permutation_invariance(self, tokens):
@@ -959,7 +998,7 @@ class TestBatchedIngestionMatchesPerTokenLoop:
 # ingest against old_parse_records, given the lines that each source yields.
 
 
-ZERO_CELLS =["0", "-0.0", "+00", "0e5", ".0", "0.", "-0E-3"]
+ZERO_CELLS = ["0", "-0.0", "+00", "0e5", ".0", "0.", "-0E-3"]
 BREAK_CELLS = ["1\n2", "5\n", "\n", "x\n7", " 3.5 \n "]
 
 
